@@ -136,6 +136,7 @@ def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
             "final_fidelity": result.final_fidelity,
             "last_fidelity": result.last_fidelity,
             "disturb_risk_count": result.disturb_risk_count,
+            "pulses_issued": result.pulses_issued,
         }, os.path.join(out, "fidelity.json"))
         print(f"in-situ: final fidelity {result.final_fidelity:.3f} "
               f"(last state {result.last_fidelity:.3f})")

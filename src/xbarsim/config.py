@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .crossbar import BiasScheme
 from .device import DeviceVariationSpec
 from .errors import ConfigurationError
 from .forming import FormingSpec
@@ -219,8 +218,6 @@ def parse_manhattan(section: dict) -> tuple:
         bias_scheme=str(base["bias_scheme"]),
         epochs=_integer(base["epochs"], "manhattan.epochs"),
     ).validate()
-    if cfg.bias_scheme not in ("V_half", "V_third"):
-        raise ConfigurationError(f"unknown bias scheme {cfg.bias_scheme!r}")
     return cfg, str(base["classes"])
 
 

@@ -135,27 +135,38 @@ class MemristorDevice:
             raise ValueError(f"read at {v_read} V would disturb the device state")
         return self.current(v_read) / v_read
 
-    def apply_pulse(self, amplitude: float, width: float = PULSE_WIDTH_REF) -> "MemristorDevice":
-        """Apply one voltage pulse; above-threshold pulses move the conductance.
+    def switching_step(self, amplitude: float, width: float = PULSE_WIDTH_REF) -> float:
+        """Signed conductance change one pulse asks for, before clamping.
 
         The update is threshold-gated and exponential in overvoltage:
-        dG = rate * (width/500us) * exp(overvoltage / voltage_scale), with
-        positive pulses increasing conductance and negative decreasing it,
-        clamped to [g_min, g_max].  Returns the device for chaining.
+        |dG| = rate * (width/500us) * exp(overvoltage / voltage_scale), positive
+        for pulses at or above the set threshold and negative at or below the
+        reset threshold.  Sub-threshold pulses and stuck or unformed devices
+        give 0.
         """
         if width <= 0:
             raise ValueError("pulse width must be positive")
         if self.stuck or not self.formed:
-            return self
+            return 0.0
         scale = width / PULSE_WIDTH_REF
         if amplitude >= self.set_threshold:
             over = amplitude - self.set_threshold
-            step = self.kinetics_rate * scale * math.exp(over / self.kinetics_voltage_scale)
-            self.conductance = min(self.conductance + step, self.g_max)
-        elif amplitude <= self.reset_threshold:
+            return self.kinetics_rate * scale * math.exp(over / self.kinetics_voltage_scale)
+        if amplitude <= self.reset_threshold:
             over = self.reset_threshold - amplitude
-            step = self.kinetics_rate * scale * math.exp(over / self.kinetics_voltage_scale)
-            self.conductance = max(self.conductance - step, self.g_min)
+            return -self.kinetics_rate * scale * math.exp(over / self.kinetics_voltage_scale)
+        return 0.0
+
+    def apply_pulse(self, amplitude: float, width: float = PULSE_WIDTH_REF) -> "MemristorDevice":
+        """Apply one voltage pulse: add ``switching_step`` and clamp to [g_min, g_max].
+
+        Returns the device for chaining.
+        """
+        step = self.switching_step(amplitude, width)
+        if step > 0:
+            self.conductance = min(self.conductance + step, self.g_max)
+        elif step < 0:
+            self.conductance = max(self.conductance + step, self.g_min)
         return self
 
 

@@ -9,8 +9,11 @@ routes the remaining updates around them.
 
 In-situ training drives the simulated crossbars directly: inference on the
 hardware, update signs from backpropagation on read-back conductances, and
-one fixed-amplitude pulse per device, one crossbar row at a time in two
-polarity steps.
+one fixed-amplitude pulse per device.  The hardware applies the pulses one
+crossbar row at a time in two polarity steps; because ideal-line writes do
+not couple cells, the simulator applies each epoch's schedule as one masked
+update per crossbar on conductance arrays.  A wire-resistive write model
+would need the row loop back.
 
 Weights at every interface are in siemens.  Learning rates are quoted in
 gain-normalized units (1 unit = 1 uS of differential conductance), which is
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmark import label_vector, pixel_matrix
-from .crossbar import Crossbar
+from .crossbar import BiasScheme, Crossbar
 from .errors import ConfigurationError, DivergenceError
 from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap
 from .rng import stream
@@ -293,8 +296,11 @@ class ManhattanConfig:
     def validate(self):
         if self.amplitude <= 0:
             raise ConfigurationError("pulse amplitude must be positive")
+        if self.pulse_width <= 0:
+            raise ConfigurationError("pulse width must be positive")
         if self.epochs < 1:
             raise ConfigurationError("need at least one epoch")
+        BiasScheme(self.bias_scheme)
         return self
 
 
@@ -304,21 +310,59 @@ class ManhattanResult:
     final_fidelity: float              # mean fidelity over the tail window
     last_fidelity: float               # fidelity of the end state
     disturb_risk_count: int            # devices switchable at half-select bias
+    pulses_issued: int                 # non-zero update signs over all epochs
 
 
-def _read_weights(xbar: Crossbar) -> np.ndarray:
-    g = xbar.conductances()
-    return g[0::2] - g[1::2]
+def _half_select_risk(xbar: Crossbar, cfg: ManhattanConfig) -> int:
+    """Devices a half-selected write under ``cfg.bias_scheme`` could switch."""
+    v_half = BiasScheme(cfg.bias_scheme).half_select_fraction() * cfg.amplitude
+    return sum(min(dev.set_threshold, -dev.reset_threshold) < v_half
+               for row in xbar.devices for dev in row)
 
 
-def _half_select_risk(xbar: Crossbar, amplitude: float) -> int:
-    half = amplitude / 2.0
-    count = 0
-    for row in xbar.devices:
-        for dev in row:
-            if dev.set_threshold < half or -dev.reset_threshold < half:
-                count += 1
-    return count
+class _PulsedArray:
+    """One crossbar held as conductance arrays while it takes Manhattan pulses.
+
+    Every device's up and down step for the fixed pulse is computed once on
+    entry; ``live`` marks the formed, non-stuck devices that pulses can move.
+    """
+
+    def __init__(self, xbar: Crossbar, cfg: ManhattanConfig):
+        self.devices = [dev for row in xbar.devices for dev in row]
+        shape = (xbar.rows, xbar.cols)
+
+        def grid(values):
+            return np.array(values).reshape(shape)
+
+        self.G = xbar.conductances()
+        self.live = grid([dev.formed and not dev.stuck for dev in self.devices])
+        self.g_min = grid([dev.g_min for dev in self.devices])
+        self.g_max = grid([dev.g_max for dev in self.devices])
+        self.up = grid([dev.switching_step(cfg.amplitude, cfg.pulse_width)
+                        for dev in self.devices])
+        self.down = grid([-dev.switching_step(-cfg.amplitude, cfg.pulse_width)
+                          for dev in self.devices])
+
+    def weights(self) -> np.ndarray:
+        return self.G[0::2] - self.G[1::2]
+
+    def pulse(self, grad: np.ndarray) -> int:
+        """Pulse every device once against ``grad``; returns the pulses issued.
+
+        Row 2j (G+) of neuron j takes -sign(grad[j]) and row 2j+1 (G-) its
+        negation.
+        """
+        signs = np.repeat(-np.sign(grad), 2, axis=0)
+        signs[1::2] *= -1.0
+        inc, dec = signs > 0, signs < 0
+        self.G = np.where(inc & self.live, np.minimum(self.G + self.up, self.g_max), self.G)
+        self.G = np.where(dec & self.live, np.maximum(self.G - self.down, self.g_min), self.G)
+        return int(np.count_nonzero(inc) + np.count_nonzero(dec))
+
+    def write_back(self):
+        for dev, g, live in zip(self.devices, self.G.flat, self.live.flat):
+            if live:
+                dev.conductance = float(g)
 
 
 def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
@@ -327,9 +371,14 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
 
     Each epoch: run inference for the whole batch on the simulated hardware,
     compute update signs by backpropagation on the read-back conductances,
-    then pulse every device once, one crossbar row at a time in two steps
-    (positive polarity first, then negative) under half-select biasing.
-    Classes are restricted to the labels present in the dataset.
+    then pulse every device once.  The hardware schedule pulses one crossbar
+    row at a time in two steps (positive polarity first, then negative) under
+    half-select biasing; each device takes at most one pulse per epoch and
+    ideal-line writes do not couple cells, so the simulator applies the whole
+    schedule as one masked increase and one masked decrease per crossbar on
+    conductance arrays, written back to the devices on exit.  A wire-resistive
+    write model would need the row loop back.  Classes are restricted to the
+    labels present in the dataset.
     """
     cfg.validate()
     topo = DEFAULT_TOPOLOGY
@@ -343,15 +392,17 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     y_local = np.array([class_idx.index(v) for v in y])
     T = _targets(y_local, len(class_idx), cfg.target_level)
 
-    disturb = _half_select_risk(xb1, cfg.amplitude) + _half_select_risk(xb2, cfg.amplitude)
+    disturb = _half_select_risk(xb1, cfg) + _half_select_risk(xb2, cfg)
+    arr1, arr2 = _PulsedArray(xb1, cfg), _PulsedArray(xb2, cfg)
     errors = []
     fids = []
+    pulses = 0
 
     # Gradients run over the full 4-output head with error only on the
     # classes in play; unused outputs see zero error and get zero pulses.
     def masked_grads():
-        u1 = _read_weights(xb1) / _U
-        u2 = _read_weights(xb2) / _U
+        u1 = arr1.weights() / _U
+        u2 = arr2.weights() / _U
         A = Xe @ u1.T
         tanh_a = np.tanh(A)
         H = topo.hidden_saturation * tanh_a
@@ -369,25 +420,18 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
         d1, d2, fid = masked_grads()
         errors.append(1.0 - fid)
         fids.append(fid)
-        for xbar, grad in ((xb1, d1), (xb2, d2)):
-            signs = -np.sign(grad)
-            for r in range(xbar.rows):
-                neuron = r // 2
-                row_signs = signs[neuron] if r % 2 == 0 else -signs[neuron]
-                devices = xbar.devices[r]
-                # Two-step parallel row update: all increases, then decreases.
-                for c in np.nonzero(row_signs > 0)[0]:
-                    devices[c].apply_pulse(cfg.amplitude, cfg.pulse_width)
-                for c in np.nonzero(row_signs < 0)[0]:
-                    devices[c].apply_pulse(-cfg.amplitude, cfg.pulse_width)
+        pulses += arr1.pulse(d1) + arr2.pulse(d2)
 
     _, _, fid = masked_grads()
     fids.append(fid)
+    arr1.write_back()
+    arr2.write_back()
     tail = max(1, int(round(cfg.tail_fraction * len(fids))))
     return ManhattanResult(error_curve=errors,
                            final_fidelity=float(np.mean(fids[-tail:])),
                            last_fidelity=fid,
-                           disturb_risk_count=disturb)
+                           disturb_risk_count=disturb,
+                           pulses_issued=pulses)
 
 
 def save_curve(curve, path):

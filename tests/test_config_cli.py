@@ -139,6 +139,28 @@ class TestCli:
         lines = open(os.path.join(res, "outputs.csv")).read().strip().splitlines()
         assert len(lines) == 2          # header + one row
 
+    def test_in_situ_training_writes_fidelity(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"manhattan": {"epochs": 20}}))
+        out = str(tmp_path / "insitu")
+        assert main(["--config", str(cfg), "--out", out, "train", "--mode", "in-situ"]) == 0
+        report = json.load(open(os.path.join(out, "fidelity.json")))
+        assert report["mode"] == "in-situ"
+        assert 0.0 <= report["final_fidelity"] <= 1.0
+        assert report["pulses_issued"] > 0
+        curve = open(os.path.join(out, "insitu_error_curve.csv")).read().splitlines()
+        assert len(curve) == 21             # header + one row per epoch
+
+    @pytest.mark.parametrize("manhattan", [{"pulse_width": "0us"},
+                                           {"bias_scheme": "V_quarter"}])
+    def test_bad_manhattan_config_is_config_error(self, tmp_path, manhattan):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"manhattan": manhattan}))
+        out = tmp_path / "insitu"
+        assert main(["--config", str(cfg), "--out", str(out), "train",
+                     "--mode", "in-situ"]) == 2
+        assert not out.exists()
+
     def test_export_patterns(self, tmp_path):
         out = str(tmp_path / "pats")
         assert main(["--out", out, "export-patterns"]) == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xbarsim.device import (DeviceVariationSpec, MemristorDevice,
                             sample_device, PULSE_WIDTH_REF)
@@ -176,3 +177,39 @@ class TestProperties:
         d.apply_pulse(2.0)
         assert d.effective_conductance() == g
         assert g == pytest.approx(1.0 / d.pristine_resistance, rel=1e-12)
+
+
+devices = st.builds(
+    MemristorDevice,
+    conductance=st.floats(2e-6, 150e-6),
+    set_threshold=st.floats(0.05, 2.0),
+    reset_threshold=st.floats(-2.0, -0.05),
+    kinetics_rate=st.floats(0.0, 5e-6),
+    kinetics_voltage_scale=st.floats(0.05, 1.0),
+    stuck=st.booleans(),
+    formed=st.booleans(),
+)
+
+
+class TestSwitchingStep:
+    @settings(max_examples=300, deadline=None)
+    @given(dev=devices, amplitude=st.floats(-2.4, 2.4), width=st.floats(1e-6, 1e-2))
+    def test_apply_pulse_adds_clamped_step(self, dev, amplitude, width):
+        g = dev.conductance
+        step = dev.switching_step(amplitude, width)
+        dev.apply_pulse(amplitude, width)
+        assert dev.conductance == min(max(g + step, dev.g_min), dev.g_max)
+        if dev.stuck or not dev.formed or dev.reset_threshold < amplitude < dev.set_threshold:
+            assert step == 0.0
+        elif amplitude > 0:
+            assert step >= 0.0
+        else:
+            assert step <= 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(dev=devices, amplitude=st.floats(-2.4, 2.4), width=st.floats(-1.0, 0.0))
+    def test_non_positive_width_raises(self, dev, amplitude, width):
+        with pytest.raises(ValueError):
+            dev.switching_step(amplitude, width)
+        with pytest.raises(ValueError):
+            dev.apply_pulse(amplitude, width)

@@ -1,14 +1,18 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from xbarsim.benchmark import canonical_training_set, label_vector, pixel_matrix
 from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec
+from xbarsim.errors import ConfigurationError
 from xbarsim.mlp import DEFAULT_TOPOLOGY
 from xbarsim.pipeline import INSITU_DEVICE_SPEC, build_network_crossbars
 from xbarsim.rng import stream
 from xbarsim.training import (DefectMap, ManhattanConfig, TrainingConfig,
-                              _grads, encode_batch, forward_batch,
+                              _grads, _targets, encode_batch, forward_batch,
                               pairs_to_weights, train_ex_situ,
                               train_in_situ_manhattan, train_single_layer,
                               weights_to_pairs)
@@ -153,3 +157,139 @@ class TestManhattan:
         err = np.array(res.error_curve)
         assert err[-20:].mean() < err[:20].mean()
         assert 0.0 <= res.final_fidelity <= 1.0
+
+
+def reference_manhattan(xb1, xb2, patterns, cfg):
+    """Per-device Manhattan trainer: every pulse through ``apply_pulse``.
+
+    Pulses one crossbar row at a time, increases before decreases, and reads
+    the weights back from the devices each epoch.  Returns (error curve,
+    final fidelity, last fidelity, disturb count, apply_pulse calls).
+    """
+    topo = DEFAULT_TOPOLOGY
+    Xe = encode_batch(pixel_matrix(patterns), topo)
+    y = label_vector(patterns)
+    class_idx = sorted(set(int(v) for v in y))
+    y_local = np.array([class_idx.index(v) for v in y])
+    T = _targets(y_local, len(class_idx), cfg.target_level)
+    disturb = sum(dev.set_threshold < cfg.amplitude / 2.0
+                  or -dev.reset_threshold < cfg.amplitude / 2.0
+                  for xb in (xb1, xb2) for row in xb.devices for dev in row)
+
+    def masked_grads():
+        g1, g2 = xb1.conductances(), xb2.conductances()
+        u1 = (g1[0::2] - g1[1::2]) / 1e-6
+        u2 = (g2[0::2] - g2[1::2]) / 1e-6
+        tanh_a = np.tanh(Xe @ u1.T)
+        H = topo.hidden_saturation * tanh_a
+        Ha = np.hstack([H, np.full((len(H), 1), topo.bias_level)])
+        Y = Ha @ u2.T
+        dY = np.zeros_like(Y)
+        dY[:, class_idx] = 2.0 * (Y[:, class_idx] - T) / T.size
+        d2 = dY.T @ Ha
+        dH = dY @ u2[:, :-1]
+        d1 = (dH * topo.hidden_saturation * (1.0 - tanh_a ** 2)).T @ Xe
+        return d1, d2, float((Y[:, class_idx].argmax(1) == y_local).mean())
+
+    errors, fids, pulses = [], [], 0
+    for _ in range(cfg.epochs):
+        d1, d2, fid = masked_grads()
+        errors.append(1.0 - fid)
+        fids.append(fid)
+        for xbar, grad in ((xb1, d1), (xb2, d2)):
+            signs = -np.sign(grad)
+            for r in range(xbar.rows):
+                row_signs = signs[r // 2] if r % 2 == 0 else -signs[r // 2]
+                for c in np.nonzero(row_signs > 0)[0]:
+                    xbar.devices[r][c].apply_pulse(cfg.amplitude, cfg.pulse_width)
+                    pulses += 1
+                for c in np.nonzero(row_signs < 0)[0]:
+                    xbar.devices[r][c].apply_pulse(-cfg.amplitude, cfg.pulse_width)
+                    pulses += 1
+    _, _, fid = masked_grads()
+    fids.append(fid)
+    tail = max(1, int(round(cfg.tail_fraction * len(fids))))
+    return errors, float(np.mean(fids[-tail:])), fid, disturb, pulses
+
+
+def _device_fields(xb, name):
+    return np.array([[getattr(d, name) for d in row] for row in xb.devices])
+
+
+ATV = [p for p in PATTERNS if p.label in ("A", "T", "V")]
+
+
+def _pristine_partly_formed(seed):
+    # Low-resistance pre-formed cells put the pristine read-out above g_max,
+    # the rest sit below g_min: a pulse must clamp neither.
+    spec = dataclasses.replace(INSITU_DEVICE_SPEC, preformed_probability=0.5,
+                               preformed_resistance_range=(2e3, 5e3))
+    xbars = build_network_crossbars(seed, spec, pristine=True)
+    for xb in xbars:
+        for r, row in enumerate(xb.devices):
+            for c, dev in enumerate(row):
+                dev.formed = (r + c) % 3 != 0
+    return xbars
+
+
+class TestManhattanOracle:
+    @pytest.mark.parametrize("make, cfg", [
+        (lambda: build_network_crossbars(3, INSITU_DEVICE_SPEC, pristine=False),
+         ManhattanConfig()),
+        (lambda: _pristine_partly_formed(4), ManhattanConfig(epochs=150)),
+        (lambda: build_network_crossbars(
+            5, DeviceVariationSpec(g_init_range=(2e-6, 3.5e-6),
+                                   kinetics_rate_range=(0.04e-6, 0.28e-6),
+                                   stuck_probability=0.2), pristine=False),
+         ManhattanConfig(amplitude=1.6, pulse_width=2e-3, epochs=150)),
+        (lambda: build_network_crossbars(6, INSITU_DEVICE_SPEC, pristine=False),
+         ManhattanConfig(amplitude=2.4, epochs=150)),
+    ], ids=["default", "pristine", "stuck-wide-pulse", "saturating"])
+    def test_array_trainer_matches_per_device_loop(self, make, cfg):
+        xb1, xb2 = make()
+        ref1, ref2 = copy.deepcopy(xb1), copy.deepcopy(xb2)
+        res = train_in_situ_manhattan(xb1, xb2, ATV, cfg)
+        errors, final, last, disturb, pulses = reference_manhattan(ref1, ref2, ATV, cfg)
+
+        for got, want in ((xb1, ref1), (xb2, ref2)):
+            assert got.conductances().tobytes() == want.conductances().tobytes()
+            for name in ("conductance", "formed", "stuck"):
+                assert (_device_fields(got, name).tobytes()
+                        == _device_fields(want, name).tobytes()), name
+        assert res.error_curve == errors
+        assert res.final_fidelity == final and res.last_fidelity == last
+        assert res.disturb_risk_count == disturb
+        assert res.pulses_issued == pulses > 0
+
+    def test_saturating_case_reaches_g_max(self):
+        xb1, xb2 = build_network_crossbars(6, INSITU_DEVICE_SPEC, pristine=False)
+        train_in_situ_manhattan(xb1, xb2, ATV, ManhattanConfig(amplitude=2.4, epochs=150))
+        g = _device_fields(xb1, "conductance")
+        assert (g == _device_fields(xb1, "g_max")).any()
+
+
+class TestManhattanConfig:
+    def _risk(self, scheme, amplitude):
+        xb1, xb2 = build_network_crossbars(8, INSITU_DEVICE_SPEC, pristine=False)
+        cfg = ManhattanConfig(epochs=1, amplitude=amplitude, bias_scheme=scheme)
+        return train_in_situ_manhattan(xb1, xb2, PATTERNS[:12], cfg).disturb_risk_count
+
+    @pytest.mark.parametrize("amplitude", [1.3, 2.4, 3.0])
+    def test_bias_scheme_sets_disturb_voltage(self, amplitude):
+        xb1, xb2 = build_network_crossbars(8, INSITU_DEVICE_SPEC, pristine=False)
+        lows = [min(d.set_threshold, -d.reset_threshold)
+                for xb in (xb1, xb2) for row in xb.devices for d in row]
+        third, half = self._risk("V_third", amplitude), self._risk("V_half", amplitude)
+        assert third == sum(v < amplitude / 3 for v in lows)
+        assert half == sum(v < amplitude / 2 for v in lows)
+        assert third <= half
+
+    def test_schemes_differ_where_half_select_can_switch(self):
+        assert self._risk("V_third", 2.4) < self._risk("V_half", 2.4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("bias_scheme", "V_quarter"), ("pulse_width", 0.0), ("pulse_width", -1e-6),
+        ("amplitude", 0.0), ("epochs", 0)])
+    def test_validate_rejects(self, field, value):
+        with pytest.raises(ConfigurationError):
+            ManhattanConfig(**{field: value}).validate()

@@ -166,19 +166,22 @@ class SweepStats:
 
 
 def precision_sweep(weights, noise_sigmas, runs: int = 100, seed: int = 0,
-                    patterns=None, test_patterns=None) -> dict:
+                    patterns=None, test_patterns=None,
+                    weight_limit: float | None = None) -> dict:
     """Monte Carlo of classification fidelity vs weight-import noise.
 
     Every weight is perturbed by N(0, sigma * w_scale) where w_scale is the
     largest trained weight magnitude, then clipped back to the representable
-    range.  Common random numbers across sigma levels: run r uses the same
+    range +/- ``weight_limit`` (default: ``TrainingConfig().weight_limit``).
+    Common random numbers across sigma levels: run r uses the same
     normalized draw at every noise level, so medians trend monotonically.
     Returns {"train": SweepStats, "test": SweepStats}.
     """
-    from .training import forward_batch, WEIGHT_CLIP        # cycle-free import
+    from .training import TrainingConfig, forward_batch     # cycle-free import
 
     if runs < 1:
         raise ConfigurationError("need at least one run")
+    limit = TrainingConfig().weight_limit if weight_limit is None else weight_limit
     w1, w2 = weights
     scale = max(np.abs(w1).max(), np.abs(w2).max())
     if patterns is None:
@@ -195,8 +198,8 @@ def precision_sweep(weights, noise_sigmas, runs: int = 100, seed: int = 0,
     for sigma in noise_sigmas:
         train_f, test_f = [], []
         for z1, z2 in draws:
-            n1 = np.clip(w1 + sigma * scale * z1, -WEIGHT_CLIP, WEIGHT_CLIP)
-            n2 = np.clip(w2 + sigma * scale * z2, -WEIGHT_CLIP, WEIGHT_CLIP)
+            n1 = np.clip(w1 + sigma * scale * z1, -limit, limit)
+            n2 = np.clip(w2 + sigma * scale * z2, -limit, limit)
             train_f.append(float((forward_batch(n1, n2, Xtr).argmax(1) == ytr).mean()))
             test_f.append(float((forward_batch(n1, n2, Xte).argmax(1) == yte).mean()))
         stats["train"].append(sigma, train_f)

@@ -31,7 +31,7 @@ from .errors import ConfigurationError, DivergenceError
 from .forming import form_all, save_report
 from .mlp import ConductancePairMap, MlpNetwork, infer
 from .pipeline import (build_network_crossbars, derive_seed, run_ex_situ_pipeline)
-from .training import (ManhattanConfig, pairs_to_weights, save_curve,
+from .training import (pairs_to_weights, save_curve,
                        train_in_situ_manhattan, train_single_layer, forward_batch)
 from .tuning import error_histogram, import_conductance_map, save_histogram
 from .benchmark import label_vector, pixel_matrix
@@ -48,11 +48,12 @@ def _write_json(payload: dict, path):
 
 
 def cmd_form(cfg: ExperimentConfig, out: str) -> int:
-    xbar = build_crossbar(cfg.rows, cfg.cols, cfg.device,
-                          R_w=cfg.wire_segment_resistance,
+    xc = cfg.crossbar
+    xbar = build_crossbar(xc.rows, xc.cols, cfg.device,
+                          R_w=xc.wire_segment_resistance,
                           seed=derive_seed(cfg.seed, "device", "form"),
-                          pristine=True, line_model=cfg.line_model)
-    targets = [(r, c) for r in range(cfg.rows) for c in range(cfg.cols)]
+                          pristine=True, line_model=xc.line_model)
+    targets = [(r, c) for r in range(xc.rows) for c in range(xc.cols)]
     report = form_all(xbar, targets, cfg.forming)
     os.makedirs(out, exist_ok=True)
     save_report(report, os.path.join(out, "forming_report.json"))
@@ -92,7 +93,7 @@ def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
             cfg.seed, aware=(mode == "ex-situ-aware"),
             device_spec=cfg.device, forming_spec=cfg.forming,
             training_cfg=cfg.training, tuning_spec=cfg.tuning,
-            refine_passes=cfg.refine_passes)
+            refine_passes=cfg.tuning.refine_passes)
         _write_pair_maps(result.outcome, out)
         save_curve(result.outcome.curve, os.path.join(out, "training_curve.csv"))
         xb1, xb2 = result.crossbars
@@ -119,9 +120,7 @@ def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
 
     if mode == "in-situ":
         patterns = [p for p in canonical_training_set()
-                    if p.label in set(cfg.manhattan_classes)]
-        if not patterns:
-            raise ConfigurationError(f"no patterns for classes {cfg.manhattan_classes!r}")
+                    if p.label in set(cfg.manhattan.classes)]
         xb1, xb2 = build_network_crossbars(cfg.seed, cfg.insitu_device, pristine=False)
         result = train_in_situ_manhattan(xb1, xb2, patterns, cfg.manhattan)
         with open(os.path.join(out, "insitu_error_curve.csv"), "w") as fh:
@@ -132,7 +131,7 @@ def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
         save_state(xb2, os.path.join(out, "crossbar2_state.json"))
         _write_json({
             "mode": mode,
-            "classes": cfg.manhattan_classes,
+            "classes": cfg.manhattan.classes,
             "final_fidelity": result.final_fidelity,
             "last_fidelity": result.last_fidelity,
             "disturb_risk_count": result.disturb_risk_count,
@@ -186,8 +185,10 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, weights_dir: str) -> int:
         raise ConfigurationError(f"no trained pair maps under {weights_dir}; run 'train' first")
     w1 = pairs_to_weights(ConductancePairMap.from_grid(import_grid(p1)))
     w2 = pairs_to_weights(ConductancePairMap.from_grid(import_grid(p2)))
-    stats = precision_sweep((w1, w2), cfg.noise_sigmas, runs=cfg.sweep_runs,
-                            seed=derive_seed(cfg.seed, "noise"))
+    sweep = cfg.benchmark
+    stats = precision_sweep((w1, w2), sweep.noise_sigmas, runs=sweep.runs,
+                            seed=derive_seed(cfg.seed, "noise"),
+                            weight_limit=cfg.training.weight_limit)
     os.makedirs(out, exist_ok=True)
     stats["train"].save_csv(os.path.join(out, "train_sweep.csv"))
     stats["test"].save_csv(os.path.join(out, "test_sweep.csv"))
@@ -200,7 +201,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, weights_dir: str) -> int:
         fh.write("model,best_train_fidelity\n")
         fh.write(f"single-layer,{single_best:.9g}\n")
         fh.write(f"mlp-10-hidden,{mlp_fid:.9g}\n")
-    print(f"sweep done over {len(cfg.noise_sigmas)} noise levels x {cfg.sweep_runs} runs; "
+    print(f"sweep done over {len(sweep.noise_sigmas)} noise levels x {sweep.runs} runs; "
           f"single-layer best {single_best:.3f} vs MLP {mlp_fid:.3f}")
     return EXIT_OK
 
@@ -211,15 +212,19 @@ def cmd_scale(cfg: ExperimentConfig, out: str) -> int:
     with open(os.path.join(out, "ladder_drops.csv"), "w") as fh:
         fh.write("preset,conductance_S,n,relative_drop\n")
         for name, r_w in sorted(sc.wire_presets.items()):
-            for g in sorted({*sc.g_v_third.values(), *sc.g_v_half.values()}):
+            for g in sorted({*sc.conductance_v_third.values(),
+                             *sc.conductance_v_half.values()}):
                 for n in sc.ladder_lengths:
                     drop = ladder_worst_case_drop(n, r_w, g)
                     fh.write(f"{name},{g:.9g},{n},{drop:.9g}\n")
 
+    windows = (("set", (sc.set_threshold_min, sc.set_threshold_max)),
+               ("reset", (sc.reset_threshold_min, sc.reset_threshold_max)))
     rows = []
     for name, r_w in sorted(sc.wire_presets.items()):
-        for scheme, g_map in (("V_third", sc.g_v_third), ("V_half", sc.g_v_half)):
-            for transition, window in (("set", sc.set_window), ("reset", sc.reset_window)):
+        for scheme, g_map in (("V_third", sc.conductance_v_third),
+                              ("V_half", sc.conductance_v_half)):
+            for transition, window in windows:
                 v_min, v_max = abs(window[0]), abs(window[1])
                 budget = write_drop_budget(v_min, v_max, scheme)
                 bias = BiasScheme(scheme, 2 * v_min if scheme == "V_half" else 3 * v_min)
@@ -256,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="weight-precision Monte Carlo")
     sweep.add_argument("--weights", required=True, help="directory with trained pair maps")
     sub.add_parser("scale", help="crossbar scaling analysis")
-    init = sub.add_parser("init-config", help="write the default config")
+    init = sub.add_parser(
+        "init-config",
+        help="write the default config: every key of every section at the "
+             "default of its spec dataclass (the dataclasses are the schema)")
     init.add_argument("--path", default="xbarsim.json")
     export = sub.add_parser("export-patterns", help="write the benchmark pattern files")
     return parser

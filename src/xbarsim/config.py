@@ -1,322 +1,228 @@
 """Experiment configuration: strict JSON with explicit unit suffixes.
 
-Every dimensioned value is a string with a unit suffix ("1.3V", "50uS",
-"500us", "5.6ohm"); bare numbers are rejected for those fields.  A config
-plus the code version uniquely determines every artifact.
+The schema is the spec dataclasses.  Each JSON section is one dataclass
+(``device`` a DeviceVariationSpec, ``forming`` a FormingSpec, ``training`` a
+TrainingConfig, ...) and its keys are that dataclass's field names; an
+omitted key keeps the dataclass default.  A field declared with
+``units.quantity`` is a string with a unit suffix ("1.3V", "50uS", "500us",
+"5.6ohm"), and bare numbers are rejected there; booleans must be JSON
+booleans and integers JSON integers.  A config plus the code version
+uniquely determines every artifact.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
+from .benchmark import CLASS_NAMES
+from .crossbar import check_geometry
 from .device import DeviceVariationSpec
 from .errors import ConfigurationError
 from .forming import FormingSpec
+from .pipeline import IMPORT_TOLERANCE, INSITU_DEVICE_SPEC
 from .training import ManhattanConfig, TrainingConfig
 from .tuning import TuningSpec
-from .units import parse_quantity
+from .units import format_quantity, parse_quantity, quantity
 
-DEFAULT_CONFIG = {
-    "seed": 42,
-    "device": {
-        "set_mu": "1.0V",
-        "set_sigma": "0.13V",
-        "reset_mu": "-1.2V",
-        "reset_sigma": "0.15V",
-        "stuck_probability": 0.02,
-        "stuck_conductance_range": ["10uS", "100uS"],
-        "g_init_range": ["10uS", "100uS"],
-        "g_min": "2uS",
-        "g_max": "150uS",
-        "nonlinearity_alpha": 0.0,
-        "kinetics_rate_range": ["0.02uS", "0.06uS"],
-        "kinetics_voltage_scale": "0.3V",
-    },
-    "insitu_device": {
-        "set_mu": "1.0V",
-        "set_sigma": "0.13V",
-        "reset_mu": "-1.2V",
-        "reset_sigma": "0.15V",
-        "stuck_probability": 0.02,
-        "stuck_conductance_range": ["10uS", "100uS"],
-        "g_init_range": ["2uS", "3.5uS"],
-        "g_min": "2uS",
-        "g_max": "150uS",
-        "nonlinearity_alpha": 0.0,
-        "kinetics_rate_range": ["0.04uS", "0.28uS"],
-        "kinetics_voltage_scale": "0.3V",
-    },
-    "crossbar": {
-        "rows": 20,
-        "cols": 20,
-        "wire_segment_resistance": "0ohm",
-        "line_model": "ideal",
-    },
-    "forming": {
-        "I_start": "180uA",
-        "I_stop": "540uA",
-        "I_step": "20uA",
-        "R_min_ratio": 5.0,
-        "V_reset": "-1.3V",
-        "R_TH": "600kohm",
-        "max_attempts": 19,
-        "max_rounds": 2,
-    },
-    "tuning": {
-        "tolerance": 0.30,
-        "v_read": "0.2V",
-        "set_amplitude_range": ["0.8V", "1.5V"],
-        "reset_amplitude_range": ["-1.8V", "-0.8V"],
-        "pulse_width": "500us",
-        "max_pulses": 10000,
-        "amplitude_step": "0.02V",
-        "refine_passes": 2,
-    },
-    "training": {
-        "learning_rate": 1.0,
-        "epochs": 6000,
-        "init_scale": "4uS",
-        "target_level": "1V",
-        "clip_interval": ["10uS", "100uS"],
-        "g_bias": "55uS",
-        "fill_range": True,
-        "fill_fraction": 0.6666666666666666,
-        "finetune_epochs": 2000,
-    },
-    "manhattan": {
-        "amplitude": "1.3V",
-        "pulse_width": "500us",
-        "bias_scheme": "V_half",
-        "epochs": 400,
-        "classes": "ATV",
-    },
-    "benchmark": {
-        "noise_sigmas": [0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5],
-        "runs": 100,
-    },
-    "scale": {
-        "wire_presets": {"experiment-like": "5.6ohm", "copper": "0.185ohm"},
-        "set_threshold_min": "0.7V",
-        "set_threshold_max": "1.3V",
-        "reset_threshold_min": "-1.0V",
-        "reset_threshold_max": "-1.9V",
-        "conductance_v_third": {"set": "30uS", "reset": "50uS"},
-        "conductance_v_half": {"set": "20uS", "reset": "33uS"},
-        "ladder_lengths": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512],
-    },
-}
+# Fields that are not keys.  Training draws its initial weights from the
+# root seed.  The pre-formed share of a pristine population is a library
+# knob that no command needs, so it stays out of the file.
+_NOT_KEYS = ("training.seed",
+             "device.preformed_probability", "device.preformed_resistance_range",
+             "insitu_device.preformed_probability",
+             "insitu_device.preformed_resistance_range")
 
-
-def _expect_keys(section: dict, known, where: str):
-    unknown = set(section) - set(known)
-    if unknown:
-        raise ConfigurationError(f"unknown keys {sorted(unknown)} in {where}")
-
-
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where} must be a plain number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _pair(value, unit, where: str) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigurationError(f"{where} must be a two-element list")
-    return (parse_quantity(value[0], unit), parse_quantity(value[1], unit))
-
-
-def parse_device(section: dict) -> DeviceVariationSpec:
-    base = dict(DEFAULT_CONFIG["device"])
-    base.update(section)
-    _expect_keys(base, DEFAULT_CONFIG["device"], "device")
-    return DeviceVariationSpec(
-        set_mu=parse_quantity(base["set_mu"], "V"),
-        set_sigma=parse_quantity(base["set_sigma"], "V"),
-        reset_mu=parse_quantity(base["reset_mu"], "V"),
-        reset_sigma=parse_quantity(base["reset_sigma"], "V"),
-        stuck_probability=_number(base["stuck_probability"], "device.stuck_probability"),
-        stuck_conductance_range=_pair(base["stuck_conductance_range"], "S",
-                                      "device.stuck_conductance_range"),
-        g_init_range=_pair(base["g_init_range"], "S", "device.g_init_range"),
-        g_min=parse_quantity(base["g_min"], "S"),
-        g_max=parse_quantity(base["g_max"], "S"),
-        nonlinearity_alpha=_number(base["nonlinearity_alpha"], "device.nonlinearity_alpha"),
-        kinetics_rate_range=_pair(base["kinetics_rate_range"], "S",
-                                  "device.kinetics_rate_range"),
-        kinetics_voltage_scale=parse_quantity(base["kinetics_voltage_scale"], "V"),
-    ).validate()
-
-
-def parse_forming(section: dict) -> FormingSpec:
-    base = dict(DEFAULT_CONFIG["forming"])
-    base.update(section)
-    _expect_keys(base, DEFAULT_CONFIG["forming"], "forming")
-    return FormingSpec(
-        I_start=parse_quantity(base["I_start"], "A"),
-        I_stop=parse_quantity(base["I_stop"], "A"),
-        I_step=parse_quantity(base["I_step"], "A"),
-        R_min_ratio=_number(base["R_min_ratio"], "forming.R_min_ratio"),
-        V_reset=parse_quantity(base["V_reset"], "V"),
-        R_TH=parse_quantity(base["R_TH"], "ohm"),
-        max_attempts=_integer(base["max_attempts"], "forming.max_attempts"),
-        max_rounds=_integer(base["max_rounds"], "forming.max_rounds"),
-    ).validate()
-
-
-def parse_tuning(section: dict) -> tuple:
-    """Returns (TuningSpec, refine_passes)."""
-    base = dict(DEFAULT_CONFIG["tuning"])
-    base.update(section)
-    _expect_keys(base, DEFAULT_CONFIG["tuning"], "tuning")
-    spec = TuningSpec(
-        tolerance=_number(base["tolerance"], "tuning.tolerance"),
-        v_read=parse_quantity(base["v_read"], "V"),
-        set_amplitude_range=_pair(base["set_amplitude_range"], "V",
-                                  "tuning.set_amplitude_range"),
-        reset_amplitude_range=_pair(base["reset_amplitude_range"], "V",
-                                    "tuning.reset_amplitude_range"),
-        pulse_width=parse_quantity(base["pulse_width"], "s"),
-        max_pulses=_integer(base["max_pulses"], "tuning.max_pulses"),
-        amplitude_step=parse_quantity(base["amplitude_step"], "V"),
-    ).validate()
-    return spec, _integer(base["refine_passes"], "tuning.refine_passes")
-
-
-def parse_training(section: dict, seed: int) -> TrainingConfig:
-    base = dict(DEFAULT_CONFIG["training"])
-    base.update(section)
-    _expect_keys(base, DEFAULT_CONFIG["training"], "training")
-    return TrainingConfig(
-        learning_rate=_number(base["learning_rate"], "training.learning_rate"),
-        epochs=_integer(base["epochs"], "training.epochs"),
-        seed=seed,
-        init_scale=parse_quantity(base["init_scale"], "S"),
-        target_level=parse_quantity(base["target_level"], "V"),
-        clip_interval=_pair(base["clip_interval"], "S", "training.clip_interval"),
-        g_bias=parse_quantity(base["g_bias"], "S"),
-        fill_range=bool(base["fill_range"]),
-        fill_fraction=_number(base["fill_fraction"], "training.fill_fraction"),
-        finetune_epochs=_integer(base["finetune_epochs"], "training.finetune_epochs"),
-    ).validate()
-
-
-def parse_manhattan(section: dict) -> tuple:
-    """Returns (ManhattanConfig, class letters)."""
-    base = dict(DEFAULT_CONFIG["manhattan"])
-    base.update(section)
-    _expect_keys(base, DEFAULT_CONFIG["manhattan"], "manhattan")
-    cfg = ManhattanConfig(
-        amplitude=parse_quantity(base["amplitude"], "V"),
-        pulse_width=parse_quantity(base["pulse_width"], "s"),
-        bias_scheme=str(base["bias_scheme"]),
-        epochs=_integer(base["epochs"], "manhattan.epochs"),
-    ).validate()
-    return cfg, str(base["classes"])
+_KIND = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 
 @dataclass
-class ScaleConfig:
-    wire_presets: dict
-    set_window: tuple             # (v_th_min, v_th_max), volts
-    reset_window: tuple
-    g_v_third: dict               # {"set": S, "reset": S}
-    g_v_half: dict
-    ladder_lengths: list
+class CrossbarSection:
+    """The single array that ``form`` and ``tune`` work on."""
+
+    rows: int = 20
+    cols: int = 20
+    wire_segment_resistance: float = quantity(0.0, "ohm")
+    line_model: str = "ideal"
+
+    def validate(self):
+        check_geometry(self.rows, self.cols, self.wire_segment_resistance, self.line_model)
+        return self
 
 
-def parse_scale(section: dict) -> ScaleConfig:
-    base = dict(DEFAULT_CONFIG["scale"])
-    base.update(section)
-    _expect_keys(base, DEFAULT_CONFIG["scale"], "scale")
-    presets = {name: parse_quantity(v, "ohm")
-               for name, v in base["wire_presets"].items()}
-    return ScaleConfig(
-        wire_presets=presets,
-        set_window=(parse_quantity(base["set_threshold_min"], "V"),
-                    parse_quantity(base["set_threshold_max"], "V")),
-        reset_window=(parse_quantity(base["reset_threshold_min"], "V"),
-                      parse_quantity(base["reset_threshold_max"], "V")),
-        g_v_third={k: parse_quantity(v, "S") for k, v in base["conductance_v_third"].items()},
-        g_v_half={k: parse_quantity(v, "S") for k, v in base["conductance_v_half"].items()},
-        ladder_lengths=[_integer(n, "scale.ladder_lengths") for n in base["ladder_lengths"]],
-    )
+@dataclass
+class TuningSection(TuningSpec):
+    """Write-and-verify of the ex-situ weight import, in ``refine_passes`` passes."""
+
+    tolerance: float = IMPORT_TOLERANCE
+    refine_passes: int = 2
+
+
+@dataclass
+class ManhattanSection(ManhattanConfig):
+    """In-situ training on the training patterns of the letters in ``classes``."""
+
+    classes: str = "ATV"
+
+    def validate(self):
+        if not self.classes or not set(self.classes) <= set(CLASS_NAMES):
+            raise ConfigurationError(f"classes must be letters of "
+                                     f"{''.join(CLASS_NAMES)}, got {self.classes!r}")
+        return super().validate()
+
+
+@dataclass
+class BenchmarkSection:
+    """The weight-precision Monte Carlo of ``sweep``."""
+
+    noise_sigmas: list[float] = field(
+        default_factory=lambda: [0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5])
+    runs: int = 100
+
+    def validate(self):
+        if self.runs < 1:
+            raise ConfigurationError("need at least one run")
+        return self
+
+
+@dataclass
+class ScaleSection:
+    """Inputs of the line-resistance scaling analysis of ``scale``."""
+
+    wire_presets: dict[str, float] = quantity(
+        {"experiment-like": 5.6, "copper": 0.185}, "ohm")
+    set_threshold_min: float = quantity(0.7, "V")
+    set_threshold_max: float = quantity(1.3, "V")
+    reset_threshold_min: float = quantity(-1.0, "V")
+    reset_threshold_max: float = quantity(-1.9, "V")
+    # Device conductance at the V/3 and V/2 half-select bias, per transition.
+    conductance_v_third: dict[str, float] = quantity({"set": 30e-6, "reset": 50e-6}, "S")
+    conductance_v_half: dict[str, float] = quantity({"set": 20e-6, "reset": 33e-6}, "S")
+    ladder_lengths: list[int] = field(
+        default_factory=lambda: [1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
+
+    def validate(self):
+        for name in ("conductance_v_third", "conductance_v_half"):
+            if not {"set", "reset"} <= set(getattr(self, name)):
+                raise ConfigurationError(f"scale.{name} needs 'set' and 'reset'")
+        return self
 
 
 @dataclass
 class ExperimentConfig:
-    seed: int
-    device: DeviceVariationSpec
-    insitu_device: DeviceVariationSpec
-    rows: int
-    cols: int
-    wire_segment_resistance: float
-    line_model: str
-    forming: FormingSpec
-    tuning: TuningSpec
-    refine_passes: int
-    training: TrainingConfig
-    manhattan: ManhattanConfig
-    manhattan_classes: str
-    noise_sigmas: list
-    sweep_runs: int
-    scale: ScaleConfig
-    raw: dict = field(repr=False, default_factory=dict)
+    """A whole config file: the root seed and one dataclass per section.
+
+    Build it with ``load_config``, which also sets ``training.seed`` to the
+    root seed; a bare ``ExperimentConfig()`` keeps ``TrainingConfig``'s own
+    seed.
+    """
+
+    seed: int = 42
+    device: DeviceVariationSpec = field(default_factory=DeviceVariationSpec)
+    insitu_device: DeviceVariationSpec = field(
+        default_factory=lambda: replace(INSITU_DEVICE_SPEC))
+    crossbar: CrossbarSection = field(default_factory=CrossbarSection)
+    forming: FormingSpec = field(default_factory=FormingSpec)
+    tuning: TuningSection = field(default_factory=TuningSection)
+    training: TrainingConfig = field(default_factory=TrainingConfig)
+    manhattan: ManhattanSection = field(default_factory=ManhattanSection)
+    benchmark: BenchmarkSection = field(default_factory=BenchmarkSection)
+    scale: ScaleSection = field(default_factory=ScaleSection)
+
+    def validate(self):
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+        return self
+
+
+def _join(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+def _keys(cls, where: str) -> dict:
+    """{key: (type, unit or None)} of section dataclass ``cls`` found at ``where``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.metadata.get("unit")) for f in fields(cls)
+            if _join(where, f.name) not in _NOT_KEYS}
+
+
+def _section(default, raw, where: str = ""):
+    """``default`` with the keys of the JSON object ``raw`` applied, validated."""
+    keys = _keys(type(default), where)
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where or 'config'} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigurationError(f"unknown keys {sorted(unknown)} in {where or 'config'}")
+    changes = {}
+    for name, value in raw.items():
+        hint, unit = keys[name]
+        path = _join(where, name)
+        if is_dataclass(hint):
+            changes[name] = _section(getattr(default, name), value, path)
+        else:
+            changes[name] = _convert(value, hint, unit, path)
+    return replace(default, **changes).validate()
+
+
+def _convert(value, hint, unit, where: str):
+    """A JSON value as a field of type ``hint``, in SI ``unit`` when one is set."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{where} must be a JSON object, got {value!r}")
+        return {k: _convert(v, args[-1], unit, f"{where}.{k}") for k, v in value.items()}
+    if origin in (tuple, list):
+        if not isinstance(value, list) or (origin is tuple and len(value) != len(args)):
+            shape = f"a {len(args)}-element list" if origin is tuple else "a list"
+            raise ConfigurationError(f"{where} must be {shape}, got {value!r}")
+        return origin(_convert(v, args[-1], unit, where) for v in value)
+    if unit is not None:
+        try:
+            return parse_quantity(value, unit)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+    if hint is float and type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    elif type(value) is hint:
+        return value
+    raise ConfigurationError(f"{where} must be {_KIND[hint]}, got {value!r}")
+
+
+def _encode(value, unit=None, where: str = ""):
+    """The JSON form of a section dataclass or field: the inverse of ``_section``."""
+    if is_dataclass(value):
+        return {name: _encode(getattr(value, name), field_unit, _join(where, name))
+                for name, (_, field_unit) in _keys(type(value), where).items()}
+    if isinstance(value, dict):
+        return {k: _encode(v, unit) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_encode(v, unit) for v in value]
+    return value if unit is None else format_quantity(value, unit)
 
 
 def load_config(path=None, seed_override=None) -> ExperimentConfig:
     """Parse and fully validate a config file (defaults when path is None)."""
-    if path is None:
-        raw = json.loads(json.dumps(DEFAULT_CONFIG))
-    else:
+    raw = {}
+    if path is not None:
         with open(path) as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ConfigurationError(f"malformed config {path}: {exc}") from exc
-    _expect_keys(raw, DEFAULT_CONFIG, "config")
-    merged = {k: raw.get(k, DEFAULT_CONFIG[k]) for k in DEFAULT_CONFIG}
-    seed = _integer(merged["seed"], "seed") if seed_override is None else int(seed_override)
-
-    xb = dict(DEFAULT_CONFIG["crossbar"])
-    xb.update(merged["crossbar"])
-    _expect_keys(xb, DEFAULT_CONFIG["crossbar"], "crossbar")
-
-    bench = dict(DEFAULT_CONFIG["benchmark"])
-    bench.update(merged["benchmark"])
-    _expect_keys(bench, DEFAULT_CONFIG["benchmark"], "benchmark")
-    sigmas = [_number(s, "benchmark.noise_sigmas") for s in bench["noise_sigmas"]]
-
-    tuning_spec, refine = parse_tuning(merged["tuning"])
-    manhattan_cfg, classes = parse_manhattan(merged["manhattan"])
-    return ExperimentConfig(
-        seed=seed,
-        device=parse_device(merged["device"]),
-        insitu_device=parse_device(merged["insitu_device"]),
-        rows=_integer(xb["rows"], "crossbar.rows"),
-        cols=_integer(xb["cols"], "crossbar.cols"),
-        wire_segment_resistance=parse_quantity(xb["wire_segment_resistance"], "ohm"),
-        line_model=str(xb["line_model"]),
-        forming=parse_forming(merged["forming"]),
-        tuning=tuning_spec,
-        refine_passes=refine,
-        training=parse_training(merged["training"], seed),
-        manhattan=manhattan_cfg,
-        manhattan_classes=classes,
-        noise_sigmas=sigmas,
-        sweep_runs=_integer(bench["runs"], "benchmark.runs"),
-        scale=parse_scale(merged["scale"]),
-        raw=merged,
-    )
+    cfg = _section(ExperimentConfig(), raw)
+    if seed_override is not None:
+        seed = _convert(seed_override, int, None, "seed override")
+        cfg = replace(cfg, seed=seed).validate()
+    return replace(cfg, training=replace(cfg.training, seed=cfg.seed))
 
 
 def write_default_config(path):
+    """Write every key at its default, taken from the section dataclasses."""
     with open(path, "w") as fh:
-        json.dump(DEFAULT_CONFIG, fh, indent=2, sort_keys=True)
+        json.dump(_encode(ExperimentConfig()), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -10,6 +10,7 @@ their last column.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -88,6 +89,16 @@ class Crossbar:
         return np.array([[d.stuck for d in row] for row in self.devices], dtype=bool)
 
 
+def check_geometry(rows: int, cols: int, R_w: float = 0.0, line_model: str = "ideal"):
+    """Raise ConfigurationError unless an array of this shape and wiring can exist."""
+    if rows < 1 or cols < 1:
+        raise ConfigurationError("crossbar dimensions must be >= 1")
+    if R_w < 0:
+        raise ConfigurationError("wire segment resistance must be >= 0")
+    if line_model not in LINE_MODELS:
+        raise ConfigurationError(f"unknown line model {line_model!r}")
+
+
 def build_crossbar(rows: int, cols: int, spec: DeviceVariationSpec, R_w: float = 0.0,
                    seed: int = 0, pristine: bool = False,
                    line_model: str = "ideal") -> Crossbar:
@@ -96,12 +107,7 @@ def build_crossbar(rows: int, cols: int, spec: DeviceVariationSpec, R_w: float =
     Every cell gets its own derived seed, so the grid is reproducible and
     insensitive to sampling order.
     """
-    if rows < 1 or cols < 1:
-        raise ConfigurationError("crossbar dimensions must be >= 1")
-    if R_w < 0:
-        raise ConfigurationError("wire segment resistance must be >= 0")
-    if line_model not in LINE_MODELS:
-        raise ConfigurationError(f"unknown line model {line_model!r}")
+    check_geometry(rows, cols, R_w, line_model)
     spec.validate()
     devices = [
         [sample_device(spec, stream(seed, "cell", r, c), pristine=pristine)
@@ -310,10 +316,39 @@ def save_state(xbar: Crossbar, path):
         fh.write("\n")
 
 
+_STATE_KEYS = {"rows", "cols", "wire_segment_resistance", "line_model", "devices"}
+_DEVICE_TYPES = typing.get_type_hints(MemristorDevice)
+
+
 def load_state(path) -> Crossbar:
+    """Read a snapshot written by save_state; anything malformed is a
+    ConfigurationError."""
     with open(path) as fh:
-        payload = json.load(fh)
-    devices = [[MemristorDevice(**d) for d in row] for row in payload["devices"]]
-    return Crossbar(rows=payload["rows"], cols=payload["cols"], devices=devices,
-                    wire_segment_resistance=payload["wire_segment_resistance"],
-                    line_model=payload["line_model"])
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"malformed crossbar snapshot {path}: {exc}") from exc
+    if not isinstance(payload, dict) or set(payload) != _STATE_KEYS:
+        raise ConfigurationError(
+            f"crossbar snapshot {path} must hold exactly the keys {sorted(_STATE_KEYS)}")
+    rows, cols, grid = payload["rows"], payload["cols"], payload["devices"]
+    r_w, line_model = payload["wire_segment_resistance"], payload["line_model"]
+    if type(rows) is not int or type(cols) is not int or type(r_w) not in (int, float):
+        raise ConfigurationError(f"{path}: rows and cols must be integers, "
+                                 "wire_segment_resistance a number")
+    check_geometry(rows, cols, r_w, line_model)
+    if not (isinstance(grid, list) and len(grid) == rows
+            and all(isinstance(row, list) and len(row) == cols for row in grid)):
+        raise ConfigurationError(f"{path}: device grid is not {rows}x{cols}")
+    for entry in (d for row in grid for d in row):
+        if not isinstance(entry, dict) or set(entry) != set(_DEVICE_TYPES):
+            raise ConfigurationError(
+                f"{path}: a device must hold exactly the keys {sorted(_DEVICE_TYPES)}")
+        for name, kind in _DEVICE_TYPES.items():
+            value = entry[name]
+            if not (type(value) is bool if kind is bool else type(value) in (int, float)):
+                raise ConfigurationError(
+                    f"{path}: device {name} {value!r} is not a {kind.__name__}")
+    devices = [[MemristorDevice(**d) for d in row] for row in grid]
+    return Crossbar(rows=rows, cols=cols, devices=devices,
+                    wire_segment_resistance=r_w, line_model=line_model)

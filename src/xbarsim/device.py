@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError
+from .units import quantity
 
 # Reference pulse width: switching-rate parameters are quoted per pulse of
 # this width, and scale linearly with actual width.
@@ -29,37 +30,41 @@ _MIN_THRESHOLD = 0.05
 
 _MIN_FORMING_CURRENT = 1e-6
 
+# Pristine population: an unformed device's resistance, the current that
+# forms it (normal, in amperes) and its conductance once formed.
+PRISTINE_RESISTANCE_RANGE = (1e6, 1e7)
+FORMING_CURRENT_MU = 400e-6
+FORMING_CURRENT_SIGMA = 80e-6
+POST_FORMING_CONDUCTANCE_RANGE = (30e-6, 120e-6)
+
 
 @dataclass
 class DeviceVariationSpec:
     """Population statistics for sampling devices.
 
     Threshold voltages are normal; initial/stuck conductances and switching
-    rates are uniform over the given ranges.  The forming-related fields
-    describe the latent pristine state used by the electroforming procedure:
-    a pristine device conducts only through its pristine resistance until a
+    rates are uniform over the given ranges.  The pre-formed fields describe
+    the share of a pristine population that needs no forming and its
+    resistance; the rest of that population is set by the module constants.
+    A pristine device conducts only through its pristine resistance until a
     current sweep with ceiling >= its sampled forming current activates it.
     """
 
-    set_mu: float = 1.0
-    set_sigma: float = 0.13
-    reset_mu: float = -1.2
-    reset_sigma: float = 0.15
+    set_mu: float = quantity(1.0, "V")
+    set_sigma: float = quantity(0.13, "V")
+    reset_mu: float = quantity(-1.2, "V")
+    reset_sigma: float = quantity(0.15, "V")
     stuck_probability: float = 0.02
-    stuck_conductance_range: tuple = (10e-6, 100e-6)
-    g_init_range: tuple = (10e-6, 100e-6)
-    g_min: float = 2e-6
-    g_max: float = 150e-6
+    stuck_conductance_range: tuple[float, float] = quantity((10e-6, 100e-6), "S")
+    g_init_range: tuple[float, float] = quantity((10e-6, 100e-6), "S")
+    g_min: float = quantity(2e-6, "S")
+    g_max: float = quantity(150e-6, "S")
     nonlinearity_alpha: float = 0.0
-    kinetics_rate_range: tuple = (0.02e-6, 0.06e-6)
-    kinetics_voltage_scale: float = 0.3
+    kinetics_rate_range: tuple[float, float] = quantity((0.02e-6, 0.06e-6), "S")
+    kinetics_voltage_scale: float = quantity(0.3, "V")
     # Latent pristine/forming population (used when sampling pristine=True).
     preformed_probability: float = 0.05
-    preformed_resistance_range: tuple = (2e4, 8e4)
-    pristine_resistance_range: tuple = (1e6, 1e7)
-    forming_current_mu: float = 400e-6
-    forming_current_sigma: float = 80e-6
-    post_forming_conductance_range: tuple = (30e-6, 120e-6)
+    preformed_resistance_range: tuple[float, float] = quantity((2e4, 8e4), "ohm")
 
     def validate(self):
         if self.set_sigma < 0 or self.reset_sigma < 0:
@@ -69,8 +74,7 @@ class DeviceVariationSpec:
         if not 0.0 <= self.preformed_probability <= 1.0:
             raise ConfigurationError("preformed_probability must be in [0, 1]")
         for name in ("stuck_conductance_range", "g_init_range", "kinetics_rate_range",
-                     "preformed_resistance_range", "pristine_resistance_range",
-                     "post_forming_conductance_range"):
+                     "preformed_resistance_range"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ConfigurationError(f"{name} must be ordered (lo <= hi)")
@@ -197,13 +201,13 @@ def sample_device(spec: DeviceVariationSpec, rng: np.random.Generator,
     if preformed:
         pristine_r = _uniform(rng, spec.preformed_resistance_range)
     else:
-        pristine_r = _uniform(rng, spec.pristine_resistance_range)
+        pristine_r = _uniform(rng, PRISTINE_RESISTANCE_RANGE)
     if stuck:
         forming_i = math.inf
     else:
         forming_i = max(_MIN_FORMING_CURRENT,
-                        float(rng.normal(spec.forming_current_mu, spec.forming_current_sigma)))
-    post_g = _uniform(rng, spec.post_forming_conductance_range)
+                        float(rng.normal(FORMING_CURRENT_MU, FORMING_CURRENT_SIGMA)))
+    post_g = _uniform(rng, POST_FORMING_CONDUCTANCE_RANGE)
 
     conductance = stuck_value if stuck else g_init
     return MemristorDevice(

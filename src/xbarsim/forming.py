@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .crossbar import Crossbar
 from .device import MemristorDevice
 from .errors import ConfigurationError
+from .units import quantity
 
 PRISTINE_READ_V = 0.1
 
@@ -25,33 +26,38 @@ STATUS_FORMED = "formed"
 STATUS_DEFECTIVE = "defective"
 
 
+# Round r's ceiling ladder is scaled by ESCALATION**(r-1).
+ESCALATION = 1.25
+
+# Reset-to-low-state: long pulses, amplitude escalated in steps down to the
+# floor when a device's reset threshold sits below |V_reset|, until the device
+# reads at or below the target or the pulse budget runs out.
+RESET_PULSE_WIDTH = 0.05
+RESET_AMPLITUDE_FLOOR = -1.9
+RESET_AMPLITUDE_STEP = 0.05
+RESET_PULSE_BUDGET = 200
+LOW_CONDUCTANCE_TARGET = 3e-6
+
+
 @dataclass
 class FormingSpec:
     """Parameters of the forming state machine.
 
     The ceiling ladder in round r runs from I_start to I_stop (both scaled by
-    escalation**(r-1)) in I_step increments, at most max_attempts sweeps per
+    ESCALATION**(r-1)) in I_step increments, at most max_attempts sweeps per
     round.  Success requires the post/pre current ratio at 0.1 V to reach
     R_min_ratio.  After success (or for pre-formed devices) the device is
     driven to a low-conductance state with V_reset pulses.
     """
 
-    I_start: float = 180e-6
-    I_stop: float = 540e-6
-    I_step: float = 20e-6
+    I_start: float = quantity(180e-6, "A")
+    I_stop: float = quantity(540e-6, "A")
+    I_step: float = quantity(20e-6, "A")
     R_min_ratio: float = 5.0
-    V_reset: float = -1.3
-    R_TH: float = 6e5
+    V_reset: float = quantity(-1.3, "V")
+    R_TH: float = quantity(6e5, "ohm")
     max_attempts: int = 19
     max_rounds: int = 2
-    escalation: float = 1.25
-    # Reset-to-low-state knobs: long pulses, amplitude escalated when a
-    # device's reset threshold sits below |V_reset|.
-    reset_pulse_width: float = 0.05
-    reset_amplitude_floor: float = -1.9
-    reset_amplitude_step: float = 0.05
-    reset_pulse_budget: int = 200
-    low_conductance_target: float = 3e-6
 
     def validate(self):
         if self.I_start > self.I_stop:
@@ -84,16 +90,16 @@ def _reset_to_low(device: MemristorDevice, spec: FormingSpec):
     if device.stuck or not device.formed:
         return
     amplitude = spec.V_reset
-    for _ in range(spec.reset_pulse_budget):
-        if device.conductance <= spec.low_conductance_target:
+    for _ in range(RESET_PULSE_BUDGET):
+        if device.conductance <= LOW_CONDUCTANCE_TARGET:
             return
         before = device.conductance
-        device.apply_pulse(amplitude, spec.reset_pulse_width)
+        device.apply_pulse(amplitude, RESET_PULSE_WIDTH)
         if device.conductance >= before:            # ineffective: escalate
-            if amplitude <= spec.reset_amplitude_floor:
+            if amplitude <= RESET_AMPLITUDE_FLOOR:
                 return
-            amplitude = max(amplitude - spec.reset_amplitude_step,
-                            spec.reset_amplitude_floor)
+            amplitude = max(amplitude - RESET_AMPLITUDE_STEP,
+                            RESET_AMPLITUDE_FLOOR)
 
 
 def _sweep(device: MemristorDevice, ceiling: float):
@@ -126,7 +132,7 @@ def form_device(xbar: Crossbar, row: int, col: int, spec: FormingSpec) -> Formin
     trace = []
     attempts = 0
     for round_idx in range(spec.max_rounds):
-        scale = spec.escalation ** round_idx
+        scale = ESCALATION ** round_idx
         ceiling = spec.I_start * scale
         stop = spec.I_stop * scale
         for _ in range(spec.max_attempts):

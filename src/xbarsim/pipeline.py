@@ -31,6 +31,9 @@ INSITU_DEVICE_SPEC = DeviceVariationSpec(
     kinetics_rate_range=(0.04e-6, 0.28e-6),
 )
 
+# Write-and-verify tolerance of the ex-situ weight import.
+IMPORT_TOLERANCE = 0.30
+
 
 def derive_seed(root_seed: int, *labels) -> int:
     """A 32-bit child seed for the addressed sub-stream."""
@@ -114,7 +117,7 @@ def run_ex_situ_pipeline(seed: int, aware: bool,
     device_spec = device_spec or DeviceVariationSpec()
     forming_spec = forming_spec or FormingSpec()
     training_cfg = training_cfg or TrainingConfig(seed=derive_seed(seed, "training-init"))
-    tuning_spec = tuning_spec or TuningSpec(tolerance=0.30)
+    tuning_spec = tuning_spec or TuningSpec(tolerance=IMPORT_TOLERANCE)
     patterns = patterns or canonical_training_set()
     test_patterns = test_patterns or generate_test_set(patterns)
 

@@ -32,9 +32,7 @@ from .crossbar import BiasScheme, Crossbar
 from .errors import ConfigurationError, DivergenceError
 from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap
 from .rng import stream
-
-# Largest representable pair weight: 2 * min(g_bias - lo, hi - g_bias).
-WEIGHT_CLIP = 90e-6
+from .units import quantity
 
 _U = 1e-6          # gain-normalized weight unit (siemens)
 
@@ -44,10 +42,10 @@ class TrainingConfig:
     learning_rate: float = 1.0
     epochs: int = 6000
     seed: int = 0
-    init_scale: float = 4e-6          # uniform +/- initial weights, siemens
-    target_level: float = 1.0         # MSE target voltage for the winning class
-    clip_interval: tuple = (10e-6, 100e-6)
-    g_bias: float = 55e-6
+    init_scale: float = quantity(4e-6, "S")   # uniform +/- initial weights
+    target_level: float = quantity(1.0, "V")  # MSE target for the winning class
+    clip_interval: tuple[float, float] = quantity((10e-6, 100e-6), "S")
+    g_bias: float = quantity(55e-6, "S")
     fill_range: bool = True           # scale trained weights into the pair range
     fill_fraction: float = 2.0 / 3.0  # fraction of the representable range to use
     finetune_epochs: int = 2000       # constrained polish in hardware-aware mode
@@ -284,14 +282,19 @@ def train_single_layer(patterns, cfg: TrainingConfig) -> tuple:
 
 # --- In-situ Manhattan-rule training ----------------------------------------
 
+# MSE target voltage of the winning class in Manhattan training.
+MANHATTAN_TARGET_LEVEL = 1.0
+
+# Share of the fidelity curve averaged into the reported final fidelity.
+TAIL_FRACTION = 0.25
+
+
 @dataclass
 class ManhattanConfig:
-    amplitude: float = 1.3            # volts, fixed for every update pulse
-    pulse_width: float = 500e-6
+    amplitude: float = quantity(1.3, "V")     # fixed for every update pulse
+    pulse_width: float = quantity(500e-6, "s")
     bias_scheme: str = "V_half"
     epochs: int = 400
-    target_level: float = 1.0
-    tail_fraction: float = 0.25       # window for the reported final fidelity
 
     def validate(self):
         if self.amplitude <= 0:
@@ -390,7 +393,7 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     y = label_vector(patterns)
     class_idx = sorted(set(int(v) for v in y))
     y_local = np.array([class_idx.index(v) for v in y])
-    T = _targets(y_local, len(class_idx), cfg.target_level)
+    T = _targets(y_local, len(class_idx), MANHATTAN_TARGET_LEVEL)
 
     disturb = _half_select_risk(xb1, cfg) + _half_select_risk(xb2, cfg)
     arr1, arr2 = _PulsedArray(xb1, cfg), _PulsedArray(xb2, cfg)
@@ -426,7 +429,7 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     fids.append(fid)
     arr1.write_back()
     arr2.write_back()
-    tail = max(1, int(round(cfg.tail_fraction * len(fids))))
+    tail = max(1, int(round(TAIL_FRACTION * len(fids))))
     return ManhattanResult(error_curve=errors,
                            final_fidelity=float(np.mean(fids[-tail:])),
                            last_fidelity=fid,

@@ -16,23 +16,25 @@ import numpy as np
 
 from .crossbar import Crossbar
 from .errors import ConfigurationError
+from .units import quantity
 
 # A pulse whose measured effect is below this is treated as ineffective.
 _EFFECT_EPS = 1e-12
+
+# Escalate when a pulse moves the state by less than this fraction of the
+# remaining gap; keeps large excursions from crawling at the threshold rate.
+PROGRESS_FRACTION = 0.02
 
 
 @dataclass
 class TuningSpec:
     tolerance: float = 0.05
-    v_read: float = 0.2
-    set_amplitude_range: tuple = (0.8, 1.5)
-    reset_amplitude_range: tuple = (-1.8, -0.8)
-    pulse_width: float = 500e-6
+    v_read: float = quantity(0.2, "V")
+    set_amplitude_range: tuple[float, float] = quantity((0.8, 1.5), "V")
+    reset_amplitude_range: tuple[float, float] = quantity((-1.8, -0.8), "V")
+    pulse_width: float = quantity(500e-6, "s")
     max_pulses: int = 10000
-    amplitude_step: float = 0.02
-    # Escalate when a pulse moves the state by less than this fraction of the
-    # remaining gap; keeps large excursions from crawling at the threshold rate.
-    progress_fraction: float = 0.02
+    amplitude_step: float = quantity(0.02, "V")
 
     def validate(self):
         if self.tolerance <= 0:
@@ -95,7 +97,7 @@ def tune_device(xbar: Crossbar, row: int, col: int, target: float,
         g = device.read_conductance(spec.v_read)
         moved = abs(g - before)
         gap = abs(target - before)
-        if moved < max(_EFFECT_EPS, spec.progress_fraction * gap):
+        if moved < max(_EFFECT_EPS, PROGRESS_FRACTION * gap):
             at_cap = amplitude >= set_hi if direction > 0 else amplitude <= reset_lo
             if at_cap:
                 if moved < _EFFECT_EPS:

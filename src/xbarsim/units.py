@@ -4,29 +4,48 @@ Dimensioned config values are strings like ``"1.3V"``, ``"50uS"``, ``"800ohm"``
 or ``"500us"``.  Parsing is strict: the suffix must name the expected unit,
 and bare numbers are rejected for dimensioned fields.  Unit bugs are the
 dominant failure mode in this domain, so there is no silent fallback.
+
+Parsing is correctly rounded: the prefix shifts the decimal exponent of the
+written number, so ``"55uS"`` is exactly the float ``55e-6``.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import field
+from decimal import Decimal
 
 from .errors import ConfigurationError
 
+# Decimal exponent of each SI prefix.
 _PREFIX = {
-    "G": 1e9,
-    "M": 1e6,
-    "k": 1e3,
-    "": 1.0,
-    "m": 1e-3,
-    "u": 1e-6,
-    "n": 1e-9,
-    "p": 1e-12,
+    "G": 9,
+    "M": 6,
+    "k": 3,
+    "": 0,
+    "m": -3,
+    "u": -6,
+    "n": -9,
+    "p": -12,
 }
 
 # Canonical unit symbols.  "ohm" is spelled out to stay ASCII-safe.
 _UNITS = ("V", "A", "S", "ohm", "s")
 
-_QUANTITY_RE = re.compile(r"^\s*([+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)\s*([A-Za-z]+)\s*$")
+_QUANTITY_RE = re.compile(r"^\s*([+-]?[0-9.]+)(?:[eE]([+-]?[0-9]+))?\s*([A-Za-z]+)\s*$")
+
+
+def quantity(default, unit: str):
+    """A dataclass field holding a value in SI base ``unit``.
+
+    Configs spell such a field with a unit suffix; a tuple or dict default
+    gives a field whose every entry carries the unit.
+    """
+    if unit not in _UNITS:
+        raise ConfigurationError(f"unknown base unit {unit!r}")
+    if isinstance(default, dict):
+        return field(default_factory=default.copy, metadata={"unit": unit})
+    return field(default=default, metadata={"unit": unit})
 
 
 def parse_quantity(text, unit: str) -> float:
@@ -43,20 +62,22 @@ def parse_quantity(text, unit: str) -> float:
     match = _QUANTITY_RE.match(str(text))
     if not match:
         raise ConfigurationError(f"cannot parse quantity {text!r} (expected e.g. '1.3{unit}')")
-    number, suffix = match.groups()
+    mantissa, exponent, suffix = match.groups()
     if not suffix.endswith(unit):
         raise ConfigurationError(f"quantity {text!r} does not carry expected unit {unit!r}")
     prefix = suffix[: -len(unit)]
     if prefix not in _PREFIX:
         raise ConfigurationError(f"unknown SI prefix {prefix!r} in {text!r}")
     try:
-        value = float(number)
+        return float(f"{mantissa}e{int(exponent or 0) + _PREFIX[prefix]}")
     except ValueError as exc:
         raise ConfigurationError(f"bad number in quantity {text!r}") from exc
-    return value * _PREFIX[prefix]
 
 
 def format_quantity(value: float, unit: str, prefix: str = "") -> str:
-    """Format an SI value with the given prefix, inverse of parse_quantity."""
-    scale = _PREFIX[prefix]
-    return f"{value / scale:.9g}{prefix}{unit}"
+    """Format an SI value with the given prefix, inverse of parse_quantity.
+
+    The mantissa is the shortest decimal that parses back to ``value``.
+    """
+    mantissa = Decimal(repr(float(value))).scaleb(-_PREFIX[prefix]).normalize()
+    return f"{mantissa:f}{prefix}{unit}"

@@ -1,14 +1,28 @@
 import json
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarsim.cli import main
-from xbarsim.config import DEFAULT_CONFIG, load_config, write_default_config
-from xbarsim.crossbar import export_grid
+from xbarsim.config import ExperimentConfig, load_config, write_default_config
+from xbarsim.crossbar import build_crossbar, export_grid, save_state
+from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
+from xbarsim.forming import FormingSpec
+from xbarsim.pipeline import IMPORT_TOLERANCE, INSITU_DEVICE_SPEC
+from xbarsim.training import ManhattanConfig, TrainingConfig
+from xbarsim.tuning import TuningSpec
 from xbarsim.units import format_quantity, parse_quantity
+
+# init-config output from before the schema was derived from the dataclasses.
+EARLIER_DEFAULTS = Path(__file__).parent / "data" / "default_config_v0.json"
+
+PREFIX_EXPONENT = {"G": 9, "M": 6, "k": 3, "": 0, "m": -3, "u": -6, "n": -9, "p": -12}
 
 
 class TestUnits:
@@ -36,6 +50,22 @@ class TestUnits:
         assert text == "55uS"
         assert parse_quantity(text, "S") == pytest.approx(55e-6)
 
+    def test_prefixed_values_are_correctly_rounded(self):
+        assert parse_quantity("10uS", "S") == 1e-05
+        assert parse_quantity("55uS", "S") == 5.5e-05
+        assert parse_quantity("180uA", "A") == 1.8e-04
+        assert parse_quantity("20uA", "A") == 2e-05
+
+    @given(st.integers(-10**20, 10**20), st.sampled_from(sorted(PREFIX_EXPONENT)))
+    def test_prefix_shifts_the_decimal_exponent(self, mantissa, prefix):
+        expected = float(f"{mantissa}e{PREFIX_EXPONENT[prefix]}")
+        assert parse_quantity(f"{mantissa}{prefix}V", "V") == expected
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.sampled_from(["V", "A", "S", "ohm", "s"]))
+    def test_format_then_parse_is_exact(self, value, unit):
+        assert parse_quantity(format_quantity(value, unit), unit) == value
+
 
 class TestConfig:
     def test_defaults_load(self):
@@ -43,13 +73,62 @@ class TestConfig:
         assert cfg.seed == 42
         assert cfg.device.set_mu == pytest.approx(1.0)
         assert cfg.tuning.tolerance == pytest.approx(0.30)
-        assert cfg.rows == cfg.cols == 20
+        assert cfg.crossbar.rows == cfg.crossbar.cols == 20
 
     def test_round_trip_through_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         write_default_config(path)
         cfg = load_config(path)
         assert cfg.training.g_bias == pytest.approx(55e-6)
+        assert cfg == load_config(None)
+
+    def test_defaults_are_the_library_defaults(self):
+        cfg = load_config(None)
+        assert cfg.device == DeviceVariationSpec()
+        assert cfg.insitu_device == INSITU_DEVICE_SPEC
+        assert cfg.forming == FormingSpec()
+        assert cfg.training == TrainingConfig(seed=cfg.seed)
+        tuning = {f.name: getattr(cfg.tuning, f.name) for f in fields(TuningSpec)}
+        assert TuningSpec(**tuning) == TuningSpec(tolerance=IMPORT_TOLERANCE)
+        manhattan = {f.name: getattr(cfg.manhattan, f.name) for f in fields(ManhattanConfig)}
+        assert ManhattanConfig(**manhattan) == ManhattanConfig()
+
+    def test_earlier_default_file_loads_as_the_defaults(self):
+        assert load_config(EARLIER_DEFAULTS) == load_config(None)
+
+    def test_section_keys_are_dataclass_fields(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        write_default_config(path)
+        written = json.load(open(path))
+        cfg = load_config(None)
+        preformed = {"preformed_probability", "preformed_resistance_range"}
+        not_keys = {"training": {"seed"}, "device": preformed, "insitu_device": preformed}
+        assert set(written) == {f.name for f in fields(cfg)}
+        for name, keys in written.items():
+            if name != "seed":
+                expected = {f.name for f in fields(getattr(cfg, name))}
+                assert set(keys) == expected - not_keys.get(name, set())
+
+    def test_key_set_is_the_earlier_one(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        write_default_config(path)
+
+        def keys(raw):
+            return {(name, key) for name, section in raw.items()
+                    for key in (section if isinstance(section, dict) else [None])}
+
+        earlier = keys(json.load(open(EARLIER_DEFAULTS)))
+        assert keys(json.load(open(path))) == earlier
+        assert len(earlier) == 69
+
+    def test_training_seed_follows_the_root_seed(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 7}))
+        assert load_config(path).training.seed == 7
+        assert load_config(path, seed_override=9).training.seed == 9
+        path.write_text(json.dumps({"training": {"seed": 7}}))
+        with pytest.raises(ConfigurationError):
+            load_config(path)
 
     def test_partial_override(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -75,6 +154,71 @@ class TestConfig:
         path.write_text(json.dumps({"device": {"set_mu": 1.0}}))
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+
+QUANTITY_TEXT = st.from_regex(
+    r"-?[0-9.]{1,4}(e-?[0-9]{1,3})?[GMkmunp]?(V|A|S|ohm|s)", fullmatch=True)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | QUANTITY_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _default_keys():
+    cfg = ExperimentConfig()
+    return [(f.name, None) for f in fields(cfg)] + [
+        (f.name, key.name) for f in fields(cfg) if f.name != "seed"
+        for key in fields(getattr(cfg, f.name))]
+
+
+def _fuzzed_config(pair_value):
+    (section, key), value = pair_value
+    return {section: value} if key is None else {section: {key: value}}
+
+
+FUZZED_CONFIGS = JSON_VALUES | st.tuples(
+    st.sampled_from(_default_keys()), JSON_VALUES).map(_fuzzed_config)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cfg.json"
+
+
+# Only load_config runs on fuzzed configs: a fuzzed crossbar size can ask a
+# command for billions of devices.
+@settings(max_examples=400, deadline=None)
+@given(raw=FUZZED_CONFIGS)
+def test_fuzzed_config_raises_only_configuration_error(fuzz_path, raw):
+    fuzz_path.write_text(json.dumps(raw))
+    try:
+        load_config(fuzz_path)
+    except ConfigurationError:
+        pass
+
+
+def _two_by_two_snapshot(path):
+    save_state(build_crossbar(2, 2, DeviceVariationSpec(), seed=0), path)
+    return json.loads(path.read_text())
+
+
+def _without_thresholds(state):
+    for row in state["devices"]:
+        for device in row:
+            del device["set_threshold"], device["reset_threshold"]
+    return state
+
+
+def _set(path, value):
+    def mangle(state):
+        target = state
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return state
+    return mangle
 
 
 class TestCli:
@@ -160,6 +304,70 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(out), "train",
                      "--mode", "in-situ"]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [
+        {"device": 5}, [], {"scale": {"wire_presets": 5}},
+        {"benchmark": {"noise_sigmas": 5}}, {"seed": -1},
+        {"training": {"fill_range": "false"}}, {"training": {"seed": 3}},
+        {"manhattan": {"classes": "AQ"}}, {"manhattan": {"classes": ""}},
+        {"scale": {"conductance_v_half": {"set": "20uS"}}},
+        {"training": {"learning_rate": 10**400}}])
+    def test_malformed_config_values_are_config_error(self, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "scale"
+        assert main(["--config", str(cfg), "--out", str(out), "scale"]) == 2
+        assert not out.exists()
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path):
+        out = tmp_path / "scale"
+        assert main(["--seed", "-1", "--out", str(out), "scale"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mangle", [
+        lambda state: {}, lambda state: [1], _without_thresholds,
+        _set(["rows"], 3), _set(["devices", 1], []), _set(["line_model"], "copper"),
+        _set(["devices", 0, 0, "stuck"], 0), _set(["devices", 0, 0, "conductance"], "5uS"),
+        _set(["devices", 0, 0, "set_threshold"], -1.0)])
+    def test_malformed_snapshot_is_config_error(self, tmp_path, mangle):
+        out = tmp_path / "run"
+        out.mkdir()
+        mangled = mangle(_two_by_two_snapshot(out / "crossbar_state.json"))
+        state = json.dumps(mangled)
+        (out / "crossbar_state.json").write_text(state)
+        # Targets match the declared shape, so only load_state can object.
+        rows = mangled.get("rows", 2) if isinstance(mangled, dict) else 2
+        targets = str(tmp_path / "targets.csv")
+        export_grid(np.full((rows, 2), 50e-6), targets)
+        assert main(["--out", str(out), "tune", "--targets", targets]) == 2
+        assert (out / "crossbar_state.json").read_text() == state
+
+    def test_well_formed_snapshot_tunes(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        _two_by_two_snapshot(out / "crossbar_state.json")
+        targets = str(tmp_path / "targets.csv")
+        export_grid(np.full((2, 2), 50e-6), targets)
+        assert main(["--out", str(out), "tune", "--targets", targets]) in (0, 3)
+        assert (out / "error_grid.csv").exists()
+
+    def test_sweep_clips_to_the_configured_range(self, tmp_path):
+        weights = tmp_path / "weights"
+        weights.mkdir()
+        rng = np.random.default_rng(1)
+        export_grid(rng.uniform(10e-6, 100e-6, (20, 17)), weights / "layer1_pairs.csv")
+        export_grid(rng.uniform(10e-6, 100e-6, (8, 11)), weights / "layer2_pairs.csv")
+        sweeps = []
+        for clip in (["10uS", "100uS"], ["50uS", "60uS"]):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "training": {"clip_interval": clip, "epochs": 5},
+                "benchmark": {"noise_sigmas": [0.0, 0.1], "runs": 3}}))
+            out = tmp_path / clip[0]
+            assert main(["--config", str(cfg), "--out", str(out), "sweep",
+                         "--weights", str(weights)]) == 0
+            sweeps.append((out / "test_sweep.csv").read_text())
+        assert sweeps[0] != sweeps[1]
 
     def test_export_patterns(self, tmp_path):
         out = str(tmp_path / "pats")

@@ -4,7 +4,7 @@ import pytest
 from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
-from xbarsim.forming import (FormingSpec, form_all, form_device,
+from xbarsim.forming import (LOW_CONDUCTANCE_TARGET, FormingSpec, form_all, form_device,
                              STATUS_DEFECTIVE, STATUS_FORMED, STATUS_PREFORMED)
 
 CLEAN = DeviceVariationSpec(stuck_probability=0.0)
@@ -23,7 +23,7 @@ class TestFormDevice:
         assert out.status == STATUS_PREFORMED
         assert out.attempts_used == 0
         assert d.formed
-        assert d.conductance <= FormingSpec().low_conductance_target
+        assert d.conductance <= LOW_CONDUCTANCE_TARGET
 
     def test_first_ceiling_success(self):
         xb = pristine_crossbar()
@@ -34,7 +34,7 @@ class TestFormDevice:
         assert out.status == STATUS_FORMED
         assert out.attempts_used == 1
         assert d.formed
-        assert d.conductance <= FormingSpec().low_conductance_target
+        assert d.conductance <= LOW_CONDUCTANCE_TARGET
 
     def test_unformable_device_exhausts_both_rounds(self):
         xb = pristine_crossbar()
@@ -105,7 +105,7 @@ class TestFormAll:
                 assert d.stuck
             else:
                 assert d.formed and not d.stuck
-                assert d.conductance <= fspec.low_conductance_target * 1.001
+                assert d.conductance <= LOW_CONDUCTANCE_TARGET * 1.001
 
     def test_rerun_is_idempotent(self):
         xb = pristine_crossbar(6, 6, seed=4)

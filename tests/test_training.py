@@ -11,8 +11,8 @@ from xbarsim.errors import ConfigurationError
 from xbarsim.mlp import DEFAULT_TOPOLOGY
 from xbarsim.pipeline import INSITU_DEVICE_SPEC, build_network_crossbars
 from xbarsim.rng import stream
-from xbarsim.training import (DefectMap, ManhattanConfig, TrainingConfig,
-                              _grads, _targets, encode_batch, forward_batch,
+from xbarsim.training import (MANHATTAN_TARGET_LEVEL, TAIL_FRACTION, DefectMap,
+                              ManhattanConfig, TrainingConfig, _grads, _targets, encode_batch, forward_batch,
                               pairs_to_weights, train_ex_situ,
                               train_in_situ_manhattan, train_single_layer,
                               weights_to_pairs)
@@ -171,7 +171,7 @@ def reference_manhattan(xb1, xb2, patterns, cfg):
     y = label_vector(patterns)
     class_idx = sorted(set(int(v) for v in y))
     y_local = np.array([class_idx.index(v) for v in y])
-    T = _targets(y_local, len(class_idx), cfg.target_level)
+    T = _targets(y_local, len(class_idx), MANHATTAN_TARGET_LEVEL)
     disturb = sum(dev.set_threshold < cfg.amplitude / 2.0
                   or -dev.reset_threshold < cfg.amplitude / 2.0
                   for xb in (xb1, xb2) for row in xb.devices for dev in row)
@@ -208,7 +208,7 @@ def reference_manhattan(xb1, xb2, patterns, cfg):
                     pulses += 1
     _, _, fid = masked_grads()
     fids.append(fid)
-    tail = max(1, int(round(cfg.tail_fraction * len(fids))))
+    tail = max(1, int(round(TAIL_FRACTION * len(fids))))
     return errors, float(np.mean(fids[-tail:])), fid, disturb, pulses
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from xbarsim import DeviceVariationSpec, FormingSpec, build_crossbar, form_all
-from xbarsim.forming import save_report
+from xbarsim.crossbar import write_json
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "forming")
 os.makedirs(OUT, exist_ok=True)
@@ -25,7 +25,7 @@ print(f"pristine read conductances: {pristine.min()*1e6:.2f}..{pristine.max()*1e
 
 spec = FormingSpec()
 report = form_all(xbar, [(r, c) for r in range(20) for c in range(20)], spec)
-save_report(report, os.path.join(OUT, "forming_report.json"))
+write_json(report, os.path.join(OUT, "forming_report.json"))
 
 statuses = Counter(e["status"] for e in report["devices"])
 attempts = np.array([e["attempts"] for e in report["devices"]])

@@ -11,8 +11,8 @@ import os
 import numpy as np
 
 from xbarsim import DeviceVariationSpec, TuningSpec, build_crossbar
-from xbarsim.crossbar import export_grid
-from xbarsim.tuning import error_histogram, import_conductance_map, save_histogram
+from xbarsim.crossbar import export_grid, write_json
+from xbarsim.tuning import error_histogram, import_conductance_map
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "tuning")
 os.makedirs(OUT, exist_ok=True)
@@ -41,8 +41,8 @@ export_grid(targets, os.path.join(OUT, "target_map.csv"))
 xbar = build_crossbar(20, 20, DeviceVariationSpec(), seed=3, pristine=False)
 errors = import_conductance_map(xbar, targets, TuningSpec(tolerance=0.05))
 export_grid(errors, os.path.join(OUT, "error_grid.csv"))
-save_histogram(error_histogram(errors, bins=25, upper=0.05),
-               os.path.join(OUT, "error_histogram.json"))
+write_json(error_histogram(errors, bins=25, upper=0.05),
+           os.path.join(OUT, "error_histogram.json"))
 
 live = ~xbar.stuck_map()
 print("== 256-level image import at 5% tolerance ==")

@@ -16,7 +16,7 @@ from .tuning import (TuningResult, TuningSpec, error_histogram,
                      import_conductance_map, import_with_refinement,
                      tune_device, tuning_error)
 from .mlp import (ConductancePairMap, MlpNetwork, NetworkTopology, infer,
-                  layer_forward, neuron_hidden, neuron_output)
+                  layer_forward)
 from .training import (DefectMap, ManhattanConfig, ManhattanResult,
                        TrainingConfig, TrainingOutcome, forward_batch,
                        pairs_to_weights, train_ex_situ, train_in_situ_manhattan,

@@ -15,36 +15,26 @@ artifacts; configuration is validated before anything is written.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-import numpy as np
-
-from .benchmark import (canonical_training_set, generate_test_set, load_patterns,
-                        precision_sweep, save_patterns)
+from .benchmark import (canonical_training_set, generate_test_set, label_vector,
+                        load_patterns, pixel_matrix, precision_sweep, save_patterns)
 from .config import ExperimentConfig, load_config, write_default_config
 from .crossbar import (BiasScheme, build_crossbar, export_grid, import_grid,
                        ladder_worst_case_drop, load_state, max_crossbar_dimension,
-                       save_state, write_drop_budget)
+                       save_state, write_drop_budget, write_json)
 from .errors import ConfigurationError, DivergenceError
-from .forming import form_all, save_report
+from .forming import form_all
 from .mlp import ConductancePairMap, MlpNetwork, infer
 from .pipeline import (build_network_crossbars, derive_seed, run_ex_situ_pipeline)
 from .training import (pairs_to_weights, save_curve,
                        train_in_situ_manhattan, train_single_layer, forward_batch)
-from .tuning import error_histogram, import_conductance_map, save_histogram
-from .benchmark import label_vector, pixel_matrix
+from .tuning import error_histogram, import_conductance_map
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
-
-
-def _write_json(payload: dict, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def cmd_form(cfg: ExperimentConfig, out: str) -> int:
@@ -56,7 +46,7 @@ def cmd_form(cfg: ExperimentConfig, out: str) -> int:
     targets = [(r, c) for r in range(xc.rows) for c in range(xc.cols)]
     report = form_all(xbar, targets, cfg.forming)
     os.makedirs(out, exist_ok=True)
-    save_report(report, os.path.join(out, "forming_report.json"))
+    write_json(report, os.path.join(out, "forming_report.json"))
     save_state(xbar, os.path.join(out, "crossbar_state.json"))
     print(f"formed {len(targets)} cells: {report['defective_count']} defective "
           f"({report['defective_fraction']:.3%})")
@@ -71,7 +61,7 @@ def cmd_tune(cfg: ExperimentConfig, out: str, targets_path: str) -> int:
     targets = import_grid(targets_path)
     errors = import_conductance_map(xbar, targets, cfg.tuning, skip_stuck=True)
     export_grid(errors, os.path.join(out, "error_grid.csv"))
-    save_histogram(error_histogram(errors), os.path.join(out, "error_histogram.json"))
+    write_json(error_histogram(errors), os.path.join(out, "error_histogram.json"))
     save_state(xbar, state_path)
     not_stuck = ~xbar.stuck_map()
     failed = int((errors[not_stuck] > cfg.tuning.tolerance + 1e-12).sum())
@@ -102,9 +92,9 @@ def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
         e1, e2 = result.import_errors
         export_grid(e1, os.path.join(out, "import_error_layer1.csv"))
         export_grid(e2, os.path.join(out, "import_error_layer2.csv"))
-        save_report(result.forming_reports[0], os.path.join(out, "forming_report_layer1.json"))
-        save_report(result.forming_reports[1], os.path.join(out, "forming_report_layer2.json"))
-        _write_json({
+        write_json(result.forming_reports[0], os.path.join(out, "forming_report_layer1.json"))
+        write_json(result.forming_reports[1], os.path.join(out, "forming_report_layer2.json"))
+        write_json({
             "mode": mode,
             "software_train_fidelity": result.software_train_fidelity,
             "software_test_fidelity": result.software_test_fidelity,
@@ -129,7 +119,7 @@ def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
                 fh.write(f"{epoch},{err:.9g}\n")
         save_state(xb1, os.path.join(out, "crossbar1_state.json"))
         save_state(xb2, os.path.join(out, "crossbar2_state.json"))
-        _write_json({
+        write_json({
             "mode": mode,
             "classes": cfg.manhattan.classes,
             "final_fidelity": result.final_fidelity,
@@ -172,8 +162,8 @@ def cmd_infer(cfg: ExperimentConfig, out: str, network_dir: str,
             volts_txt = ",".join(f"{v:.9g}" for v in volts)
             fh.write(f"{idx},{volts_txt},{cls},{pattern.label_index}\n")
     fidelity = correct / len(patterns)
-    _write_json({"patterns": len(patterns), "fidelity": fidelity},
-                os.path.join(out, "inference_summary.json"))
+    write_json({"patterns": len(patterns), "fidelity": fidelity},
+               os.path.join(out, "inference_summary.json"))
     print(f"inference: {correct}/{len(patterns)} correct ({fidelity:.3%})")
     return EXIT_OK
 
@@ -299,7 +289,7 @@ def main(argv=None) -> int:
             print(f"wrote pattern files to {args.out}")
             return EXIT_OK
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

@@ -10,8 +10,9 @@ their last column.
 from __future__ import annotations
 
 import json
+import math
 import typing
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 import scipy.sparse
@@ -118,12 +119,17 @@ def build_crossbar(rows: int, cols: int, spec: DeviceVariationSpec, R_w: float =
                     wire_segment_resistance=R_w, line_model=line_model)
 
 
-def vmm_ideal(xbar: Crossbar, column_voltages) -> np.ndarray:
-    """Row currents with ideal lines: I_row = sum_col V_col * G[row, col]."""
+def _column_voltages(xbar: Crossbar, column_voltages) -> np.ndarray:
     v = np.asarray(column_voltages, dtype=float)
-    if v.shape != (xbar.cols,):
-        raise ValueError(f"expected {xbar.cols} column voltages, got shape {v.shape}")
-    return xbar.conductances() @ v
+    if v.shape[-1:] != (xbar.cols,):
+        raise ValueError(f"expected {xbar.cols} column voltages per row, got shape {v.shape}")
+    return v
+
+
+def vmm_ideal(xbar: Crossbar, column_voltages) -> np.ndarray:
+    """Row currents with ideal lines, I_row = sum_col V_col * G[row, col], for
+    input vectors of shape (..., cols)."""
+    return _column_voltages(xbar, column_voltages) @ xbar.conductances().T
 
 
 def vmm(xbar: Crossbar, column_voltages) -> np.ndarray:
@@ -139,11 +145,10 @@ def vmm_wire_resistive(xbar: Crossbar, column_voltages) -> np.ndarray:
     Each line is a resistor ladder; every crosspoint couples its column node
     to its row node through the device conductance.  Columns are driven at
     the row-0 periphery, rows terminate into virtual ground after the last
-    column.  R_w = 0 reduces exactly to the ideal product.
+    column.  R_w = 0 reduces exactly to the ideal product.  Input vectors of
+    shape (..., cols) share one assembled matrix and take one solve each.
     """
-    v = np.asarray(column_voltages, dtype=float)
-    if v.shape != (xbar.cols,):
-        raise ValueError(f"expected {xbar.cols} column voltages, got shape {v.shape}")
+    v = _column_voltages(xbar, column_voltages)
     r_w = xbar.wire_segment_resistance
     if r_w == 0.0:
         return vmm_ideal(xbar, v)
@@ -160,11 +165,10 @@ def vmm_wire_resistive(xbar: Crossbar, column_voltages) -> np.ndarray:
     row_node = lambda r, c: n + r * cols + c
 
     data, ii, jj = [], [], []
-    rhs = np.zeros(2 * n)
 
     def stamp(a, b, g):
         # Conductance g between nodes a and b (b = -1 means a fixed rail,
-        # handled by the caller via the rhs).
+        # handled through the right-hand side).
         data.append(g); ii.append(a); jj.append(a)
         if b >= 0:
             data.append(g); ii.append(b); jj.append(b)
@@ -177,7 +181,6 @@ def vmm_wire_resistive(xbar: Crossbar, column_voltages) -> np.ndarray:
             stamp(cn, rn, g_dev[r, c])
             if r == 0:
                 stamp(cn, -1, g_w)          # drive periphery
-                rhs[cn] += g_w * v[c]
             if r < rows - 1:
                 stamp(cn, col_node(r + 1, c), g_w)
             if c < cols - 1:
@@ -186,9 +189,13 @@ def vmm_wire_resistive(xbar: Crossbar, column_voltages) -> np.ndarray:
                 stamp(rn, -1, g_w)          # virtual-ground periphery
 
     mat = scipy.sparse.coo_matrix((data, (ii, jj)), shape=(2 * n, 2 * n)).tocsc()
-    sol = scipy.sparse.linalg.spsolve(mat, rhs)
-    last = np.array([sol[row_node(r, cols - 1)] for r in range(rows)])
-    return last * g_w
+    out = np.empty(v.shape[:-1] + (rows,))
+    for idx in np.ndindex(v.shape[:-1]):
+        rhs = np.zeros(2 * n)
+        rhs[col_node(0, 0):col_node(0, cols)] = g_w * v[idx]     # driven row-0 nodes
+        sol = scipy.sparse.linalg.spsolve(mat, rhs)
+        out[idx] = sol[row_node(0, cols - 1)::cols] * g_w     # last column, every row
+    return out
 
 
 def device_voltage_map(xbar: Crossbar, sel_row: int, sel_col: int,
@@ -287,37 +294,60 @@ def export_grid(grid: np.ndarray, path):
 
 
 def import_grid(path) -> np.ndarray:
-    """Read a grid written by export_grid."""
-    rows = []
+    """Read a grid written by export_grid; every token must be a finite number."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
+        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        rows = [[float(tok) for tok in line.split(",")] for line in lines]
+    except ValueError as exc:
+        raise ConfigurationError(f"grid file {path}: {exc}") from None
     if not rows:
         raise ConfigurationError(f"empty grid file {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ConfigurationError(f"ragged grid file {path}")
-    return np.array(rows, dtype=float)
+    grid = np.array(rows, dtype=float)
+    if not np.isfinite(grid).all():
+        raise ConfigurationError(f"non-finite value in grid file {path}")
+    return grid
+
+
+def write_json(payload, path):
+    """Write an artifact as strict JSON: sorted keys, no NaN or Infinity."""
+    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+# Snapshot format version; load_state reads only this one.
+SCHEMA_VERSION = 1
 
 
 def save_state(xbar: Crossbar, path):
-    """Snapshot the full crossbar (all device fields) as deterministic JSON."""
-    payload = {
+    """Snapshot the full crossbar (all device fields) as deterministic JSON.
+
+    A device that can never form (forming_current = inf) is written as null.
+    """
+    devices = [[asdict(d) for d in row] for row in xbar.devices]
+    for entry in (d for row in devices for d in row):
+        if entry["forming_current"] == math.inf:
+            entry["forming_current"] = None
+    write_json({
+        "schema_version": SCHEMA_VERSION,
         "rows": xbar.rows,
         "cols": xbar.cols,
         "wire_segment_resistance": xbar.wire_segment_resistance,
         "line_model": xbar.line_model,
-        "devices": [[asdict(d) for d in row] for row in xbar.devices],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        "devices": devices,
+    }, path)
 
 
-_STATE_KEYS = {"rows", "cols", "wire_segment_resistance", "line_model", "devices"}
+_STATE_KEYS = {"schema_version", "rows", "cols", "wire_segment_resistance",
+               "line_model", "devices"}
 _DEVICE_TYPES = typing.get_type_hints(MemristorDevice)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def load_state(path) -> Crossbar:
@@ -325,10 +355,14 @@ def load_state(path) -> Crossbar:
     ConfigurationError."""
     with open(path) as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=_reject_constant)
         except ValueError as exc:
             raise ConfigurationError(f"malformed crossbar snapshot {path}: {exc}") from exc
-    if not isinstance(payload, dict) or set(payload) != _STATE_KEYS:
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigurationError(f"crossbar snapshot {path} has schema_version "
+                                 f"{version!r}, expected {SCHEMA_VERSION}")
+    if set(payload) != _STATE_KEYS:
         raise ConfigurationError(
             f"crossbar snapshot {path} must hold exactly the keys {sorted(_STATE_KEYS)}")
     rows, cols, grid = payload["rows"], payload["cols"], payload["devices"]
@@ -344,6 +378,8 @@ def load_state(path) -> Crossbar:
         if not isinstance(entry, dict) or set(entry) != set(_DEVICE_TYPES):
             raise ConfigurationError(
                 f"{path}: a device must hold exactly the keys {sorted(_DEVICE_TYPES)}")
+        if entry["forming_current"] is None:
+            entry["forming_current"] = math.inf
         for name, kind in _DEVICE_TYPES.items():
             value = entry[name]
             if not (type(value) is bool if kind is bool else type(value) in (int, float)):

@@ -11,7 +11,6 @@ recorded defective and flagged stuck.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .crossbar import Crossbar
@@ -183,9 +182,3 @@ def form_all(xbar: Crossbar, targets, spec: FormingSpec) -> dict:
     fraction = n_defective / len(targets) if targets else 0.0
     return {"devices": entries, "defective_count": n_defective,
             "defective_fraction": fraction}
-
-
-def save_report(report: dict, path):
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-        fh.write("\n")

@@ -1,4 +1,4 @@
-"""Differential-pair two-layer perceptron inference.
+"""Differential-pair two-layer perceptron: the network's transfer function.
 
 Each signed weight is a pair of devices on adjacent crossbar rows: row 2j
 carries G+ and row 2j+1 carries G- for neuron j, columns are inputs.  The
@@ -10,11 +10,17 @@ transimpedance stage, both with the 1e6 V/A gain of the board:
 
 Pixels map to +/-0.2 V inputs (1 -> +0.2 V), and both layers carry a fixed
 +0.2 V bias input appended after the data inputs.
+
+``forward`` is that transfer function, written once: ex-situ training and its
+gradients, in-situ Manhattan updates, software and hardware fidelity and
+per-pattern ``infer`` all run through it, on any leading batch shape.  A
+layer is a ConductancePairMap, a Crossbar (read through ``vmm``, so its line
+model applies) or signed weights in gain-normalized units (gain * (G+ - G-),
+so their product with the input volts is the pre-activation in volts).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +38,6 @@ class NetworkTopology:
     bias_level: float = 0.2
     transimpedance_gain: float = 1e6
     hidden_saturation: float = 0.2
-    output_clamp: float | None = None     # volts; None = unclamped linear stage
 
     @property
     def layer1_shape(self):
@@ -87,42 +92,41 @@ class ConductancePairMap:
         return cls(plus=grid[0::2].copy(), minus=grid[1::2].copy(), layer=layer)
 
 
-def neuron_hidden(delta_current, gain: float = 1e6, saturation: float = 0.2):
-    """Saturating hidden-stage response: saturation * tanh(gain * dI)."""
-    return saturation * np.tanh(gain * np.asarray(delta_current, dtype=float))
-
-
-def neuron_output(delta_current, gain: float = 1e6, clamp: float | None = None):
-    """Linear output stage: gain * dI, optionally clamped at +/-clamp volts."""
-    v = gain * np.asarray(delta_current, dtype=float)
-    if clamp is not None:
-        v = np.clip(v, -clamp, clamp)
-    return v
-
-
-def _pair_currents(layer, inputs: np.ndarray):
-    """(I+, I-) per neuron for a ConductancePairMap or a Crossbar layer."""
+def _preactivation(layer, X, topology: NetworkTopology):
+    """gain * (I+ - I-) of every neuron of ``layer`` for input rows X (..., n_in)."""
+    if isinstance(layer, np.ndarray):
+        return X @ layer.T
+    gain = topology.transimpedance_gain
     if isinstance(layer, ConductancePairMap):
-        return layer.plus @ inputs, layer.minus @ inputs
+        return gain * (X @ layer.plus.T - X @ layer.minus.T)
     if isinstance(layer, Crossbar):
-        currents = vmm(layer, inputs)
-        return currents[0::2], currents[1::2]
+        currents = vmm(layer, X)
+        return gain * (currents[..., 0::2] - currents[..., 1::2])
     raise TypeError(f"unsupported layer type {type(layer).__name__}")
 
 
+def _with_bias(X, topology: NetworkTopology):
+    return np.concatenate([X, np.full(X.shape[:-1] + (1,), topology.bias_level)], axis=-1)
+
+
+def forward(layer1, layer2, Xe, topology: NetworkTopology = DEFAULT_TOPOLOGY):
+    """The network's transfer function on encoded inputs Xe (..., n_inputs + 1).
+
+    Returns (tanh of the hidden pre-activation, hidden volts with the bias
+    input appended, output volts); gradients need the first two.
+    """
+    tanh_a = np.tanh(_preactivation(layer1, Xe, topology))
+    hidden = _with_bias(topology.hidden_saturation * tanh_a, topology)
+    return tanh_a, hidden, _preactivation(layer2, hidden, topology)
+
+
 def layer_forward(layer, inputs, kind: str, topology: NetworkTopology = DEFAULT_TOPOLOGY):
-    """Run one differential-pair layer; kind is 'hidden' or 'output'."""
-    inputs = np.asarray(inputs, dtype=float)
-    n_in = layer.n_inputs if isinstance(layer, ConductancePairMap) else layer.cols
-    if inputs.shape != (n_in,):
-        raise ValueError(f"expected {n_in} inputs, got shape {inputs.shape}")
-    i_plus, i_minus = _pair_currents(layer, inputs)
-    delta = i_plus - i_minus
-    if kind == "hidden":
-        return neuron_hidden(delta, topology.transimpedance_gain, topology.hidden_saturation)
-    if kind == "output":
-        return neuron_output(delta, topology.transimpedance_gain, topology.output_clamp)
-    raise ValueError(f"unknown activation kind {kind!r}")
+    """Run one differential-pair layer on input volts (..., n_inputs); kind is
+    'hidden' or 'output'."""
+    if kind not in ("hidden", "output"):
+        raise ValueError(f"unknown activation kind {kind!r}")
+    a = _preactivation(layer, np.asarray(inputs, dtype=float), topology)
+    return topology.hidden_saturation * np.tanh(a) if kind == "hidden" else a
 
 
 @dataclass
@@ -135,11 +139,17 @@ class MlpNetwork:
 
 
 def encode_pixels(pixels, topology: NetworkTopology = DEFAULT_TOPOLOGY) -> np.ndarray:
-    """Map binary pixels to +/-input_level volts (1 -> +, 0 -> -)."""
+    """Map binary pixels (..., n_inputs) to +/-input_level volts (1 -> +, 0 -> -)."""
     px = np.asarray(pixels, dtype=float)
-    if px.shape != (topology.n_inputs,):
-        raise ValueError(f"expected {topology.n_inputs} pixels")
+    if px.shape[-1:] != (topology.n_inputs,):
+        raise ValueError(f"expected {topology.n_inputs} pixels per pattern, "
+                         f"got shape {px.shape}")
     return np.where(px > 0.5, topology.input_level, -topology.input_level)
+
+
+def encode_batch(pixels, topology: NetworkTopology = DEFAULT_TOPOLOGY) -> np.ndarray:
+    """The network's encoded inputs: pixel volts with the bias input appended."""
+    return _with_bias(encode_pixels(pixels, topology), topology)
 
 
 def infer(net: MlpNetwork, pixels) -> tuple:
@@ -147,9 +157,8 @@ def infer(net: MlpNetwork, pixels) -> tuple:
 
     Ties break toward the lowest class index.
     """
-    topo = net.topology
-    x = np.concatenate([encode_pixels(pixels, topo), [topo.bias_level]])
-    hidden = layer_forward(net.layer1, x, "hidden", topo)
-    h = np.concatenate([hidden, [topo.bias_level]])
-    outputs = layer_forward(net.layer2, h, "output", topo)
+    if np.ndim(pixels) != 1:
+        raise ValueError("infer classifies one pattern; use forward for batches")
+    _, _, outputs = forward(net.layer1, net.layer2, encode_batch(pixels, net.topology),
+                            net.topology)
     return int(np.argmax(outputs)), outputs

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .benchmark import (canonical_training_set, generate_test_set,
                         label_vector, pixel_matrix)
 from .crossbar import Crossbar, build_crossbar
 from .device import DeviceVariationSpec
 from .forming import FormingSpec, form_all
-from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, infer
+from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, encode_batch, forward
 from .rng import seed_sequence
 from .training import (DefectMap, TrainingConfig, TrainingOutcome,
                        forward_batch, train_ex_situ)
@@ -78,11 +76,9 @@ def read_back_network(xb1: Crossbar, xb2: Crossbar) -> MlpNetwork:
 
 
 def hardware_fidelity(xb1: Crossbar, xb2: Crossbar, patterns) -> float:
-    """Classification fidelity of the crossbar state (ideal-line readout)."""
-    net = read_back_network(xb1, xb2)
-    w1 = net.layer1.plus - net.layer1.minus
-    w2 = net.layer2.plus - net.layer2.minus
-    Y = forward_batch(w1, w2, pixel_matrix(patterns))
+    """Classification fidelity of the crossbar state, read through each
+    array's line model."""
+    _, _, Y = forward(xb1, xb2, encode_batch(pixel_matrix(patterns)))
     return float((Y.argmax(1) == label_vector(patterns)).mean())
 
 
@@ -128,11 +124,8 @@ def run_ex_situ_pipeline(seed: int, aware: bool,
 
     defects = DefectMap.from_crossbars(xb1, xb2) if aware else None
     outcome = train_ex_situ(patterns, training_cfg, defects=defects)
-    w1, w2 = outcome.weights
-    Xtr, ytr = pixel_matrix(patterns), label_vector(patterns)
-    Xte, yte = pixel_matrix(test_patterns), label_vector(test_patterns)
-    sw_train = float((forward_batch(w1, w2, Xtr).argmax(1) == ytr).mean())
-    sw_test = float((forward_batch(w1, w2, Xte).argmax(1) == yte).mean())
+    Y = forward_batch(*outcome.weights, pixel_matrix(test_patterns))
+    sw_test = float((Y.argmax(1) == label_vector(test_patterns)).mean())
 
     e1, e2 = import_network(xb1, xb2, outcome, tuning_spec, refine_passes)
     not_stuck1, not_stuck2 = ~xb1.stuck_map(), ~xb2.stuck_map()
@@ -141,7 +134,7 @@ def run_ex_situ_pipeline(seed: int, aware: bool,
 
     return PipelineResult(
         aware=aware,
-        software_train_fidelity=sw_train,
+        software_train_fidelity=outcome.train_fidelity,
         software_test_fidelity=sw_test,
         hardware_train_fidelity=hardware_fidelity(xb1, xb2, patterns),
         hardware_test_fidelity=hardware_fidelity(xb1, xb2, test_patterns),

@@ -1,11 +1,12 @@
 """Training paths: ex-situ backpropagation and in-situ Manhattan-rule.
 
-Ex-situ training runs full-batch gradient descent on mean-square error with
-the hardware transfer functions (0.2 V inputs, saturating 0.2*tanh hidden
-stage, 1e6 V/A gain), keeping every weight representable as a differential
-conductance pair inside the working range.  The hardware-aware variant
-additionally freezes defective devices at their measured conductances and
-routes the remaining updates around them.
+Ex-situ training runs full-batch gradient descent on mean-square error
+through the network's transfer function, ``mlp.forward`` (0.2 V inputs,
+saturating 0.2*tanh hidden stage, 1e6 V/A gain), keeping every weight
+representable as a differential conductance pair inside the working range.
+The hardware-aware variant additionally freezes defective devices at their
+measured conductances and routes the remaining updates around them.
+``_grads`` backpropagates through that one forward for both training paths.
 
 In-situ training drives the simulated crossbars directly: inference on the
 hardware, update signs from backpropagation on read-back conductances, and
@@ -23,14 +24,14 @@ the natural scale at which the 1e6 V/A gain cancels.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .benchmark import label_vector, pixel_matrix
 from .crossbar import BiasScheme, Crossbar
 from .errors import ConfigurationError, DivergenceError
-from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap
+from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, encode_batch, forward
 from .rng import stream
 from .units import quantity
 
@@ -102,38 +103,30 @@ def pairs_to_weights(pair_map: ConductancePairMap) -> np.ndarray:
     return pair_map.plus - pair_map.minus
 
 
-def encode_batch(pixels_matrix, topology=DEFAULT_TOPOLOGY) -> np.ndarray:
-    """Binary pixel rows -> +/-input_level volts with the bias column appended."""
-    X = np.asarray(pixels_matrix, dtype=float)
-    lv = topology.input_level
-    inputs = np.where(X > 0.5, lv, -lv)
-    bias = np.full((len(X), 1), topology.bias_level)
-    return np.hstack([inputs, bias])
-
-
 def forward_batch(w1, w2, pixels_matrix, topology=DEFAULT_TOPOLOGY) -> np.ndarray:
     """Output voltages for a batch of patterns; weights in siemens."""
-    Xe = encode_batch(pixels_matrix, topology)
-    gain = topology.transimpedance_gain
-    H = topology.hidden_saturation * np.tanh(gain * (Xe @ np.asarray(w1).T))
-    Ha = np.hstack([H, np.full((len(H), 1), topology.bias_level)])
-    return gain * (Ha @ np.asarray(w2).T)
+    return forward(np.asarray(w1) / _U, np.asarray(w2) / _U,
+                   encode_batch(pixels_matrix, topology), topology)[2]
 
 
-def _grads(u1, u2, Xe, T, topology=DEFAULT_TOPOLOGY):
-    """MSE gradients in gain-normalized units; returns (loss, Y, d1, d2)."""
-    sat = topology.hidden_saturation
-    bias = topology.bias_level
-    A = Xe @ u1.T
-    tanh_a = np.tanh(A)
-    H = sat * tanh_a
-    Ha = np.hstack([H, np.full((len(H), 1), bias)])
-    Y = Ha @ u2.T
-    dY = 2.0 * (Y - T) / T.size
+def _grads(u1, u2, Xe, T, topology=DEFAULT_TOPOLOGY, columns=None):
+    """MSE gradients in gain-normalized units; returns (loss, Y, d1, d2).
+
+    With ``columns`` the error comes only from those output columns (T holds
+    just their targets); the other outputs see zero error.
+    """
+    tanh_a, Ha, Y = forward(u1, u2, Xe, topology)
+    if columns is None:
+        err = Y - T
+        dY = 2.0 * err / T.size
+    else:
+        err = Y[:, columns] - T
+        dY = np.zeros_like(Y)
+        dY[:, columns] = 2.0 * err / T.size
     d2 = dY.T @ Ha
     dH = dY @ u2[:, :-1]
-    d1 = (dH * sat * (1.0 - tanh_a ** 2)).T @ Xe
-    loss = float(((Y - T) ** 2).mean())
+    d1 = (dH * topology.hidden_saturation * (1.0 - tanh_a ** 2)).T @ Xe
+    loss = float((err ** 2).mean())
     return loss, Y, d1, d2
 
 
@@ -347,7 +340,8 @@ class _PulsedArray:
                           for dev in self.devices])
 
     def weights(self) -> np.ndarray:
-        return self.G[0::2] - self.G[1::2]
+        """Signed weights in gain-normalized units."""
+        return (self.G[0::2] - self.G[1::2]) / _U
 
     def pulse(self, grad: np.ndarray) -> int:
         """Pulse every device once against ``grad``; returns the pulses issued.
@@ -403,29 +397,18 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
 
     # Gradients run over the full 4-output head with error only on the
     # classes in play; unused outputs see zero error and get zero pulses.
-    def masked_grads():
-        u1 = arr1.weights() / _U
-        u2 = arr2.weights() / _U
-        A = Xe @ u1.T
-        tanh_a = np.tanh(A)
-        H = topo.hidden_saturation * tanh_a
-        Ha = np.hstack([H, np.full((len(H), 1), topo.bias_level)])
-        Y = Ha @ u2.T
-        dY = np.zeros_like(Y)
-        dY[:, class_idx] = 2.0 * (Y[:, class_idx] - T) / T.size
-        d2 = dY.T @ Ha
-        dH = dY @ u2[:, :-1]
-        d1 = (dH * topo.hidden_saturation * (1.0 - tanh_a ** 2)).T @ Xe
-        pred = Y[:, class_idx].argmax(1)
-        return d1, d2, float((pred == y_local).mean())
+    def fidelity(Y):
+        return float((Y[:, class_idx].argmax(1) == y_local).mean())
 
     for _ in range(cfg.epochs):
-        d1, d2, fid = masked_grads()
+        _, Y, d1, d2 = _grads(arr1.weights(), arr2.weights(), Xe, T, topo,
+                              columns=class_idx)
+        fid = fidelity(Y)
         errors.append(1.0 - fid)
         fids.append(fid)
         pulses += arr1.pulse(d1) + arr2.pulse(d2)
 
-    _, _, fid = masked_grads()
+    fid = fidelity(forward(arr1.weights(), arr2.weights(), Xe, topo)[2])
     fids.append(fid)
     arr1.write_back()
     arr2.write_back()

@@ -9,7 +9,6 @@ the normalized absolute difference |actual - target| / target.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,9 +173,3 @@ def error_histogram(errors, bins=20, upper=None) -> dict:
     counts, _ = np.histogram(errors, bins=edges)
     return {"bin_edges": [float(e) for e in edges],
             "counts": [int(c) for c in counts]}
-
-
-def save_histogram(hist: dict, path):
-    with open(path, "w") as fh:
-        json.dump(hist, fh, sort_keys=True, indent=1)
-        fh.write("\n")

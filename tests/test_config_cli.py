@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from xbarsim.cli import main
 from xbarsim.config import ExperimentConfig, load_config, write_default_config
-from xbarsim.crossbar import build_crossbar, export_grid, save_state
+from xbarsim.crossbar import (build_crossbar, export_grid, import_grid, load_state,
+                              save_state)
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec
@@ -375,3 +376,99 @@ class TestCli:
         train = open(os.path.join(out, "training_patterns.txt")).read().splitlines()
         test = open(os.path.join(out, "test_patterns.txt")).read().splitlines()
         assert len(train) == 40 and len(test) == 640
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+def _without_version(state):
+    del state["schema_version"]
+    return state
+
+
+class TestArtifacts:
+    def test_form_snapshot_is_strict_json(self, tmp_path):
+        out = tmp_path / "form"
+        assert main(["--out", str(out), "form"]) == 0
+        for name in ("crossbar_state.json", "forming_report.json"):
+            json.loads((out / name).read_text(), parse_constant=_reject_constant)
+        state = json.loads((out / "crossbar_state.json").read_text())
+        assert state["schema_version"] == 1
+        never_form = [d for row in state["devices"] for d in row
+                      if d["forming_current"] is None]
+        assert never_form and all(d["stuck"] for d in never_form)
+
+    def test_snapshot_load_then_save_is_byte_identical(self, tmp_path):
+        out = tmp_path / "form"
+        assert main(["--out", str(out), "form"]) == 0
+        first = out / "crossbar_state.json"
+        again = tmp_path / "again.json"
+        save_state(load_state(first), again)
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("mangle", [
+        _without_version, _set(["schema_version"], 2), _set(["schema_version"], "1"),
+        _set(["schema_version"], 1.0), _set(["schema_version"], None)])
+    def test_snapshot_version_is_required(self, tmp_path, mangle):
+        out = tmp_path / "run"
+        out.mkdir()
+        state = json.dumps(mangle(_two_by_two_snapshot(out / "crossbar_state.json")))
+        (out / "crossbar_state.json").write_text(state)
+        targets = str(tmp_path / "targets.csv")
+        export_grid(np.full((2, 2), 50e-6), targets)
+        assert main(["--out", str(out), "tune", "--targets", targets]) == 2
+        assert (out / "crossbar_state.json").read_text() == state
+
+    def test_non_standard_constant_in_snapshot_is_config_error(self, tmp_path):
+        path = tmp_path / "state.json"
+        _two_by_two_snapshot(path)
+        text = path.read_text()
+        assert '"wire_segment_resistance": 0.0' in text
+        # Every other check would accept an infinite wire resistance.
+        path.write_text(text.replace('"wire_segment_resistance": 0.0',
+                                     '"wire_segment_resistance": Infinity'))
+        with pytest.raises(ConfigurationError, match="Infinity"):
+            load_state(path)
+
+    @pytest.mark.parametrize("token", ["abc", "nan", "inf", "-Infinity", ""])
+    def test_bad_target_token_is_config_error(self, tmp_path, token):
+        out = tmp_path / "run"
+        out.mkdir()
+        _two_by_two_snapshot(out / "crossbar_state.json")
+        targets = tmp_path / "bad.csv"
+        targets.write_text(f"1e-5,{token}\n1e-5,1e-5\n")
+        assert main(["--out", str(out), "tune", "--targets", str(targets)]) == 2
+        with pytest.raises(ConfigurationError, match="bad.csv"):
+            import_grid(targets)
+
+
+@pytest.mark.parametrize("name", ["config", "snapshot", "targets", "patterns", "network"])
+def test_unreadable_input_is_config_error(tmp_path, name):
+    out, net = tmp_path / "out", tmp_path / "net"
+    out.mkdir()
+    net.mkdir()
+    _two_by_two_snapshot(out / "crossbar_state.json")
+    paths = {"config": None, "targets": tmp_path / "targets.csv",
+             "patterns": tmp_path / "one.txt"}
+    export_grid(np.full((2, 2), 50e-6), paths["targets"])
+    paths["patterns"].write_text("0110100111111001 A\n")
+    export_grid(np.full((20, 17), 50e-6), net / "layer1_pairs.csv")
+    export_grid(np.full((8, 11), 50e-6), net / "layer2_pairs.csv")
+    # The named input is a directory where a file belongs.
+    if name == "snapshot":
+        (out / "crossbar_state.json").unlink()
+        (out / "crossbar_state.json").mkdir()
+    elif name == "network":
+        for k in (1, 2):
+            (net / f"crossbar{k}_state.json").mkdir()
+    else:
+        paths[name] = tmp_path / "blocked"
+        paths[name].mkdir()
+    argv = ["--config", str(paths["config"])] if paths["config"] else []
+    argv += ["--out", str(out)]
+    if name in ("patterns", "network"):
+        argv += ["infer", "--network", str(net), "--patterns", str(paths["patterns"])]
+    else:
+        argv += ["tune", "--targets", str(paths["targets"])]
+    assert main(argv) == 2

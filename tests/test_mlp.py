@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from xbarsim.benchmark import canonical_training_set, generate_test_set, pixel_matrix
 from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.mlp import (ConductancePairMap, MlpNetwork, NetworkTopology,
-                         encode_pixels, infer, layer_forward, neuron_hidden,
-                         neuron_output)
+                         encode_batch, encode_pixels, forward, infer,
+                         layer_forward)
+from xbarsim.pipeline import hardware_fidelity, run_ex_situ_pipeline
 from xbarsim.rng import stream
 
 CLEAN = DeviceVariationSpec(stuck_probability=0.0)
@@ -22,19 +24,25 @@ def random_network(seed=0, scale=40e-6):
     return MlpNetwork(l1, l2)
 
 
+def single_pair(delta_current):
+    """1x1 pair map that turns a 1 V input into I+ - I- = ``delta_current``."""
+    return ConductancePairMap([[max(delta_current, 0.0)]], [[max(-delta_current, 0.0)]])
+
+
+def neuron(delta_current, kind):
+    return layer_forward(single_pair(delta_current), [1.0], kind)[0]
+
+
 class TestNeurons:
     def test_hidden_odd_and_saturating(self):
-        assert neuron_hidden(0.0) == 0.0
-        assert neuron_hidden(8e-6) == pytest.approx(0.2 * math.tanh(8), rel=1e-12)
-        assert neuron_hidden(-8e-6) == pytest.approx(-0.2 * math.tanh(8), rel=1e-12)
+        assert neuron(0.0, "hidden") == 0.0
+        assert neuron(8e-6, "hidden") == pytest.approx(0.2 * math.tanh(8), rel=1e-12)
+        assert neuron(-8e-6, "hidden") == pytest.approx(-0.2 * math.tanh(8), rel=1e-12)
 
     def test_output_linear(self):
-        assert neuron_output(0.0) == 0.0
-        assert neuron_output(1e-6) == pytest.approx(1.0, rel=1e-12)
-        assert neuron_output(-2.5e-6) == pytest.approx(-2.5, rel=1e-12)
-
-    def test_output_clamp_optional(self):
-        assert neuron_output(20e-6, clamp=10.0) == 10.0
+        assert neuron(0.0, "output") == 0.0
+        assert neuron(1e-6, "output") == pytest.approx(1.0, rel=1e-12)
+        assert neuron(-2.5e-6, "output") == pytest.approx(-2.5, rel=1e-12)
 
 
 class TestLayerForward:
@@ -154,3 +162,84 @@ class TestPairGrid:
         back = ConductancePairMap.from_grid(grid, layer=1)
         np.testing.assert_array_equal(back.plus, net.layer1.plus)
         np.testing.assert_array_equal(back.minus, net.layer1.minus)
+
+
+TEST_SET = generate_test_set(canonical_training_set())
+
+
+def crossbar_network(net, seed, topology=NetworkTopology(), R_w=0.0):
+    """The pair maps of ``net`` written onto two clean crossbars."""
+    layers = []
+    for k, layer in enumerate((net.layer1, net.layer2)):
+        grid = layer.to_grid()
+        xb = build_crossbar(*grid.shape, CLEAN, seed=seed + k, R_w=R_w,
+                            line_model="wire_resistive" if R_w else "ideal")
+        xb.set_conductances(grid, respect_stuck=False)
+        layers.append(xb)
+    return MlpNetwork(*layers, topology=topology)
+
+
+def small_network(seed, topology):
+    rng = stream(seed, "small")
+    shapes = ((topology.n_hidden, topology.n_inputs + 1),
+              (topology.n_outputs, topology.n_hidden + 1))
+    return MlpNetwork(*(ConductancePairMap(rng.uniform(10e-6, 100e-6, shape),
+                                           rng.uniform(10e-6, 100e-6, shape))
+                        for shape in shapes), topology=topology)
+
+
+class TestBatchedForward:
+    """One batched forward over the 640 test patterns equals per-pattern infer."""
+
+    def check(self, net, patterns=TEST_SET):
+        topo = net.topology
+        _, _, volts = forward(net.layer1, net.layer2,
+                              encode_batch(pixel_matrix(patterns), topo), topo)
+        classes, one_by_one = zip(*(infer(net, p.pixels) for p in patterns))
+        np.testing.assert_array_equal(volts.argmax(1), classes)
+        # Batched and single-vector products sum in different orders; outputs
+        # that nearly cancel keep only an absolute agreement at the output scale.
+        np.testing.assert_allclose(volts, np.array(one_by_one), rtol=1e-12,
+                                   atol=1e-12 * np.abs(volts).max())
+
+    def test_pair_maps(self):
+        self.check(random_network(21))
+
+    def test_ideal_crossbars(self):
+        self.check(crossbar_network(random_network(22), seed=220))
+
+    def test_small_wire_resistive_crossbars(self):
+        topo = NetworkTopology(n_hidden=3)
+        net = crossbar_network(small_network(23, topo), seed=230, topology=topo, R_w=5.6)
+        self.check(net)
+
+    def test_leading_batch_shape(self):
+        net = random_network(24)
+        Xe = encode_batch(pixel_matrix(TEST_SET[:12]))
+        flat = forward(net.layer1, net.layer2, Xe)
+        stacked = forward(net.layer1, net.layer2, Xe.reshape(3, 4, 17))
+        for a, b in zip(flat, stacked):
+            np.testing.assert_array_equal(b.reshape(a.shape), a)
+
+
+@pytest.fixture(scope="module")
+def aware_chip():
+    return run_ex_situ_pipeline(0, aware=True).crossbars
+
+
+def test_hardware_fidelity_reads_through_the_line_model(aware_chip):
+    xb1, xb2 = aware_chip
+    train = canonical_training_set()
+    ideal = hardware_fidelity(xb1, xb2, train)
+    for xb in (xb1, xb2):
+        xb.line_model, xb.wire_segment_resistance = "wire_resistive", 200.0
+    try:
+        net = MlpNetwork(xb1, xb2)
+        per_pattern = np.mean([infer(net, p.pixels)[0] == p.label_index for p in train])
+        # At 200 ohm per segment the line drops flip a training pattern, so
+        # an ideal-line readout would give a different answer.
+        assert per_pattern != ideal
+        assert hardware_fidelity(xb1, xb2, train) == per_pattern
+    finally:
+        for xb in (xb1, xb2):
+            xb.line_model, xb.wire_segment_resistance = "ideal", 0.0

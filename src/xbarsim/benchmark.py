@@ -15,7 +15,6 @@ import importlib.resources
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ConfigurationError
 from .rng import stream
@@ -112,6 +111,8 @@ def linear_separability_check(patterns) -> bool:
     Decided by LP feasibility of the pairwise class-margin constraints
     (w_true - w_other) . x >= 1 over all patterns and wrong classes.
     """
+    from scipy.optimize import linprog     # only this check needs the LP solver
+
     if not patterns:
         raise ConfigurationError("empty pattern set")
     X = pixel_matrix(patterns)

@@ -77,13 +77,19 @@ def _write_pair_maps(outcome, out):
 
 
 def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
+    lines = cfg.crossbar
+    if (mode == "in-situ" and lines.line_model == "wire_resistive"
+            and lines.wire_segment_resistance > 0):
+        raise ConfigurationError("in-situ training models ideal lines only; set "
+                                 "crossbar.line_model to 'ideal' or its resistance to 0")
     os.makedirs(out, exist_ok=True)
     if mode in ("ex-situ-oblivious", "ex-situ-aware"):
         result = run_ex_situ_pipeline(
             cfg.seed, aware=(mode == "ex-situ-aware"),
             device_spec=cfg.device, forming_spec=cfg.forming,
             training_cfg=cfg.training, tuning_spec=cfg.tuning,
-            refine_passes=cfg.tuning.refine_passes)
+            refine_passes=cfg.tuning.refine_passes,
+            R_w=cfg.crossbar.wire_segment_resistance, line_model=cfg.crossbar.line_model)
         _write_pair_maps(result.outcome, out)
         save_curve(result.outcome.curve, os.path.join(out, "training_curve.csv"))
         xb1, xb2 = result.crossbars

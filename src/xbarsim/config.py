@@ -39,7 +39,8 @@ _KIND = {float: "a number", int: "an integer", bool: "true or false", str: "a st
 
 @dataclass
 class CrossbarSection:
-    """The single array that ``form`` and ``tune`` work on."""
+    """The single array that ``form`` and ``tune`` work on.  Its line model
+    and wire resistance also apply to the two arrays of ex-situ ``train``."""
 
     rows: int = 20
     cols: int = 20

@@ -9,6 +9,7 @@ their last column.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import typing
@@ -24,9 +25,11 @@ from .rng import stream
 
 LINE_MODELS = ("ideal", "wire_resistive")
 
-# Wire-resistive nodal solves get quadratically expensive; beyond this size
-# use the resistor-ladder abstraction instead.
-MAX_NODAL_DIM = 64
+# Largest array side for the wire-resistive nodal solve; beyond it use the
+# resistor-ladder abstraction.  Factoring grows fast with the side: on a
+# 2-core x86 host (scipy 1.17) 64x64 took 41 ms and ~7 MB, 128x128 0.25 s and
+# ~35 MB, 256x256 1.3 s and ~170 MB.
+MAX_NODAL_DIM = 128
 
 
 @dataclass
@@ -94,8 +97,8 @@ def check_geometry(rows: int, cols: int, R_w: float = 0.0, line_model: str = "id
     """Raise ConfigurationError unless an array of this shape and wiring can exist."""
     if rows < 1 or cols < 1:
         raise ConfigurationError("crossbar dimensions must be >= 1")
-    if R_w < 0:
-        raise ConfigurationError("wire segment resistance must be >= 0")
+    if not 0 <= R_w < math.inf:
+        raise ConfigurationError("wire segment resistance must be finite and >= 0")
     if line_model not in LINE_MODELS:
         raise ConfigurationError(f"unknown line model {line_model!r}")
 
@@ -145,8 +148,14 @@ def vmm_wire_resistive(xbar: Crossbar, column_voltages) -> np.ndarray:
     Each line is a resistor ladder; every crosspoint couples its column node
     to its row node through the device conductance.  Columns are driven at
     the row-0 periphery, rows terminate into virtual ground after the last
-    column.  R_w = 0 reduces exactly to the ideal product.  Input vectors of
-    shape (..., cols) share one assembled matrix and take one solve each.
+    column.  R_w = 0 reduces exactly to the ideal product.
+
+    The conductances are read on every call, and the nodal matrix they give
+    is factored once: the SuperLU factor is cached on the array's content
+    (shape, R_w and conductance bytes), so repeated reads of an unchanged
+    array only solve, and any device change is a new key.  Input vectors of
+    shape (..., cols) are solved together as the columns of one right-hand
+    side.
     """
     v = _column_voltages(xbar, column_voltages)
     r_w = xbar.wire_segment_resistance
@@ -158,44 +167,61 @@ def vmm_wire_resistive(xbar: Crossbar, column_voltages) -> np.ndarray:
             "use ladder_worst_case_drop for scaling analysis")
 
     rows, cols = xbar.rows, xbar.cols
-    g_w = 1.0 / r_w
-    g_dev = xbar.conductances()
     n = rows * cols
-    col_node = lambda r, c: r * cols + c
-    row_node = lambda r, c: n + r * cols + c
+    g_w = 1.0 / r_w
+    lu = _nodal_factor(rows, cols, r_w, xbar.conductances().tobytes())
+    drives = v.reshape(-1, cols)
+    rhs = np.zeros((2 * n, len(drives)), order="F")
+    rhs[:cols] = g_w * drives.T                          # driven row-0 column nodes
+    sol = lu.solve(rhs)
+    currents = sol[n + cols - 1::cols] * g_w             # last row node of every row
+    return currents.T.reshape(v.shape[:-1] + (rows,))
 
-    data, ii, jj = [], [], []
 
-    def stamp(a, b, g):
-        # Conductance g between nodes a and b (b = -1 means a fixed rail,
-        # handled through the right-hand side).
-        data.append(g); ii.append(a); jj.append(a)
-        if b >= 0:
-            data.append(g); ii.append(b); jj.append(b)
-            data.append(-g); ii.append(a); jj.append(b)
-            data.append(-g); ii.append(b); jj.append(a)
+# Distinct arrays whose factors are kept: four networks' worth, so reading a
+# few chips in turn does not refactor them.  A 20x17 factor holds ~0.2 MB;
+# the worst case, eight arrays at MAX_NODAL_DIM, ~280 MB.
+_FACTOR_CACHE_SIZE = 8
 
-    for r in range(rows):
-        for c in range(cols):
-            cn, rn = col_node(r, c), row_node(r, c)
-            stamp(cn, rn, g_dev[r, c])
-            if r == 0:
-                stamp(cn, -1, g_w)          # drive periphery
-            if r < rows - 1:
-                stamp(cn, col_node(r + 1, c), g_w)
-            if c < cols - 1:
-                stamp(rn, row_node(r, c + 1), g_w)
-            else:
-                stamp(rn, -1, g_w)          # virtual-ground periphery
 
-    mat = scipy.sparse.coo_matrix((data, (ii, jj)), shape=(2 * n, 2 * n)).tocsc()
-    out = np.empty(v.shape[:-1] + (rows,))
-    for idx in np.ndindex(v.shape[:-1]):
-        rhs = np.zeros(2 * n)
-        rhs[col_node(0, 0):col_node(0, cols)] = g_w * v[idx]     # driven row-0 nodes
-        sol = scipy.sparse.linalg.spsolve(mat, rhs)
-        out[idx] = sol[row_node(0, cols - 1)::cols] * g_w     # last column, every row
-    return out
+@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _nodal_factor(rows: int, cols: int, r_w: float, g_bytes: bytes):
+    g_dev = np.frombuffer(g_bytes).reshape(rows, cols)
+    return scipy.sparse.linalg.splu(_nodal_matrix(g_dev, r_w))
+
+
+def _nodal_matrix(g_dev: np.ndarray, r_w: float) -> scipy.sparse.csc_matrix:
+    """The (2n, 2n) nodal conductance matrix of a rows x cols array.
+
+    Node r*cols + c is the column line at cell (r, c) and n + r*cols + c the
+    row line there.  Every cell has 14 fixed slots, in order: its device
+    (4 entries), the column drive at row 0 (1), the column segment to the
+    next row (4), and the row segment to the next column (4) or, in the last
+    column, the row's ground termination (1).  Slots that do not apply are
+    masked out and the rest flattened cell by cell, so duplicate entries sum
+    in a fixed order.
+    """
+    rows, cols = g_dev.shape
+    n = rows * cols
+    cn = np.arange(n)
+    rn = n + cn
+    r, c = np.divmod(cn, cols)
+    g, g_w = g_dev.reshape(n), np.full(n, 1.0 / r_w)
+
+    def stamp(a, b, cond, applies):
+        # Conductance between nodes a and b; b = None is a fixed rail, whose
+        # current goes to the right-hand side.
+        if b is None:
+            return [(a, a, cond, applies)]
+        return [(a, a, cond, applies), (b, b, cond, applies),
+                (a, b, -cond, applies), (b, a, -cond, applies)]
+
+    slots = (stamp(cn, rn, g, np.ones(n, bool)) + stamp(cn, None, g_w, r == 0)
+             + stamp(cn, cn + cols, g_w, r < rows - 1)
+             + stamp(rn, rn + 1, g_w, c < cols - 1) + stamp(rn, None, g_w, c == cols - 1))
+    ii, jj, data, keep = (np.stack(part, axis=1) for part in zip(*slots))
+    return scipy.sparse.coo_matrix((data[keep], (ii[keep], jj[keep])),
+                                   shape=(2 * n, 2 * n)).tocsc()
 
 
 def device_voltage_map(xbar: Crossbar, sel_row: int, sel_col: int,

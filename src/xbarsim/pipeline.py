@@ -39,15 +39,16 @@ def derive_seed(root_seed: int, *labels) -> int:
 
 
 def build_network_crossbars(seed: int, device_spec: DeviceVariationSpec,
-                            R_w: float = 0.0, pristine: bool = True):
+                            R_w: float = 0.0, pristine: bool = True,
+                            line_model: str = "ideal"):
     """The two arrays backing the 16-10-4 network: 20x17 and 8x11 grids."""
     topo = DEFAULT_TOPOLOGY
     xb1 = build_crossbar(2 * topo.n_hidden, topo.n_inputs + 1, device_spec,
                          R_w=R_w, seed=derive_seed(seed, "device", 1),
-                         pristine=pristine)
+                         pristine=pristine, line_model=line_model)
     xb2 = build_crossbar(2 * topo.n_outputs, topo.n_hidden + 1, device_spec,
                          R_w=R_w, seed=derive_seed(seed, "device", 2),
-                         pristine=pristine)
+                         pristine=pristine, line_model=line_model)
     return xb1, xb2
 
 
@@ -103,12 +104,14 @@ def run_ex_situ_pipeline(seed: int, aware: bool,
                          training_cfg: TrainingConfig | None = None,
                          tuning_spec: TuningSpec | None = None,
                          refine_passes: int = 2,
-                         patterns=None, test_patterns=None) -> PipelineResult:
+                         patterns=None, test_patterns=None,
+                         R_w: float = 0.0, line_model: str = "ideal") -> PipelineResult:
     """The full ex-situ experiment for one seed.
 
     Forms two pristine arrays, trains the software network (with the defect
     map when ``aware``), imports the weights at the configured tolerance and
-    evaluates train/test fidelity on the resulting hardware state.
+    evaluates train/test fidelity on the resulting hardware state, read
+    through the arrays' lines (``R_w`` ohm per segment under ``line_model``).
     """
     device_spec = device_spec or DeviceVariationSpec()
     forming_spec = forming_spec or FormingSpec()
@@ -117,7 +120,8 @@ def run_ex_situ_pipeline(seed: int, aware: bool,
     patterns = patterns or canonical_training_set()
     test_patterns = test_patterns or generate_test_set(patterns)
 
-    xb1, xb2 = build_network_crossbars(seed, device_spec, pristine=True)
+    xb1, xb2 = build_network_crossbars(seed, device_spec, R_w=R_w, pristine=True,
+                                       line_model=line_model)
     rep1, rep2 = form_network(xb1, xb2, forming_spec)
     n_cells = xb1.rows * xb1.cols + xb2.rows * xb2.cols
     defective = (rep1["defective_count"] + rep2["defective_count"]) / n_cells

@@ -296,6 +296,41 @@ class TestCli:
         curve = open(os.path.join(out, "insitu_error_curve.csv")).read().splitlines()
         assert len(curve) == 21             # header + one row per epoch
 
+    def test_ex_situ_training_reads_through_configured_lines(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"crossbar": {"line_model": "wire_resistive",
+                                                "wire_segment_resistance": "200ohm"}}))
+        ideal, wired = str(tmp_path / "ideal"), str(tmp_path / "wired")
+        assert main(["--out", ideal, "train", "--mode", "ex-situ-aware"]) == 0
+        assert main(["--config", str(cfg), "--out", wired, "train",
+                     "--mode", "ex-situ-aware"]) == 0
+
+        def read(out, name):
+            return json.load(open(os.path.join(out, name)))
+        fid_ideal, fid_wired = read(ideal, "fidelity.json"), read(wired, "fidelity.json")
+        assert fid_wired != fid_ideal
+        # Only the hardware readout goes through the lines.
+        for key in ("software_train_fidelity", "software_test_fidelity",
+                    "defective_fraction", "import_error_max"):
+            assert fid_wired[key] == fid_ideal[key]
+        for name in ("crossbar1_state.json", "crossbar2_state.json"):
+            state = read(wired, name)
+            assert state["line_model"] == "wire_resistive"
+            assert state["wire_segment_resistance"] == 200.0
+            assert state["devices"] == read(ideal, name)["devices"]
+
+    @pytest.mark.parametrize("r_w, code", [("200ohm", 2), ("0ohm", 0)])
+    def test_in_situ_training_rejects_resistive_lines(self, tmp_path, r_w, code):
+        # Zero-ohm wire-resistive lines read exactly as ideal ones, so they run.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"crossbar": {"line_model": "wire_resistive",
+                                                "wire_segment_resistance": r_w},
+                                   "manhattan": {"epochs": 2}}))
+        out = tmp_path / "insitu"
+        assert main(["--config", str(cfg), "--out", str(out), "train",
+                     "--mode", "in-situ"]) == code
+        assert out.exists() == (code == 0)
+
     @pytest.mark.parametrize("manhattan", [{"pulse_width": "0us"},
                                            {"bias_scheme": "V_quarter"}])
     def test_bad_manhattan_config_is_config_error(self, tmp_path, manhattan):
@@ -312,7 +347,8 @@ class TestCli:
         {"training": {"fill_range": "false"}}, {"training": {"seed": 3}},
         {"manhattan": {"classes": "AQ"}}, {"manhattan": {"classes": ""}},
         {"scale": {"conductance_v_half": {"set": "20uS"}}},
-        {"training": {"learning_rate": 10**400}}])
+        {"training": {"learning_rate": 10**400}},
+        {"crossbar": {"wire_segment_resistance": "1e400ohm"}}])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))

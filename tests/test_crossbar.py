@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
-from xbarsim.crossbar import (BiasScheme, build_crossbar, device_voltage_map,
-                              export_grid, import_grid, ladder_worst_case_drop,
-                              load_state, max_crossbar_dimension, save_state,
-                              vmm_ideal, vmm_wire_resistive, write_drop_budget)
+from xbarsim.crossbar import (MAX_NODAL_DIM, BiasScheme, _FACTOR_CACHE_SIZE,
+                              _nodal_factor, _nodal_matrix, build_crossbar,
+                              device_voltage_map, export_grid, import_grid,
+                              ladder_worst_case_drop, load_state,
+                              max_crossbar_dimension, save_state, vmm, vmm_ideal,
+                              vmm_wire_resistive, write_drop_budget)
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
 
@@ -41,6 +45,138 @@ def dense_nodal_oracle(xbar, v):
                 A[rn, rn] += g_w
     sol = np.linalg.solve(A, b)
     return np.array([sol[row_node(r, cols - 1)] * g_w for r in range(rows)])
+
+
+def reference_nodal(xbar, v):
+    """The wire-resistive solver before factor caching: a Python stamp loop
+    assembles the nodal matrix and every input vector takes its own
+    spsolve.  Returns the CSC matrix and the row currents, shape (..., rows)."""
+    rows, cols = xbar.rows, xbar.cols
+    g_w = 1.0 / xbar.wire_segment_resistance
+    g_dev = xbar.conductances()
+    n = rows * cols
+    col_node = lambda r, c: r * cols + c
+    row_node = lambda r, c: n + r * cols + c
+    data, ii, jj = [], [], []
+
+    def stamp(a, b, g):
+        data.append(g); ii.append(a); jj.append(a)
+        if b >= 0:
+            data.append(g); ii.append(b); jj.append(b)
+            data.append(-g); ii.append(a); jj.append(b)
+            data.append(-g); ii.append(b); jj.append(a)
+
+    for r in range(rows):
+        for c in range(cols):
+            cn, rn = col_node(r, c), row_node(r, c)
+            stamp(cn, rn, g_dev[r, c])
+            if r == 0:
+                stamp(cn, -1, g_w)
+            if r < rows - 1:
+                stamp(cn, col_node(r + 1, c), g_w)
+            if c < cols - 1:
+                stamp(rn, row_node(r, c + 1), g_w)
+            else:
+                stamp(rn, -1, g_w)
+
+    mat = scipy.sparse.coo_matrix((data, (ii, jj)), shape=(2 * n, 2 * n)).tocsc()
+    v = np.asarray(v, dtype=float)
+    out = np.empty(v.shape[:-1] + (rows,))
+    for idx in np.ndindex(v.shape[:-1]):
+        rhs = np.zeros(2 * n)
+        rhs[col_node(0, 0):col_node(0, cols)] = g_w * v[idx]
+        sol = scipy.sparse.linalg.spsolve(mat, rhs)
+        out[idx] = sol[row_node(0, cols - 1)::cols] * g_w
+    return mat, out
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def wired_crossbar(rows, cols, seed, r_w=5.6):
+    xb = build_crossbar(rows, cols, DeviceVariationSpec(), seed=seed)
+    xb.line_model, xb.wire_segment_resistance = "wire_resistive", r_w
+    return xb
+
+
+class TestNodalOracle:
+    """The vectorized assembly and cached factor against reference_nodal,
+    byte for byte."""
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (6, 1), (7, 9),
+                                            (20, 17), (8, 11)])
+    def test_matrix_and_currents(self, rows, cols):
+        xb = wired_crossbar(rows, cols, seed=rows * 100 + cols)
+        v = np.random.default_rng(cols).uniform(-0.2, 0.2, cols)
+        mat, want = reference_nodal(xb, v)
+        got = _nodal_matrix(xb.conductances(), xb.wire_segment_resistance)
+        for part in ("indptr", "indices", "data"):
+            assert_same_bytes(getattr(got, part), getattr(mat, part))
+        assert_same_bytes(vmm_wire_resistive(xb, v), want)
+
+    def test_largest_array(self):
+        xb = wired_crossbar(MAX_NODAL_DIM, MAX_NODAL_DIM, seed=5)
+        v = np.random.default_rng(5).uniform(-0.2, 0.2, MAX_NODAL_DIM)
+        assert_same_bytes(vmm_wire_resistive(xb, v), reference_nodal(xb, v)[1])
+        too_big = wired_crossbar(1, MAX_NODAL_DIM + 1, seed=5)
+        with pytest.raises(ConfigurationError):
+            vmm_wire_resistive(too_big, np.zeros(MAX_NODAL_DIM + 1))
+
+    def test_batched_inputs_equal_per_vector_calls(self):
+        xb = wired_crossbar(20, 17, seed=21)
+        v = np.random.default_rng(21).uniform(-0.2, 0.2, (3, 5, 17))
+        batched = vmm_wire_resistive(xb, v)
+        assert batched.shape == (3, 5, 20)
+        for idx in np.ndindex(3, 5):
+            assert_same_bytes(batched[idx], vmm_wire_resistive(xb, v[idx]))
+        assert_same_bytes(batched, reference_nodal(xb, v)[1])
+
+    def test_unchanged_array_reuses_its_factor(self):
+        xb = wired_crossbar(8, 11, seed=22)
+        v = np.full(11, 0.2)
+        vmm(xb, v)
+        before = _nodal_factor.cache_info()
+        vmm(xb, v)
+        after = _nodal_factor.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_device_edit_is_a_new_matrix(self):
+        xb = wired_crossbar(8, 11, seed=23)
+        v = np.random.default_rng(23).uniform(-0.2, 0.2, 11)
+        first = vmm_wire_resistive(xb, v)
+        xb.device(3, 4).conductance *= 1.5
+        second = vmm_wire_resistive(xb, v)
+        assert not np.array_equal(first, second)
+        assert_same_bytes(second, reference_nodal(xb, v)[1])
+
+    def test_set_conductances_is_a_new_matrix(self):
+        xb = wired_crossbar(8, 11, seed=24)
+        v = np.random.default_rng(24).uniform(-0.2, 0.2, 11)
+        first = vmm_wire_resistive(xb, v)
+        xb.set_conductances(np.full((8, 11), 40e-6))
+        second = vmm_wire_resistive(xb, v)
+        assert not np.array_equal(first, second)
+        assert_same_bytes(second, reference_nodal(xb, v)[1])
+
+    def test_wire_resistance_change_is_a_new_matrix(self):
+        xb = wired_crossbar(8, 11, seed=25)
+        v = np.random.default_rng(25).uniform(-0.2, 0.2, 11)
+        first = vmm_wire_resistive(xb, v)
+        xb.wire_segment_resistance = 50.0
+        second = vmm_wire_resistive(xb, v)
+        assert not np.array_equal(first, second)
+        assert_same_bytes(second, reference_nodal(xb, v)[1])
+
+    def test_more_arrays_than_the_cache_holds(self):
+        arrays = [wired_crossbar(6, 7, seed=30 + k) for k in range(_FACTOR_CACHE_SIZE + 2)]
+        v = np.random.default_rng(30).uniform(-0.2, 0.2, 7)
+        want = [reference_nodal(xb, v)[1] for xb in arrays]
+        for _ in range(3):
+            for xb, expected in zip(arrays, want):
+                assert_same_bytes(vmm_wire_resistive(xb, v), expected)
 
 
 class TestBuild:

@@ -59,7 +59,7 @@ def cmd_tune(cfg: ExperimentConfig, out: str, targets_path: str) -> int:
         raise ConfigurationError(f"no crossbar snapshot at {state_path}; run 'form' first")
     xbar = load_state(state_path)
     targets = import_grid(targets_path)
-    errors = import_conductance_map(xbar, targets, cfg.tuning, skip_stuck=True)
+    errors = import_conductance_map(xbar, targets, cfg.tuning)
     export_grid(errors, os.path.join(out, "error_grid.csv"))
     write_json(error_histogram(errors), os.path.join(out, "error_histogram.json"))
     save_state(xbar, state_path)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-import typing
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .device import DeviceVariationSpec, MemristorDevice, sample_device
+from .device import (CELL_DTYPE, DEVICE_FIELDS, DeviceVariationSpec, MemristorDevice,
+                     device_fields, draw_cell)
 from .errors import ConfigurationError
 from .rng import stream
 
@@ -52,45 +52,50 @@ class BiasScheme:
         return 0.5 if self.scheme == "V_half" else 1.0 / 3.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Crossbar:
-    rows: int
-    cols: int
-    devices: list
+    """A crossbar's device state and line wiring.
+
+    ``cells`` is a (rows, cols) record array with one ``CELL_DTYPE`` field per
+    ``MemristorDevice`` field, so array-wide reads are field expressions.
+    ``device`` copies one cell out as a ``MemristorDevice``, which carries the
+    pulse and read physics; ``put_device`` writes it back.
+    """
+
+    cells: np.ndarray
     wire_segment_resistance: float = 0.0
     line_model: str = "ideal"
 
+    @property
+    def rows(self) -> int:
+        return self.cells.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.cells.shape[1]
+
     def device(self, row: int, col: int) -> MemristorDevice:
+        """A copy of one cell; edits reach the array only through put_device."""
         self._check_index(row, col)
-        return self.devices[row][col]
+        return MemristorDevice(*self.cells.item(row, col))
+
+    def put_device(self, row: int, col: int, device: MemristorDevice):
+        self._check_index(row, col)
+        self.cells[row, col] = device_fields(device)
 
     def _check_index(self, row: int, col: int):
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise IndexError(f"({row}, {col}) outside {self.rows}x{self.cols} crossbar")
 
     def conductances(self) -> np.ndarray:
-        """Effective low-voltage conductance of every cell, shape (rows, cols)."""
-        out = np.empty((self.rows, self.cols))
-        for r in range(self.rows):
-            row = self.devices[r]
-            for c in range(self.cols):
-                out[r, c] = row[c].effective_conductance()
-        return out
-
-    def set_conductances(self, grid: np.ndarray, respect_stuck: bool = True):
-        """Directly overwrite device states (snapshot restore / test setup)."""
-        grid = np.asarray(grid, dtype=float)
-        if grid.shape != (self.rows, self.cols):
-            raise ConfigurationError(f"grid shape {grid.shape} != ({self.rows}, {self.cols})")
-        for r in range(self.rows):
-            for c in range(self.cols):
-                dev = self.devices[r][c]
-                if respect_stuck and dev.stuck:
-                    continue
-                dev.conductance = min(max(float(grid[r, c]), dev.g_min), dev.g_max)
+        """Effective low-voltage conductance of every cell, shape (rows, cols):
+        the pristine path of an unformed device, else its conductance."""
+        cells = self.cells
+        return np.where(cells["formed"], cells["conductance"],
+                        1.0 / cells["pristine_resistance"])
 
     def stuck_map(self) -> np.ndarray:
-        return np.array([[d.stuck for d in row] for row in self.devices], dtype=bool)
+        return self.cells["stuck"].copy()
 
 
 def check_geometry(rows: int, cols: int, R_w: float = 0.0, line_model: str = "ideal"):
@@ -113,13 +118,10 @@ def build_crossbar(rows: int, cols: int, spec: DeviceVariationSpec, R_w: float =
     """
     check_geometry(rows, cols, R_w, line_model)
     spec.validate()
-    devices = [
-        [sample_device(spec, stream(seed, "cell", r, c), pristine=pristine)
-         for c in range(cols)]
-        for r in range(rows)
-    ]
-    return Crossbar(rows=rows, cols=cols, devices=devices,
-                    wire_segment_resistance=R_w, line_model=line_model)
+    cells = np.array([draw_cell(spec, stream(seed, "cell", r, c), pristine)
+                      for r in range(rows) for c in range(cols)], dtype=CELL_DTYPE)
+    return Crossbar(cells.reshape(rows, cols), wire_segment_resistance=R_w,
+                    line_model=line_model)
 
 
 def _column_voltages(xbar: Crossbar, column_voltages) -> np.ndarray:
@@ -353,10 +355,10 @@ def save_state(xbar: Crossbar, path):
 
     A device that can never form (forming_current = inf) is written as null.
     """
-    devices = [[asdict(d) for d in row] for row in xbar.devices]
-    for entry in (d for row in devices for d in row):
-        if entry["forming_current"] == math.inf:
-            entry["forming_current"] = None
+    names = xbar.cells.dtype.names
+    devices = [[dict(zip(names, cell)) for cell in row] for row in xbar.cells.tolist()]
+    for r, c in np.argwhere(xbar.cells["forming_current"] == math.inf):
+        devices[r][c]["forming_current"] = None
     write_json({
         "schema_version": SCHEMA_VERSION,
         "rows": xbar.rows,
@@ -369,7 +371,6 @@ def save_state(xbar: Crossbar, path):
 
 _STATE_KEYS = {"schema_version", "rows", "cols", "wire_segment_resistance",
                "line_model", "devices"}
-_DEVICE_TYPES = typing.get_type_hints(MemristorDevice)
 
 
 def _reject_constant(token):
@@ -401,16 +402,21 @@ def load_state(path) -> Crossbar:
             and all(isinstance(row, list) and len(row) == cols for row in grid)):
         raise ConfigurationError(f"{path}: device grid is not {rows}x{cols}")
     for entry in (d for row in grid for d in row):
-        if not isinstance(entry, dict) or set(entry) != set(_DEVICE_TYPES):
+        if not isinstance(entry, dict) or set(entry) != set(DEVICE_FIELDS):
             raise ConfigurationError(
-                f"{path}: a device must hold exactly the keys {sorted(_DEVICE_TYPES)}")
+                f"{path}: a device must hold exactly the keys {sorted(DEVICE_FIELDS)}")
         if entry["forming_current"] is None:
             entry["forming_current"] = math.inf
-        for name, kind in _DEVICE_TYPES.items():
+        for name, kind in DEVICE_FIELDS.items():
             value = entry[name]
             if not (type(value) is bool if kind is bool else type(value) in (int, float)):
                 raise ConfigurationError(
                     f"{path}: device {name} {value!r} is not a {kind.__name__}")
-    devices = [[MemristorDevice(**d) for d in row] for row in grid]
-    return Crossbar(rows=rows, cols=cols, devices=devices,
-                    wire_segment_resistance=r_w, line_model=line_model)
+    try:
+        r_w = float(r_w)
+        cells = np.array([device_fields(MemristorDevice(**d)) for row in grid for d in row],
+                         dtype=CELL_DTYPE)
+    except OverflowError as exc:
+        raise ConfigurationError(f"{path}: number out of float range: {exc}") from None
+    return Crossbar(cells.reshape(rows, cols), wire_segment_resistance=r_w,
+                    line_model=line_model)

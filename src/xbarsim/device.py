@@ -10,7 +10,9 @@ currents in amperes, times in seconds throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import operator
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,9 +117,6 @@ class MemristorDevice:
             raise ConfigurationError("need set_threshold > 0 and reset_threshold < 0")
         self.conductance = min(max(self.conductance, self.g_min), self.g_max)
 
-    def copy(self) -> "MemristorDevice":
-        return replace(self)
-
     def effective_conductance(self) -> float:
         """Low-voltage conductance seen by the circuit (pristine path if unformed)."""
         if not self.formed:
@@ -174,6 +173,13 @@ class MemristorDevice:
         return self
 
 
+# One crossbar cell per record: the device's fields, in declaration order,
+# with the types the dataclass declares (float or bool).
+DEVICE_FIELDS = typing.get_type_hints(MemristorDevice)
+CELL_DTYPE = np.dtype(list(DEVICE_FIELDS.items()))
+device_fields = operator.attrgetter(*CELL_DTYPE.names)
+
+
 def _uniform(rng: np.random.Generator, bounds) -> float:
     lo, hi = bounds
     if lo == hi:
@@ -181,16 +187,11 @@ def _uniform(rng: np.random.Generator, bounds) -> float:
     return float(rng.uniform(lo, hi))
 
 
-def sample_device(spec: DeviceVariationSpec, rng: np.random.Generator,
-                  pristine: bool = False) -> MemristorDevice:
-    """Draw one device from the population described by ``spec``.
-
-    The draw order is fixed so a given generator state always yields the same
-    device, regardless of whether the pristine fields end up being used.
-    With ``pristine=True`` the device starts unformed (high-resistance) and
-    must go through the forming procedure before it responds to pulses.
-    """
-    spec.validate()
+def draw_cell(spec: DeviceVariationSpec, rng: np.random.Generator,
+              pristine: bool = False) -> tuple:
+    """One device's fields, in ``CELL_DTYPE`` order, drawn from a validated
+    ``spec``.  The draw order is fixed so a given generator state always
+    yields the same device, whether or not the pristine fields are used."""
     set_th = max(_MIN_THRESHOLD, float(rng.normal(spec.set_mu, spec.set_sigma)))
     reset_th = min(-_MIN_THRESHOLD, float(rng.normal(spec.reset_mu, spec.reset_sigma)))
     stuck = bool(rng.uniform() < spec.stuck_probability)
@@ -209,20 +210,17 @@ def sample_device(spec: DeviceVariationSpec, rng: np.random.Generator,
                         float(rng.normal(FORMING_CURRENT_MU, FORMING_CURRENT_SIGMA)))
     post_g = _uniform(rng, POST_FORMING_CONDUCTANCE_RANGE)
 
-    conductance = stuck_value if stuck else g_init
-    return MemristorDevice(
-        conductance=conductance,
-        set_threshold=set_th,
-        reset_threshold=reset_th,
-        g_min=spec.g_min,
-        g_max=spec.g_max,
-        nonlinearity_alpha=spec.nonlinearity_alpha,
-        kinetics_rate=rate,
-        kinetics_voltage_scale=spec.kinetics_voltage_scale,
-        stuck=stuck,
-        formed=not pristine,
-        pristine_resistance=pristine_r,
-        forming_current=forming_i,
-        post_forming_conductance=post_g,
-        stuck_value=stuck_value,
-    )
+    conductance = min(max(stuck_value if stuck else g_init, spec.g_min), spec.g_max)
+    return (conductance, set_th, reset_th, spec.g_min, spec.g_max,
+            spec.nonlinearity_alpha, rate, spec.kinetics_voltage_scale, stuck,
+            not pristine, pristine_r, forming_i, post_g, stuck_value)
+
+
+def sample_device(spec: DeviceVariationSpec, rng: np.random.Generator,
+                  pristine: bool = False) -> MemristorDevice:
+    """Draw one device from the population described by ``spec``.
+
+    With ``pristine=True`` the device starts unformed (high-resistance) and
+    must go through the forming procedure before it responds to pulses.
+    """
+    return MemristorDevice(*draw_cell(spec.validate(), rng, pristine))

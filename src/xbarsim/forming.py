@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .crossbar import Crossbar
 from .device import MemristorDevice
 from .errors import ConfigurationError
@@ -101,6 +103,17 @@ def _reset_to_low(device: MemristorDevice, spec: FormingSpec):
                             RESET_AMPLITUDE_FLOOR)
 
 
+def _reset_array(xbar: Crossbar, spec: FormingSpec):
+    """``_reset_to_low`` on every cell in row-major order, skipping the cells
+    it would leave at once (resets do not couple cells)."""
+    cells = xbar.cells
+    for r, c in np.argwhere(cells["formed"] & ~cells["stuck"]
+                            & (cells["conductance"] > LOW_CONDUCTANCE_TARGET)):
+        device = xbar.device(r, c)
+        _reset_to_low(device, spec)
+        xbar.put_device(r, c, device)
+
+
 def _sweep(device: MemristorDevice, ceiling: float):
     """One current-controlled forming sweep up to ``ceiling``.
 
@@ -116,45 +129,46 @@ def _sweep(device: MemristorDevice, ceiling: float):
 
 
 def form_device(xbar: Crossbar, row: int, col: int, spec: FormingSpec) -> FormingOutcome:
-    """Run the forming flow for one device; never raises on failure."""
+    """Run the forming flow on a copy of one cell, written back when it ends;
+    never raises on failure."""
     spec.validate()
     device = xbar.device(row, col)
+    try:
+        i_before = device.current(PRISTINE_READ_V)
+        if PRISTINE_READ_V / i_before < spec.R_TH:
+            # Already conducting: effectively pre-formed (e.g. by annealing).
+            device.formed = True
+            _reset_to_low(device, spec)
+            return FormingOutcome(STATUS_PREFORMED, attempts_used=0)
 
-    r_pristine = PRISTINE_READ_V / device.current(PRISTINE_READ_V)
-    if r_pristine < spec.R_TH:
-        # Already conducting: effectively pre-formed (e.g. by annealing).
+        trace, attempts = [], 0
+        for round_idx in range(spec.max_rounds):
+            scale = ESCALATION ** round_idx
+            ceiling = spec.I_start * scale
+            stop = spec.I_stop * scale
+            for _ in range(spec.max_attempts):
+                attempts += 1
+                _sweep(device, ceiling)
+                ratio = device.current(PRISTINE_READ_V) / i_before
+                trace.append((ceiling, ratio))
+                if ratio >= spec.R_min_ratio:
+                    _reset_to_low(device, spec)
+                    return FormingOutcome(STATUS_FORMED, attempts, trace)
+                ceiling = min(ceiling + spec.I_step * scale, stop)
+            if round_idx + 1 < spec.max_rounds:
+                # Leakage through already-on neighbours can mask forming; retry
+                # after pulling every formed device back to its low state.
+                xbar.put_device(row, col, device)
+                _reset_array(xbar, spec)
+                device = xbar.device(row, col)
+
+        # Give up: the cell is stuck at some mid-range conductance.
+        device.stuck = True
         device.formed = True
-        _reset_to_low(device, spec)
-        return FormingOutcome(STATUS_PREFORMED, attempts_used=0)
-
-    i_before = device.current(PRISTINE_READ_V)
-    trace = []
-    attempts = 0
-    for round_idx in range(spec.max_rounds):
-        scale = ESCALATION ** round_idx
-        ceiling = spec.I_start * scale
-        stop = spec.I_stop * scale
-        for _ in range(spec.max_attempts):
-            attempts += 1
-            _sweep(device, ceiling)
-            ratio = device.current(PRISTINE_READ_V) / i_before
-            trace.append((ceiling, ratio))
-            if ratio >= spec.R_min_ratio:
-                _reset_to_low(device, spec)
-                return FormingOutcome(STATUS_FORMED, attempts, trace)
-            ceiling = min(ceiling + spec.I_step * scale, stop)
-        if round_idx + 1 < spec.max_rounds:
-            # Leakage through already-on neighbours can mask forming; retry
-            # after pulling every formed device back to its low state.
-            for r in range(xbar.rows):
-                for c in range(xbar.cols):
-                    _reset_to_low(xbar.devices[r][c], spec)
-
-    # Give up: the cell is stuck at some mid-range conductance.
-    device.stuck = True
-    device.formed = True
-    device.conductance = min(max(device.stuck_value, device.g_min), device.g_max)
-    return FormingOutcome(STATUS_DEFECTIVE, attempts, trace)
+        device.conductance = min(max(device.stuck_value, device.g_min), device.g_max)
+        return FormingOutcome(STATUS_DEFECTIVE, attempts, trace)
+    finally:
+        xbar.put_device(row, col, device)
 
 
 def form_all(xbar: Crossbar, targets, spec: FormingSpec) -> dict:
@@ -167,18 +181,12 @@ def form_all(xbar: Crossbar, targets, spec: FormingSpec) -> dict:
     if len(set(targets)) != len(targets):
         raise ConfigurationError("duplicate forming targets")
     entries = []
-    n_defective = 0
     for row, col in targets:
         outcome = form_device(xbar, row, col, spec)
-        if outcome.status == STATUS_DEFECTIVE:
-            n_defective += 1
-        entries.append({
-            "row": row,
-            "col": col,
-            "status": outcome.status,
-            "attempts": outcome.attempts_used,
-            "trace": [[c, r] for c, r in outcome.trace],
-        })
+        entries.append({"row": row, "col": col, "status": outcome.status,
+                        "attempts": outcome.attempts_used,
+                        "trace": [[c, r] for c, r in outcome.trace]})
+    n_defective = sum(entry["status"] == STATUS_DEFECTIVE for entry in entries)
     fraction = n_defective / len(targets) if targets else 0.0
     return {"devices": entries, "defective_count": n_defective,
             "defective_fraction": fraction}

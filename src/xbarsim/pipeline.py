@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .benchmark import (canonical_training_set, generate_test_set,
                         label_vector, pixel_matrix)
 from .crossbar import Crossbar, build_crossbar
@@ -43,22 +45,19 @@ def build_network_crossbars(seed: int, device_spec: DeviceVariationSpec,
                             line_model: str = "ideal"):
     """The two arrays backing the 16-10-4 network: 20x17 and 8x11 grids."""
     topo = DEFAULT_TOPOLOGY
-    xb1 = build_crossbar(2 * topo.n_hidden, topo.n_inputs + 1, device_spec,
-                         R_w=R_w, seed=derive_seed(seed, "device", 1),
+    xb1 = build_crossbar(*topo.layer1_shape, device_spec, R_w=R_w,
+                         seed=derive_seed(seed, "device", 1),
                          pristine=pristine, line_model=line_model)
-    xb2 = build_crossbar(2 * topo.n_outputs, topo.n_hidden + 1, device_spec,
-                         R_w=R_w, seed=derive_seed(seed, "device", 2),
+    xb2 = build_crossbar(*topo.layer2_shape, device_spec, R_w=R_w,
+                         seed=derive_seed(seed, "device", 2),
                          pristine=pristine, line_model=line_model)
     return xb1, xb2
 
 
 def form_network(xb1: Crossbar, xb2: Crossbar, forming_spec: FormingSpec):
     """Form every cell of both arrays; returns the two forming reports."""
-    r1 = form_all(xb1, [(r, c) for r in range(xb1.rows) for c in range(xb1.cols)],
-                  forming_spec)
-    r2 = form_all(xb2, [(r, c) for r in range(xb2.rows) for c in range(xb2.cols)],
-                  forming_spec)
-    return r1, r2
+    return tuple(form_all(xb, list(np.ndindex(xb.cells.shape)), forming_spec)
+                 for xb in (xb1, xb2))
 
 
 def import_network(xb1: Crossbar, xb2: Crossbar, outcome: TrainingOutcome,

@@ -13,8 +13,9 @@ hardware, update signs from backpropagation on read-back conductances, and
 one fixed-amplitude pulse per device.  The hardware applies the pulses one
 crossbar row at a time in two polarity steps; because ideal-line writes do
 not couple cells, the simulator applies each epoch's schedule as one masked
-update per crossbar on conductance arrays.  A wire-resistive write model
-would need the row loop back.
+update per crossbar on arrays copied from the crossbars' cells, stored back
+once training ends.  A wire-resistive write model would need the row loop
+back.
 
 Weights at every interface are in siemens.  Learning rates are quoted in
 gain-normalized units (1 unit = 1 uS of differential conductance), which is
@@ -30,6 +31,7 @@ import numpy as np
 
 from .benchmark import label_vector, pixel_matrix
 from .crossbar import BiasScheme, Crossbar
+from .device import MemristorDevice
 from .errors import ConfigurationError, DivergenceError
 from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, encode_batch, forward
 from .rng import stream
@@ -312,54 +314,39 @@ class ManhattanResult:
 def _half_select_risk(xbar: Crossbar, cfg: ManhattanConfig) -> int:
     """Devices a half-selected write under ``cfg.bias_scheme`` could switch."""
     v_half = BiasScheme(cfg.bias_scheme).half_select_fraction() * cfg.amplitude
-    return sum(min(dev.set_threshold, -dev.reset_threshold) < v_half
-               for row in xbar.devices for dev in row)
+    cells = xbar.cells
+    return int(np.count_nonzero(
+        np.minimum(cells["set_threshold"], -cells["reset_threshold"]) < v_half))
 
 
-class _PulsedArray:
-    """One crossbar held as conductance arrays while it takes Manhattan pulses.
+def _pulse_arrays(xbar: Crossbar, cfg: ManhattanConfig) -> tuple:
+    """Contiguous copies of what a crossbar's Manhattan pulses act on: G, the
+    mask of live (formed, non-stuck) devices, g_min, g_max, and each device's
+    up and down step for the fixed pulse, from ``switching_step``."""
+    cells = xbar.cells
+    devices = [MemristorDevice(*fields) for fields in cells.ravel().tolist()]
+    up, down = (np.array([dev.switching_step(amplitude, cfg.pulse_width)
+                          for dev in devices]).reshape(cells.shape)
+                for amplitude in (cfg.amplitude, -cfg.amplitude))
+    return (xbar.conductances(), cells["formed"] & ~cells["stuck"],
+            cells["g_min"].copy(), cells["g_max"].copy(), up, -down)
 
-    Every device's up and down step for the fixed pulse is computed once on
-    entry; ``live`` marks the formed, non-stuck devices that pulses can move.
-    """
 
-    def __init__(self, xbar: Crossbar, cfg: ManhattanConfig):
-        self.devices = [dev for row in xbar.devices for dev in row]
-        shape = (xbar.rows, xbar.cols)
+def _pulse(G, grad, live, g_min, g_max, up, down) -> tuple:
+    """Pulse every device once against ``grad``; returns the new G and the
+    pulses issued.  Row 2j (G+) of neuron j takes -sign(grad[j]) and row
+    2j+1 (G-) its negation."""
+    signs = np.repeat(-np.sign(grad), 2, axis=0)
+    signs[1::2] *= -1.0
+    inc, dec = signs > 0, signs < 0
+    G = np.where(inc & live, np.minimum(G + up, g_max), G)
+    G = np.where(dec & live, np.maximum(G - down, g_min), G)
+    return G, int(np.count_nonzero(inc) + np.count_nonzero(dec))
 
-        def grid(values):
-            return np.array(values).reshape(shape)
 
-        self.G = xbar.conductances()
-        self.live = grid([dev.formed and not dev.stuck for dev in self.devices])
-        self.g_min = grid([dev.g_min for dev in self.devices])
-        self.g_max = grid([dev.g_max for dev in self.devices])
-        self.up = grid([dev.switching_step(cfg.amplitude, cfg.pulse_width)
-                        for dev in self.devices])
-        self.down = grid([-dev.switching_step(-cfg.amplitude, cfg.pulse_width)
-                          for dev in self.devices])
-
-    def weights(self) -> np.ndarray:
-        """Signed weights in gain-normalized units."""
-        return (self.G[0::2] - self.G[1::2]) / _U
-
-    def pulse(self, grad: np.ndarray) -> int:
-        """Pulse every device once against ``grad``; returns the pulses issued.
-
-        Row 2j (G+) of neuron j takes -sign(grad[j]) and row 2j+1 (G-) its
-        negation.
-        """
-        signs = np.repeat(-np.sign(grad), 2, axis=0)
-        signs[1::2] *= -1.0
-        inc, dec = signs > 0, signs < 0
-        self.G = np.where(inc & self.live, np.minimum(self.G + self.up, self.g_max), self.G)
-        self.G = np.where(dec & self.live, np.maximum(self.G - self.down, self.g_min), self.G)
-        return int(np.count_nonzero(inc) + np.count_nonzero(dec))
-
-    def write_back(self):
-        for dev, g, live in zip(self.devices, self.G.flat, self.live.flat):
-            if live:
-                dev.conductance = float(g)
+def _weights(G) -> np.ndarray:
+    """Signed weights in gain-normalized units."""
+    return (G[0::2] - G[1::2]) / _U
 
 
 def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
@@ -373,16 +360,15 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     half-select biasing; each device takes at most one pulse per epoch and
     ideal-line writes do not couple cells, so the simulator applies the whole
     schedule as one masked increase and one masked decrease per crossbar on
-    conductance arrays, written back to the devices on exit.  A wire-resistive
-    write model would need the row loop back.  Classes are restricted to the
-    labels present in the dataset.
+    conductance arrays, stored into the cells of the live devices on exit.  A
+    wire-resistive write model would need the row loop back.  Classes are
+    restricted to the labels present in the dataset.
     """
     cfg.validate()
     topo = DEFAULT_TOPOLOGY
-    if xb1.rows != 2 * topo.n_hidden or xb1.cols != topo.n_inputs + 1:
-        raise ConfigurationError("first crossbar does not match the topology")
-    if xb2.rows != 2 * topo.n_outputs or xb2.cols != topo.n_hidden + 1:
-        raise ConfigurationError("second crossbar does not match the topology")
+    if (xb1.cells.shape, xb2.cells.shape) != (topo.layer1_shape, topo.layer2_shape):
+        raise ConfigurationError(f"crossbars {xb1.cells.shape} and {xb2.cells.shape} do not "
+                                 f"match the topology's {topo.layer1_shape} and {topo.layer2_shape}")
     Xe = encode_batch(pixel_matrix(patterns), topo)
     y = label_vector(patterns)
     class_idx = sorted(set(int(v) for v in y))
@@ -390,7 +376,7 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     T = _targets(y_local, len(class_idx), MANHATTAN_TARGET_LEVEL)
 
     disturb = _half_select_risk(xb1, cfg) + _half_select_risk(xb2, cfg)
-    arr1, arr2 = _PulsedArray(xb1, cfg), _PulsedArray(xb2, cfg)
+    (G1, *fixed1), (G2, *fixed2) = _pulse_arrays(xb1, cfg), _pulse_arrays(xb2, cfg)
     errors = []
     fids = []
     pulses = 0
@@ -401,17 +387,19 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
         return float((Y[:, class_idx].argmax(1) == y_local).mean())
 
     for _ in range(cfg.epochs):
-        _, Y, d1, d2 = _grads(arr1.weights(), arr2.weights(), Xe, T, topo,
+        _, Y, d1, d2 = _grads(_weights(G1), _weights(G2), Xe, T, topo,
                               columns=class_idx)
         fid = fidelity(Y)
         errors.append(1.0 - fid)
         fids.append(fid)
-        pulses += arr1.pulse(d1) + arr2.pulse(d2)
+        G1, n1 = _pulse(G1, d1, *fixed1)
+        G2, n2 = _pulse(G2, d2, *fixed2)
+        pulses += n1 + n2
 
-    fid = fidelity(forward(arr1.weights(), arr2.weights(), Xe, topo)[2])
+    fid = fidelity(forward(_weights(G1), _weights(G2), Xe, topo)[2])
     fids.append(fid)
-    arr1.write_back()
-    arr2.write_back()
+    for xbar, G, live in ((xb1, G1, fixed1[0]), (xb2, G2, fixed2[0])):
+        xbar.cells["conductance"][live] = G[live]
     tail = max(1, int(round(TAIL_FRACTION * len(fids))))
     return ManhattanResult(error_curve=errors,
                            final_fidelity=float(np.mean(fids[-tail:])),

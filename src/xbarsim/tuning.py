@@ -71,6 +71,7 @@ def tune_device(xbar: Crossbar, row: int, col: int, target: float,
 
     Stuck devices are reported unconverged without pulsing; exhaustion of the
     pulse budget (or a stall at the amplitude cap) reports converged=False.
+    The staircase runs on a copy of the cell, written back when it ends.
     """
     spec.validate()
     device = xbar.device(row, col)
@@ -110,31 +111,24 @@ def tune_device(xbar: Crossbar, row: int, col: int, target: float,
         else:
             stalls = 0
         err = tuning_error(target, g)
+    xbar.put_device(row, col, device)
     return TuningResult(g, pulses, err <= spec.tolerance, err)
 
 
-def import_conductance_map(xbar: Crossbar, targets, spec: TuningSpec,
-                           skip_stuck: bool = True) -> np.ndarray:
+def import_conductance_map(xbar: Crossbar, targets, spec: TuningSpec) -> np.ndarray:
     """Tune the whole grid to ``targets`` (row-major order); returns the
     per-device error grid.
 
-    Stuck cells are excluded from pulsing when skip_stuck is set; their
-    entries report the error of the frozen state against the target.
+    Stuck cells are never pulsed; their entries report the error of the
+    frozen state against the target.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (xbar.rows, xbar.cols):
         raise ConfigurationError(
             f"target grid shape {targets.shape} != ({xbar.rows}, {xbar.cols})")
     errors = np.empty_like(targets)
-    for r in range(xbar.rows):
-        for c in range(xbar.cols):
-            device = xbar.devices[r][c]
-            if device.stuck and skip_stuck:
-                errors[r, c] = tuning_error(targets[r, c],
-                                            device.read_conductance(spec.v_read))
-                continue
-            result = tune_device(xbar, r, c, targets[r, c], spec)
-            errors[r, c] = result.error
+    for r, c in np.ndindex(targets.shape):
+        errors[r, c] = tune_device(xbar, r, c, targets[r, c], spec).error
     return errors
 
 
@@ -150,16 +144,16 @@ def import_with_refinement(xbar: Crossbar, targets, spec: TuningSpec,
     only.  Reported errors are against the true targets.
     """
     targets = np.asarray(targets, dtype=float)
-    import_conductance_map(xbar, targets, spec, skip_stuck=True)
-    headroom = 0.05 * (xbar.devices[0][0].g_max - xbar.devices[0][0].g_min)
-    lo = xbar.devices[0][0].g_min + headroom
-    hi = xbar.devices[0][0].g_max - headroom
+    import_conductance_map(xbar, targets, spec)
+    g_min, g_max = xbar.cells["g_min"], xbar.cells["g_max"]
+    headroom = 0.05 * (g_max - g_min)
+    lo, hi = g_min + headroom, g_max - headroom
     for _ in range(max(0, passes - 1)):
         read = xbar.conductances()
         retarget = np.clip(targets * targets / np.maximum(read, 1e-12), lo, hi)
         stuck = xbar.stuck_map()
         retarget[stuck] = targets[stuck]
-        import_conductance_map(xbar, retarget, spec, skip_stuck=True)
+        import_conductance_map(xbar, retarget, spec)
     final = xbar.conductances()
     return np.abs(final - targets) / targets
 

@@ -1,7 +1,13 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xbarsim.crossbar import (MAX_NODAL_DIM, BiasScheme, _FACTOR_CACHE_SIZE,
                               _nodal_factor, _nodal_matrix, build_crossbar,
@@ -9,8 +15,9 @@ from xbarsim.crossbar import (MAX_NODAL_DIM, BiasScheme, _FACTOR_CACHE_SIZE,
                               ladder_worst_case_drop, load_state,
                               max_crossbar_dimension, save_state, vmm, vmm_ideal,
                               vmm_wire_resistive, write_drop_budget)
-from xbarsim.device import DeviceVariationSpec
+from xbarsim.device import DEVICE_FIELDS, DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
+from xbarsim.forming import FormingSpec, form_all
 
 SPEC = DeviceVariationSpec(stuck_probability=0.0)
 
@@ -147,7 +154,9 @@ class TestNodalOracle:
         xb = wired_crossbar(8, 11, seed=23)
         v = np.random.default_rng(23).uniform(-0.2, 0.2, 11)
         first = vmm_wire_resistive(xb, v)
-        xb.device(3, 4).conductance *= 1.5
+        dev = xb.device(3, 4)
+        dev.conductance *= 1.5
+        xb.put_device(3, 4, dev)
         second = vmm_wire_resistive(xb, v)
         assert not np.array_equal(first, second)
         assert_same_bytes(second, reference_nodal(xb, v)[1])
@@ -156,7 +165,7 @@ class TestNodalOracle:
         xb = wired_crossbar(8, 11, seed=24)
         v = np.random.default_rng(24).uniform(-0.2, 0.2, 11)
         first = vmm_wire_resistive(xb, v)
-        xb.set_conductances(np.full((8, 11), 40e-6))
+        xb.cells["conductance"] = 40e-6
         second = vmm_wire_resistive(xb, v)
         assert not np.array_equal(first, second)
         assert_same_bytes(second, reference_nodal(xb, v)[1])
@@ -193,11 +202,31 @@ class TestBuild:
         a = build_crossbar(6, 5, SPEC, seed=3)
         b = build_crossbar(6, 5, SPEC, seed=3)
         assert np.array_equal(a.conductances(), b.conductances())
-        assert a.devices[2][3] == b.devices[2][3]
+        assert a.cells.tobytes() == b.cells.tobytes()
+        assert a.device(2, 3) == b.device(2, 3)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ConfigurationError):
             build_crossbar(0, 4, SPEC, seed=0)
+
+    def test_device_is_a_copy(self):
+        xb = build_crossbar(3, 4, SPEC, seed=3)
+        before = xb.cells.copy()
+        dev = xb.device(1, 2)
+        dev.conductance, dev.stuck = dev.g_max, True
+        dev.apply_pulse(1.5)
+        assert xb.cells.tobytes() == before.tobytes()
+        xb.put_device(1, 2, dev)
+        assert xb.device(1, 2) == dev
+        changed = xb.cells != before
+        assert changed[1, 2] and changed.sum() == 1
+
+    def test_cell_index_checked(self):
+        xb = build_crossbar(3, 4, SPEC, seed=3)
+        with pytest.raises(IndexError):
+            xb.device(3, 0)
+        with pytest.raises(IndexError):
+            xb.put_device(0, -1, xb.device(0, 0))
 
 
 class TestVoltageMap:
@@ -236,10 +265,8 @@ class TestVmmIdeal:
 
     def test_single_device_sum(self):
         xb = build_crossbar(3, 3, SPEC, seed=7)
-        for row in xb.devices:
-            for d in row:
-                d.conductance = d.g_min
-        xb.devices[1][0].conductance = 40e-6
+        xb.cells["conductance"] = xb.cells["g_min"]
+        xb.cells["conductance"][1, 0] = 40e-6
         v = np.array([0.2, 0.0, 0.0])
         i = vmm_ideal(xb, v)
         assert i[1] == pytest.approx(0.2 * 40e-6, rel=1e-9)
@@ -265,7 +292,7 @@ class TestVmmIdeal:
         xb = build_crossbar(5, 5, SPEC, seed=10)
         v = np.array([0.2, 0.0, 0.1, 0.0, -0.2])
         before = vmm_ideal(xb, v)
-        xb.devices[3][1].conductance = 140e-6   # column at 0 V
+        xb.cells["conductance"][3, 1] = 140e-6   # column at 0 V
         after = vmm_ideal(xb, v)
         mask = np.ones(5, dtype=bool)
         np.testing.assert_allclose(before[mask], after[mask], rtol=0, atol=0)
@@ -300,9 +327,7 @@ class TestVmmWireResistive:
 
     def test_wire_resistance_only_lowers_positive_currents(self):
         xb = build_crossbar(6, 6, SPEC, seed=13)
-        for row in xb.devices:
-            for d in row:
-                d.conductance = 60e-6
+        xb.cells["conductance"] = 60e-6
         v = np.full(6, 0.2)
         ideal = vmm_ideal(xb, v)
         xb.wire_segment_resistance = 10.0
@@ -403,6 +428,152 @@ class TestGridIO:
         save_state(xb, path)
         back = load_state(path)
         assert back.rows == 3 and back.cols == 4
-        for r in range(3):
-            for c in range(4):
-                assert back.devices[r][c] == xb.devices[r][c]
+        assert back.cells.tobytes() == xb.cells.tobytes()
+
+
+GOLDEN_STATE = Path(__file__).parent / "data" / "crossbar_state_v1.json"
+
+
+def golden_crossbar():
+    """The formed 4x5 array snapshotted in data/crossbar_state_v1.json."""
+    xb = build_crossbar(4, 5, DeviceVariationSpec(stuck_probability=0.3), seed=1,
+                        pristine=True)
+    form_all(xb, [(r, c) for r in range(4) for c in range(5)], FormingSpec())
+    return xb
+
+
+class TestGoldenSnapshot:
+    def test_golden_holds_never_forming_devices(self):
+        devices = json.loads(GOLDEN_STATE.read_text())["devices"]
+        assert any(d["forming_current"] is None for row in devices for d in row)
+
+    def test_save_state_is_the_golden_file(self, tmp_path):
+        save_state(golden_crossbar(), tmp_path / "state.json")
+        assert (tmp_path / "state.json").read_bytes() == GOLDEN_STATE.read_bytes()
+
+    def test_load_then_save_is_the_golden_file(self, tmp_path):
+        save_state(load_state(GOLDEN_STATE), tmp_path / "state.json")
+        assert (tmp_path / "state.json").read_bytes() == GOLDEN_STATE.read_bytes()
+
+    def test_loaded_cells_are_the_built_cells(self):
+        assert load_state(GOLDEN_STATE).cells.tobytes() == golden_crossbar().cells.tobytes()
+
+
+# --- load_state fuzz: mutations of a valid snapshot --------------------------
+
+_TOKEN = "\x00token\x00"
+_BASE_STATE = json.loads(GOLDEN_STATE.read_text())
+_CELLS = st.tuples(st.integers(0, 3), st.integers(0, 4))
+_ODD_VALUES = st.sampled_from([None, "1", [], {}, True, 0, 1, -1.5, 10 ** 400, 1e300])
+_TOP_KEYS = st.sampled_from(sorted(_BASE_STATE))
+_DEVICE_KEYS = st.sampled_from(sorted(DEVICE_FIELDS))
+
+
+def _drop_top(key):
+    def mutate(state):
+        state.pop(key, None)
+    return mutate
+
+
+def _set_top(key, value):
+    def mutate(state):
+        state[key] = value
+    return mutate
+
+
+def _device(state, cell):
+    try:
+        return state["devices"][cell[0]][cell[1]]
+    except (KeyError, IndexError, TypeError):
+        return None
+
+
+def _set_field(cell, name, value):
+    def mutate(state):
+        device = _device(state, cell)
+        if isinstance(device, dict):
+            device[name] = value
+    return mutate
+
+
+def _drop_field(cell, name):
+    def mutate(state):
+        device = _device(state, cell)
+        if isinstance(device, dict):
+            device.pop(name, None)
+    return mutate
+
+
+def _swap_type(cell, name):
+    # A bool field gets a number and a number field a bool.
+    def mutate(state):
+        device = _device(state, cell)
+        if isinstance(device, dict) and name in device:
+            value = device[name]
+            device[name] = int(value) if isinstance(value, bool) else bool(value)
+    return mutate
+
+
+def _wrong_sign(cell, name):
+    def mutate(state):
+        device = _device(state, cell)
+        if isinstance(device, dict):
+            device[name] = 0.9 if name == "reset_threshold" else -0.9
+    return mutate
+
+
+def _reshape(kind, index):
+    def mutate(state):
+        grid = state.get("devices")
+        if not isinstance(grid, list) or not grid:
+            return
+        row = grid[index % len(grid)]
+        if kind == "drop_cell" and isinstance(row, list) and row:
+            row.pop()
+        elif kind == "add_cell" and isinstance(row, list):
+            row.append(dict(row[0]) if row else {})
+        elif kind == "drop_row":
+            grid.pop(index % len(grid))
+        elif kind == "add_row":
+            grid.append(list(row) if isinstance(row, list) else row)
+    return mutate
+
+
+MUTATIONS = st.one_of(
+    _TOP_KEYS.map(_drop_top),
+    st.builds(_set_top, _TOP_KEYS | st.just("extra"), _ODD_VALUES),
+    st.builds(_set_top, st.sampled_from(["rows", "cols"]), st.integers(-1, 6)),
+    st.builds(_set_field, _CELLS, _DEVICE_KEYS | st.just("extra"), _ODD_VALUES),
+    st.builds(_set_field, _CELLS, _DEVICE_KEYS, st.just(_TOKEN)),
+    st.builds(_drop_field, _CELLS, _DEVICE_KEYS),
+    st.builds(_swap_type, _CELLS, _DEVICE_KEYS),
+    st.builds(_wrong_sign, _CELLS, st.sampled_from(["set_threshold", "reset_threshold"])),
+    st.builds(_reshape, st.sampled_from(["drop_cell", "add_cell", "drop_row", "add_row"]),
+              st.integers(0, 5)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_state_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("state-fuzz") / "state.json"
+
+
+@settings(max_examples=300, deadline=None)
+@example(mutations=[_set_top("wire_segment_resistance", 10 ** 400)], token="NaN")
+@example(mutations=[_set_field((2, 3), "set_threshold", 10 ** 400)], token="NaN")
+@example(mutations=[_set_field((0, 1), "conductance", _TOKEN)], token="Infinity")
+@given(mutations=st.lists(MUTATIONS, min_size=1, max_size=3),
+       token=st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+def test_mutated_snapshot_raises_only_configuration_error(fuzz_state_path, mutations,
+                                                          token):
+    state = json.loads(json.dumps(_BASE_STATE))
+    for mutate in mutations:
+        mutate(state)
+    text = json.dumps(state).replace(json.dumps(_TOKEN), token)
+    fuzz_state_path.write_text(text)
+    try:
+        xb = load_state(fuzz_state_path)
+    except ConfigurationError:
+        return
+    assert xb.cells.shape == (xb.rows, xb.cols) == (state["rows"], state["cols"])
+    assert math.isfinite(xb.wire_segment_resistance)

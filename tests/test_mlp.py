@@ -71,7 +71,7 @@ class TestLayerForward:
     def test_crossbar_and_map_agree(self):
         net = random_network(7)
         xb = build_crossbar(20, 17, CLEAN, seed=70)
-        xb.set_conductances(net.layer1.to_grid(), respect_stuck=False)
+        xb.cells["conductance"] = net.layer1.to_grid()
         x = stream(8, "x").uniform(-0.2, 0.2, 17)
         via_map = layer_forward(net.layer1, x, "hidden")
         via_xbar = layer_forward(xb, x, "hidden")
@@ -144,8 +144,8 @@ class TestInfer:
         net = random_network(13)
         xb1 = build_crossbar(20, 17, CLEAN, seed=130)
         xb2 = build_crossbar(8, 11, CLEAN, seed=131)
-        xb1.set_conductances(net.layer1.to_grid(), respect_stuck=False)
-        xb2.set_conductances(net.layer2.to_grid(), respect_stuck=False)
+        xb1.cells["conductance"] = net.layer1.to_grid()
+        xb2.cells["conductance"] = net.layer2.to_grid()
         hw = MlpNetwork(xb1, xb2)
         pixels = [1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0]
         cls_a, v_a = infer(net, pixels)
@@ -174,7 +174,7 @@ def crossbar_network(net, seed, topology=NetworkTopology(), R_w=0.0):
         grid = layer.to_grid()
         xb = build_crossbar(*grid.shape, CLEAN, seed=seed + k, R_w=R_w,
                             line_model="wire_resistive" if R_w else "ideal")
-        xb.set_conductances(grid, respect_stuck=False)
+        xb.cells["conductance"] = grid
         layers.append(xb)
     return MlpNetwork(*layers, topology=topology)
 

@@ -174,7 +174,7 @@ def reference_manhattan(xb1, xb2, patterns, cfg):
     T = _targets(y_local, len(class_idx), MANHATTAN_TARGET_LEVEL)
     disturb = sum(dev.set_threshold < cfg.amplitude / 2.0
                   or -dev.reset_threshold < cfg.amplitude / 2.0
-                  for xb in (xb1, xb2) for row in xb.devices for dev in row)
+                  for xb in (xb1, xb2) for dev in _devices(xb))
 
     def masked_grads():
         g1, g2 = xb1.conductances(), xb2.conductances()
@@ -201,10 +201,10 @@ def reference_manhattan(xb1, xb2, patterns, cfg):
             for r in range(xbar.rows):
                 row_signs = signs[r // 2] if r % 2 == 0 else -signs[r // 2]
                 for c in np.nonzero(row_signs > 0)[0]:
-                    xbar.devices[r][c].apply_pulse(cfg.amplitude, cfg.pulse_width)
+                    _pulse_cell(xbar, r, c, cfg.amplitude, cfg.pulse_width)
                     pulses += 1
                 for c in np.nonzero(row_signs < 0)[0]:
-                    xbar.devices[r][c].apply_pulse(-cfg.amplitude, cfg.pulse_width)
+                    _pulse_cell(xbar, r, c, -cfg.amplitude, cfg.pulse_width)
                     pulses += 1
     _, _, fid = masked_grads()
     fids.append(fid)
@@ -212,8 +212,18 @@ def reference_manhattan(xb1, xb2, patterns, cfg):
     return errors, float(np.mean(fids[-tail:])), fid, disturb, pulses
 
 
+def _devices(xb):
+    return [xb.device(r, c) for r in range(xb.rows) for c in range(xb.cols)]
+
+
+def _pulse_cell(xb, r, c, amplitude, width):
+    dev = xb.device(r, c)
+    dev.apply_pulse(amplitude, width)
+    xb.put_device(r, c, dev)
+
+
 def _device_fields(xb, name):
-    return np.array([[getattr(d, name) for d in row] for row in xb.devices])
+    return np.array([getattr(d, name) for d in _devices(xb)]).reshape(xb.rows, xb.cols)
 
 
 ATV = [p for p in PATTERNS if p.label in ("A", "T", "V")]
@@ -226,9 +236,8 @@ def _pristine_partly_formed(seed):
                                preformed_resistance_range=(2e3, 5e3))
     xbars = build_network_crossbars(seed, spec, pristine=True)
     for xb in xbars:
-        for r, row in enumerate(xb.devices):
-            for c, dev in enumerate(row):
-                dev.formed = (r + c) % 3 != 0
+        r, c = np.indices(xb.cells.shape)
+        xb.cells["formed"] = (r + c) % 3 != 0
     return xbars
 
 
@@ -278,11 +287,18 @@ class TestManhattanConfig:
     def test_bias_scheme_sets_disturb_voltage(self, amplitude):
         xb1, xb2 = build_network_crossbars(8, INSITU_DEVICE_SPEC, pristine=False)
         lows = [min(d.set_threshold, -d.reset_threshold)
-                for xb in (xb1, xb2) for row in xb.devices for d in row]
+                for xb in (xb1, xb2) for d in _devices(xb)]
         third, half = self._risk("V_third", amplitude), self._risk("V_half", amplitude)
         assert third == sum(v < amplitude / 3 for v in lows)
         assert half == sum(v < amplitude / 2 for v in lows)
         assert third <= half
+
+    def test_crossbars_must_match_the_topology(self):
+        xb1, xb2 = build_network_crossbars(8, INSITU_DEVICE_SPEC, pristine=False)
+        assert xb1.cells.shape == DEFAULT_TOPOLOGY.layer1_shape == (20, 17)
+        assert xb2.cells.shape == DEFAULT_TOPOLOGY.layer2_shape == (8, 11)
+        with pytest.raises(ConfigurationError):
+            train_in_situ_manhattan(xb2, xb1, PATTERNS[:12], ManhattanConfig(epochs=1))
 
     def test_schemes_differ_where_half_select_can_switch(self):
         assert self._risk("V_third", 2.4) < self._risk("V_half", 2.4)

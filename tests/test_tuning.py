@@ -33,13 +33,13 @@ class TestTuningError:
 class TestTuneDevice:
     def test_already_on_target_uses_no_pulses(self):
         xb = build_crossbar(1, 1, CLEAN, seed=1)
-        d = xb.devices[0][0]
+        d = xb.device(0, 0)
         result = tune_device(xb, 0, 0, d.conductance, TuningSpec(tolerance=0.05))
         assert result.converged and result.pulses_used == 0
 
     def test_upward_tune_at_thirty_percent(self):
         xb = build_crossbar(1, 1, CLEAN, seed=2)
-        xb.devices[0][0].conductance = 10e-6
+        xb.cells["conductance"][0, 0] = 10e-6
         result = tune_device(xb, 0, 0, 50e-6, TuningSpec(tolerance=0.30))
         assert result.converged
         assert 0 < result.pulses_used < 10000
@@ -67,12 +67,11 @@ class TestTuneDevice:
     def test_stuck_device_reported_not_pulsed(self):
         spec = DeviceVariationSpec(stuck_probability=1.0)
         xb = build_crossbar(1, 1, spec, seed=4)
-        d = xb.devices[0][0]
-        frozen = d.conductance
+        frozen = xb.device(0, 0).conductance
         result = tune_device(xb, 0, 0, frozen * 2, TuningSpec(tolerance=0.05))
         assert result.skipped_stuck
         assert not result.converged
-        assert d.conductance == frozen
+        assert xb.device(0, 0).conductance == frozen
 
     def test_only_target_cell_changes(self):
         xb = build_crossbar(4, 4, CLEAN, seed=5)
@@ -91,7 +90,7 @@ class TestTuneDevice:
         rng = np.random.default_rng(0)
         for seed in range(200):
             xb = build_crossbar(1, 1, CLEAN, seed=1000 + seed)
-            d = xb.devices[0][0]
+            d = xb.device(0, 0)
             if d.set_threshold > spec.set_amplitude_range[1]:
                 continue
             if d.reset_threshold < spec.reset_amplitude_range[0]:
@@ -137,8 +136,7 @@ class TestImportMap:
         xb = build_crossbar(6, 6, spec, seed=10)
         rng = np.random.default_rng(2)
         targets = rng.uniform(10e-6, 100e-6, (6, 6))
-        errors = import_conductance_map(xb, targets, TuningSpec(tolerance=0.10),
-                                        skip_stuck=True)
+        errors = import_conductance_map(xb, targets, TuningSpec(tolerance=0.10))
         stuck = xb.stuck_map()
         assert stuck.any()
         g = xb.conductances()

@@ -12,9 +12,8 @@ from .crossbar import (BiasScheme, Crossbar, build_crossbar, device_voltage_map,
                        load_state, max_crossbar_dimension, save_state, vmm,
                        vmm_ideal, vmm_wire_resistive, write_drop_budget)
 from .forming import FormingOutcome, FormingSpec, form_all, form_device
-from .tuning import (TuningResult, TuningSpec, error_histogram,
-                     import_conductance_map, import_with_refinement,
-                     tune_device, tuning_error)
+from .tuning import (TuningSpec, error_histogram, import_conductance_map,
+                     import_with_refinement, tuning_error)
 from .mlp import (ConductancePairMap, MlpNetwork, NetworkTopology, infer,
                   layer_forward)
 from .training import (DefectMap, ManhattanConfig, ManhattanResult,

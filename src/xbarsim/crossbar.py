@@ -57,9 +57,9 @@ class Crossbar:
     """A crossbar's device state and line wiring.
 
     ``cells`` is a (rows, cols) record array with one ``CELL_DTYPE`` field per
-    ``MemristorDevice`` field, so array-wide reads are field expressions.
-    ``device`` copies one cell out as a ``MemristorDevice``, which carries the
-    pulse and read physics; ``put_device`` writes it back.
+    ``MemristorDevice`` field, so reads, tuning and in-situ pulses are field
+    expressions.  Forming runs per cell: ``device`` copies one cell out as a
+    ``MemristorDevice`` and ``put_device`` writes it back.
     """
 
     cells: np.ndarray

@@ -180,6 +180,24 @@ CELL_DTYPE = np.dtype(list(DEVICE_FIELDS.items()))
 device_fields = operator.attrgetter(*CELL_DTYPE.names)
 
 
+def switching_steps(cells: np.ndarray, amplitude: float,
+                    width: float = PULSE_WIDTH_REF) -> np.ndarray:
+    """``MemristorDevice.switching_step`` of every cell of a ``CELL_DTYPE``
+    array, bit for bit: ``math.exp`` runs only on the cells that move, since
+    ``np.exp`` may differ in the last bit."""
+    if width <= 0:
+        raise ValueError("pulse width must be positive")
+    live = cells["formed"] & ~cells["stuck"]
+    up = live & (amplitude >= cells["set_threshold"])
+    down = live & (amplitude <= cells["reset_threshold"])
+    over = abs(amplitude - np.where(up, cells["set_threshold"], cells["reset_threshold"]))
+    move = up | down
+    exps = [math.exp(x) for x in (over[move] / cells["kinetics_voltage_scale"][move]).tolist()]
+    steps = np.zeros(cells.shape)
+    steps[move] = cells["kinetics_rate"][move] * (width / PULSE_WIDTH_REF) * exps
+    return np.where(down, -steps, steps)
+
+
 def _uniform(rng: np.random.Generator, bounds) -> float:
     lo, hi = bounds
     if lo == hi:

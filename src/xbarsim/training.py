@@ -31,7 +31,7 @@ import numpy as np
 
 from .benchmark import label_vector, pixel_matrix
 from .crossbar import BiasScheme, Crossbar
-from .device import MemristorDevice
+from .device import switching_steps
 from .errors import ConfigurationError, DivergenceError
 from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, encode_batch, forward
 from .rng import stream
@@ -321,12 +321,10 @@ def _half_select_risk(xbar: Crossbar, cfg: ManhattanConfig) -> int:
 
 def _pulse_arrays(xbar: Crossbar, cfg: ManhattanConfig) -> tuple:
     """Contiguous copies of what a crossbar's Manhattan pulses act on: G, the
-    mask of live (formed, non-stuck) devices, g_min, g_max, and each device's
-    up and down step for the fixed pulse, from ``switching_step``."""
+    mask of live (formed, non-stuck) devices, g_min, g_max, and how far the
+    fixed pulse moves each device up and down (``switching_steps``)."""
     cells = xbar.cells
-    devices = [MemristorDevice(*fields) for fields in cells.ravel().tolist()]
-    up, down = (np.array([dev.switching_step(amplitude, cfg.pulse_width)
-                          for dev in devices]).reshape(cells.shape)
+    up, down = (switching_steps(cells, amplitude, cfg.pulse_width)
                 for amplitude in (cfg.amplitude, -cfg.amplitude))
     return (xbar.conductances(), cells["formed"] & ~cells["stuck"],
             cells["g_min"].copy(), cells["g_max"].copy(), up, -down)

@@ -4,7 +4,9 @@ A device is pulsed toward its target with a staircase amplitude schedule:
 start gentle, escalate while pulses are ineffective (sub-threshold or
 negligible progress), and restart the ladder on every polarity flip so
 overshoots are corrected with the smallest available steps.  Error is always
-the normalized absolute difference |actual - target| / target.
+the normalized absolute difference |actual - target| / target.  The cells of
+an array climb their staircases in lockstep, one pulse and one array read-back
+per round; cells do not couple, so this equals tuning them one at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import Crossbar
+from .device import SAFE_READ_VOLTAGE, switching_steps
 from .errors import ConfigurationError
 from .units import quantity
 
@@ -38,6 +41,8 @@ class TuningSpec:
     def validate(self):
         if self.tolerance <= 0:
             raise ConfigurationError("tolerance must be positive")
+        if not 0 < abs(self.v_read) <= SAFE_READ_VOLTAGE:
+            raise ConfigurationError(f"need 0 < |v_read| <= {SAFE_READ_VOLTAGE} V")
         if not self.set_amplitude_range[0] <= self.set_amplitude_range[1]:
             raise ConfigurationError("set_amplitude_range must be ordered")
         if not self.reset_amplitude_range[0] <= self.reset_amplitude_range[1]:
@@ -49,86 +54,68 @@ class TuningSpec:
         return self
 
 
-@dataclass
-class TuningResult:
-    final_conductance: float
-    pulses_used: int
-    converged: bool
-    error: float
-    skipped_stuck: bool = False
-
-
-def tuning_error(target: float, actual: float) -> float:
-    """Normalized absolute difference |actual - target| / target."""
-    if target <= 0:
-        raise ValueError("target conductance must be positive")
+def tuning_error(target, actual):
+    """Normalized absolute difference |actual - target| / target, elementwise."""
+    if not np.all(np.greater(target, 0)):
+        raise ConfigurationError("target conductance must be positive")
     return abs(actual - target) / target
 
 
-def tune_device(xbar: Crossbar, row: int, col: int, target: float,
-                spec: TuningSpec) -> TuningResult:
-    """Tune one device to ``target`` within spec.tolerance.
-
-    Stuck devices are reported unconverged without pulsing; exhaustion of the
-    pulse budget (or a stall at the amplitude cap) reports converged=False.
-    The staircase runs on a copy of the cell, written back when it ends.
-    """
-    spec.validate()
-    device = xbar.device(row, col)
-    g = device.read_conductance(spec.v_read)
-    err = tuning_error(target, g)
-    if device.stuck:
-        return TuningResult(g, 0, err <= spec.tolerance, err, skipped_stuck=True)
-
-    set_lo, set_hi = spec.set_amplitude_range
-    reset_lo, reset_hi = spec.reset_amplitude_range   # reset_hi is the gentle end
-    direction = 0
-    amplitude = 0.0
-    pulses = 0
-    stalls = 0
-    while err > spec.tolerance and pulses < spec.max_pulses:
-        want = 1 if target > g else -1
-        if want != direction:                     # polarity flip: restart ladder
-            direction = want
-            amplitude = set_lo if want > 0 else reset_hi
-        before = g
-        device.apply_pulse(amplitude, spec.pulse_width)
-        pulses += 1
-        g = device.read_conductance(spec.v_read)
-        moved = abs(g - before)
-        gap = abs(target - before)
-        if moved < max(_EFFECT_EPS, PROGRESS_FRACTION * gap):
-            at_cap = amplitude >= set_hi if direction > 0 else amplitude <= reset_lo
-            if at_cap:
-                if moved < _EFFECT_EPS:
-                    stalls += 1
-                    if stalls >= 3:               # untunable direction or rail
-                        break
-            elif direction > 0:
-                amplitude = min(amplitude + spec.amplitude_step, set_hi)
-            else:
-                amplitude = max(amplitude - spec.amplitude_step, reset_lo)
-        else:
-            stalls = 0
-        err = tuning_error(target, g)
-    xbar.put_device(row, col, device)
-    return TuningResult(g, pulses, err <= spec.tolerance, err)
-
-
 def import_conductance_map(xbar: Crossbar, targets, spec: TuningSpec) -> np.ndarray:
-    """Tune the whole grid to ``targets`` (row-major order); returns the
-    per-device error grid.
+    """Tune every cell to ``targets``; returns the per-cell error grid.
 
-    Stuck cells are never pulsed; their entries report the error of the
-    frozen state against the target.
-    """
+    A cell stops inside the tolerance, at its third stall at an amplitude cap
+    (keeping its error from before that pulse) or after ``max_pulses`` pulses.
+    Stuck cells are never pulsed.  A 1x1 view, ``Crossbar(xb.cells[r:r+1,
+    c:c+1])``, tunes one cell of ``xb``.  Bad targets, or a read that would
+    switch a formed cell, raise ConfigurationError before any pulse."""
+    spec.validate()
     targets = np.asarray(targets, dtype=float)
-    if targets.shape != (xbar.rows, xbar.cols):
-        raise ConfigurationError(
-            f"target grid shape {targets.shape} != ({xbar.rows}, {xbar.cols})")
-    errors = np.empty_like(targets)
-    for r, c in np.ndindex(targets.shape):
-        errors[r, c] = tune_device(xbar, r, c, targets[r, c], spec).error
+    if targets.shape != xbar.cells.shape:
+        raise ConfigurationError(f"target grid shape {targets.shape} != {xbar.cells.shape}")
+    cells, v = xbar.cells, spec.v_read
+    if np.any(cells["formed"] & (abs(v) > np.minimum(cells["set_threshold"],
+                                                     -cells["reset_threshold"]))):
+        raise ConfigurationError(f"read at {v} V would disturb a formed device")
+    gain = 1.0 + cells["nonlinearity_alpha"] * v * v
+    g = xbar.conductances() * v * gain / v       # read_conductance, elementwise
+    errors = tuning_error(targets, g)
+
+    # The set ladder climbs from its low end, the reset ladder from its gentle
+    # (high) end, to their caps; no cell climbs more than one level per pulse.
+    set_lo, set_hi = spec.set_amplitude_range
+    reset_lo, reset_hi = spec.reset_amplitude_range
+    ladders = ([set_lo], [reset_hi])
+    for ladder, cap, step, clamp in ((ladders[0], set_hi, spec.amplitude_step, min),
+                                     (ladders[1], reset_lo, -spec.amplitude_step, max)):
+        while ladder[-1] != cap and len(ladder) < spec.max_pulses:
+            ladder.append(clamp(ladder[-1] + step, cap))
+    n_set = len(ladders[0])
+    at_cap = np.array([a == set_hi for a in ladders[0]] + [a == reset_lo for a in ladders[1]])
+    steps = np.stack([switching_steps(cells, a, spec.pulse_width)
+                      for a in ladders[0] + ladders[1]])
+    offsets = np.arange(targets.size).reshape(targets.shape)
+    level = np.where(targets > g, 0, n_set)         # index into the ladders, set first
+    stalls = np.zeros(targets.shape, dtype=int)
+    tuning = ~cells["stuck"] & (errors > spec.tolerance)
+    for _ in range(spec.max_pulses):
+        if not tuning.any():
+            break
+        up = targets > g                            # a polarity flip restarts the ladder
+        level = np.where(up == (level < n_set), level, np.where(up, 0, n_set))
+        step = np.where(tuning, steps.take(level * targets.size + offsets), 0.0)
+        cells["conductance"] = np.clip(cells["conductance"] + step, cells["g_min"],
+                                       cells["g_max"])
+        before, g = g, xbar.conductances() * v * gain / v
+        moved = abs(g - before)
+        gap = abs(targets - before)
+        weak = tuning & (moved < np.maximum(_EFFECT_EPS, PROGRESS_FRACTION * gap))
+        capped = at_cap[level]
+        stalls = np.where(weak, stalls + (capped & (moved < _EFFECT_EPS)), 0)
+        level += weak & ~capped
+        tuning &= stalls < 3                        # untunable direction or rail
+        errors = np.where(tuning, abs(g - targets) / targets, errors)  # tuning_error
+        tuning &= errors > spec.tolerance
     return errors
 
 
@@ -151,11 +138,8 @@ def import_with_refinement(xbar: Crossbar, targets, spec: TuningSpec,
     for _ in range(max(0, passes - 1)):
         read = xbar.conductances()
         retarget = np.clip(targets * targets / np.maximum(read, 1e-12), lo, hi)
-        stuck = xbar.stuck_map()
-        retarget[stuck] = targets[stuck]
         import_conductance_map(xbar, retarget, spec)
-    final = xbar.conductances()
-    return np.abs(final - targets) / targets
+    return tuning_error(targets, xbar.conductances())
 
 
 def error_histogram(errors, bins=20, upper=None) -> dict:

@@ -388,6 +388,23 @@ class TestCli:
         assert main(["--out", str(out), "tune", "--targets", targets]) in (0, 3)
         assert (out / "error_grid.csv").exists()
 
+    @pytest.mark.parametrize("v_read, target", [
+        ("0V", 50e-6), ("3V", 50e-6), ("-3V", 50e-6), ("1.5V", 50e-6),
+        ("0.2V", 0.0), ("0.2V", -50e-6)])
+    def test_bad_read_or_target_is_config_error(self, tmp_path, v_read, target):
+        out = tmp_path / "run"
+        out.mkdir()
+        _two_by_two_snapshot(out / "crossbar_state.json")
+        state = (out / "crossbar_state.json").read_text()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tuning": {"v_read": v_read}}))
+        targets = str(tmp_path / "targets.csv")
+        export_grid(np.array([[50e-6, target], [50e-6, 50e-6]]), targets)
+        assert main(["--config", str(cfg), "--out", str(out), "tune",
+                     "--targets", targets]) == 2
+        assert (out / "crossbar_state.json").read_text() == state
+        assert not (out / "error_grid.csv").exists()
+
     def test_sweep_clips_to_the_configured_range(self, tmp_path):
         weights = tmp_path / "weights"
         weights.mkdir()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xbarsim.device import (DeviceVariationSpec, MemristorDevice,
-                            sample_device, PULSE_WIDTH_REF)
+from xbarsim.device import (CELL_DTYPE, DeviceVariationSpec, MemristorDevice,
+                            device_fields, sample_device, switching_steps,
+                            PULSE_WIDTH_REF)
 from xbarsim.errors import ConfigurationError
 from xbarsim.rng import stream
 
@@ -213,3 +214,32 @@ class TestSwitchingStep:
             dev.switching_step(amplitude, width)
         with pytest.raises(ValueError):
             dev.apply_pulse(amplitude, width)
+
+
+def _cells(devs):
+    return np.array([device_fields(d) for d in devs], dtype=CELL_DTYPE).reshape(1, -1)
+
+
+@st.composite
+def amplitude_for(draw, devs):
+    """Any amplitude, or one that sits exactly on a device's threshold."""
+    at_threshold = st.sampled_from([t for d in devs
+                                    for t in (d.set_threshold, d.reset_threshold)])
+    return draw(st.floats(-2.4, 2.4) | at_threshold)
+
+
+class TestSwitchingSteps:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), devs=st.lists(devices, min_size=1, max_size=12),
+           width=st.sampled_from([PULSE_WIDTH_REF, 1e-6, 100e-6, 1e-3]) | st.floats(1e-6, 1e-2))
+    def test_equals_switching_step_bit_for_bit(self, data, devs, width):
+        amplitude = data.draw(amplitude_for(devs))
+        expected = np.array([[d.switching_step(amplitude, width) for d in devs]])
+        assert switching_steps(_cells(devs), amplitude, width).tobytes() == expected.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(devs=st.lists(devices, min_size=1, max_size=4),
+           amplitude=st.floats(-2.4, 2.4), width=st.floats(-1.0, 0.0))
+    def test_non_positive_width_raises(self, devs, amplitude, width):
+        with pytest.raises(ValueError):
+            switching_steps(_cells(devs), amplitude, width)

@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 
-from xbarsim.crossbar import build_crossbar
-from xbarsim.device import DeviceVariationSpec, MemristorDevice
+from xbarsim import tuning
+from xbarsim.crossbar import Crossbar, build_crossbar
+from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
-from xbarsim.tuning import (TuningSpec, error_histogram, import_conductance_map,
-                            import_with_refinement, tune_device, tuning_error)
+from xbarsim.forming import FormingSpec
+from xbarsim.pipeline import build_network_crossbars, form_network
+from xbarsim.tuning import (PROGRESS_FRACTION, TuningSpec, _EFFECT_EPS, error_histogram,
+                            import_conductance_map, import_with_refinement, tuning_error)
 
 CLEAN = DeviceVariationSpec(stuck_probability=0.0)
 
@@ -30,31 +35,53 @@ class TestTuningError:
             tuning_error(0.0, 1e-6)
 
 
-class TestTuneDevice:
-    def test_already_on_target_uses_no_pulses(self):
-        xb = build_crossbar(1, 1, CLEAN, seed=1)
-        d = xb.device(0, 0)
-        result = tune_device(xb, 0, 0, d.conductance, TuningSpec(tolerance=0.05))
-        assert result.converged and result.pulses_used == 0
+def tune_cell(xb, row, col, target, spec):
+    """Tune one cell through a 1x1 view of ``xb``; returns its error."""
+    view = Crossbar(xb.cells[row:row + 1, col:col + 1])
+    return import_conductance_map(view, [[target]], spec)[0, 0]
 
-    def test_upward_tune_at_thirty_percent(self):
+
+@pytest.fixture
+def verify_reads(monkeypatch):
+    """Counts array read-backs: one before tuning, then one per pulse round."""
+    calls = []
+    original = Crossbar.conductances
+
+    def counting(self):
+        calls.append(self.cells.shape)
+        return original(self)
+
+    monkeypatch.setattr(Crossbar, "conductances", counting)
+    return calls
+
+
+class TestTuneDevice:
+    def test_already_on_target_uses_no_pulses(self, verify_reads):
+        xb = build_crossbar(1, 1, CLEAN, seed=1)
+        before = xb.cells.copy()
+        error = tune_cell(xb, 0, 0, xb.cells["conductance"][0, 0], TuningSpec(tolerance=0.05))
+        assert error <= 0.05
+        assert len(verify_reads) == 1
+        assert xb.cells.tobytes() == before.tobytes()
+
+    def test_upward_tune_at_thirty_percent(self, verify_reads):
         xb = build_crossbar(1, 1, CLEAN, seed=2)
         xb.cells["conductance"][0, 0] = 10e-6
-        result = tune_device(xb, 0, 0, 50e-6, TuningSpec(tolerance=0.30))
-        assert result.converged
-        assert 0 < result.pulses_used < 10000
-        assert 35e-6 <= result.final_conductance <= 65e-6
+        error = tune_cell(xb, 0, 0, 50e-6, TuningSpec(tolerance=0.30))
+        assert error <= 0.30
+        assert 0 < len(verify_reads) - 1 < 10000
+        assert 35e-6 <= xb.cells["conductance"][0, 0] <= 65e-6
 
     def test_amplitudes_stay_inside_ranges(self, monkeypatch):
         spec = TuningSpec(tolerance=0.02)
         seen = []
-        original = MemristorDevice.apply_pulse
+        original = tuning.switching_steps
 
-        def recording(self, amplitude, width=500e-6):
+        def recording(cells, amplitude, width):
             seen.append(amplitude)
-            return original(self, amplitude, width)
+            return original(cells, amplitude, width)
 
-        monkeypatch.setattr(MemristorDevice, "apply_pulse", recording)
+        monkeypatch.setattr(tuning, "switching_steps", recording)
         xb = build_crossbar(2, 2, CLEAN, seed=3)
         import_conductance_map(xb, np.full((2, 2), 70e-6), spec)
         assert seen
@@ -64,23 +91,24 @@ class TestTuneDevice:
             else:
                 assert spec.reset_amplitude_range[0] <= amp <= spec.reset_amplitude_range[1]
 
-    def test_stuck_device_reported_not_pulsed(self):
+    def test_stuck_device_reported_not_pulsed(self, verify_reads):
         spec = DeviceVariationSpec(stuck_probability=1.0)
         xb = build_crossbar(1, 1, spec, seed=4)
-        frozen = xb.device(0, 0).conductance
-        result = tune_device(xb, 0, 0, frozen * 2, TuningSpec(tolerance=0.05))
-        assert result.skipped_stuck
-        assert not result.converged
-        assert xb.device(0, 0).conductance == frozen
+        before = xb.cells.copy()
+        frozen = xb.cells["conductance"][0, 0]
+        error = tune_cell(xb, 0, 0, frozen * 2, TuningSpec(tolerance=0.05))
+        assert error == pytest.approx(0.5, rel=1e-12)
+        assert len(verify_reads) == 1
+        assert xb.cells.tobytes() == before.tobytes()
 
     def test_only_target_cell_changes(self):
         xb = build_crossbar(4, 4, CLEAN, seed=5)
-        before = xb.conductances()
-        tune_device(xb, 2, 1, 90e-6, TuningSpec(tolerance=0.05))
-        after = xb.conductances()
+        before = xb.cells.copy()
+        assert tune_cell(xb, 2, 1, 90e-6, TuningSpec(tolerance=0.05)) <= 0.05
         mask = np.ones((4, 4), dtype=bool)
         mask[2, 1] = False
-        np.testing.assert_array_equal(before[mask], after[mask])
+        assert xb.cells[mask].tobytes() == before[mask].tobytes()
+        assert xb.cells["conductance"][2, 1] != before["conductance"][2, 1]
 
     def test_convergence_sweep_random_targets(self):
         # Reachable targets: devices whose thresholds sit inside the pulse
@@ -90,17 +118,132 @@ class TestTuneDevice:
         rng = np.random.default_rng(0)
         for seed in range(200):
             xb = build_crossbar(1, 1, CLEAN, seed=1000 + seed)
-            d = xb.device(0, 0)
-            if d.set_threshold > spec.set_amplitude_range[1]:
+            if xb.cells["set_threshold"][0, 0] > spec.set_amplitude_range[1]:
                 continue
-            if d.reset_threshold < spec.reset_amplitude_range[0]:
+            if xb.cells["reset_threshold"][0, 0] < spec.reset_amplitude_range[0]:
                 continue
             target = float(rng.uniform(4e-6, 148e-6))
-            result = tune_device(xb, 0, 0, target, spec)
             attempted += 1
-            converged += result.converged
+            converged += tune_cell(xb, 0, 0, target, spec) <= spec.tolerance
         assert attempted > 150
         assert converged == attempted
+
+
+def reference_tune(xbar, row, col, target, spec):
+    """One cell's staircase, pulse by pulse, on a ``MemristorDevice`` copy of
+    the cell; returns its error.  The lockstep import must match it."""
+    spec.validate()
+    device = xbar.device(row, col)
+    g = device.read_conductance(spec.v_read)
+    err = tuning_error(target, g)
+    if device.stuck:
+        return err
+
+    set_lo, set_hi = spec.set_amplitude_range
+    reset_lo, reset_hi = spec.reset_amplitude_range   # reset_hi is the gentle end
+    direction = 0
+    amplitude = 0.0
+    pulses = 0
+    stalls = 0
+    while err > spec.tolerance and pulses < spec.max_pulses:
+        want = 1 if target > g else -1
+        if want != direction:                     # polarity flip: restart ladder
+            direction = want
+            amplitude = set_lo if want > 0 else reset_hi
+        before = g
+        device.apply_pulse(amplitude, spec.pulse_width)
+        pulses += 1
+        g = device.read_conductance(spec.v_read)
+        moved = abs(g - before)
+        gap = abs(target - before)
+        if moved < max(_EFFECT_EPS, PROGRESS_FRACTION * gap):
+            at_cap = amplitude >= set_hi if direction > 0 else amplitude <= reset_lo
+            if at_cap:
+                if moved < _EFFECT_EPS:
+                    stalls += 1
+                    if stalls >= 3:               # untunable direction or rail
+                        break
+            elif direction > 0:
+                amplitude = min(amplitude + spec.amplitude_step, set_hi)
+            else:
+                amplitude = max(amplitude - spec.amplitude_step, reset_lo)
+        else:
+            stalls = 0
+        err = tuning_error(target, g)
+    xbar.put_device(row, col, device)
+    return err
+
+
+@functools.cache
+def _formed_chip(seed):
+    xb1, xb2 = build_network_crossbars(seed, DeviceVariationSpec())
+    form_network(xb1, xb2, FormingSpec())
+    return xb1.cells.copy(), xb2.cells.copy()
+
+
+def assert_matches_reference(cells, targets, spec):
+    lockstep, reference = Crossbar(cells.copy()), Crossbar(cells.copy())
+    errors = import_conductance_map(lockstep, targets, spec)
+    expected = np.array([[reference_tune(reference, r, c, targets[r, c], spec)
+                          for c in range(reference.cols)] for r in range(reference.rows)])
+    assert errors.tobytes() == expected.tobytes()
+    assert lockstep.cells.tobytes() == reference.cells.tobytes()
+    return errors
+
+
+class TestLockstepOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    @pytest.mark.parametrize("tolerance", [0.30, 0.05, 0.01])
+    def test_formed_chip(self, seed, tolerance):
+        rng = np.random.default_rng(seed)
+        for cells in _formed_chip(seed):
+            targets = rng.uniform(10e-6, 100e-6, cells.shape)
+            assert_matches_reference(cells, targets, TuningSpec(tolerance=tolerance))
+
+    def test_pristine_array(self):
+        cells = build_crossbar(5, 6, CLEAN, seed=20, pristine=True).cells
+        targets = np.random.default_rng(20).uniform(10e-6, 100e-6, cells.shape)
+        errors = assert_matches_reference(cells, targets, TuningSpec(tolerance=0.05))
+        assert (errors > 0.05).any()
+
+    def test_stuck_cells(self):
+        spec = DeviceVariationSpec(stuck_probability=0.3)
+        cells = build_crossbar(8, 11, spec, seed=21).cells
+        assert cells["stuck"].any()
+        targets = np.random.default_rng(21).uniform(10e-6, 100e-6, cells.shape)
+        assert_matches_reference(cells, targets, TuningSpec(tolerance=0.05))
+
+    def test_pulse_budget(self):
+        cells = build_crossbar(8, 11, CLEAN, seed=22).cells
+        targets = np.random.default_rng(22).uniform(10e-6, 100e-6, cells.shape)
+        errors = assert_matches_reference(cells, targets,
+                                          TuningSpec(tolerance=0.01, max_pulses=5))
+        assert (errors > 0.01).any()
+
+    def test_polarity_flips(self):
+        # Steps wider than the tolerance band overshoot, so cells flip
+        # polarity and restart at the gentle end of the other ladder.
+        fast = DeviceVariationSpec(stuck_probability=0.0, kinetics_rate_range=(0.5e-6, 1e-6))
+        cells = build_crossbar(8, 11, fast, seed=24).cells
+        targets = np.random.default_rng(24).uniform(10e-6, 100e-6, cells.shape)
+        assert_matches_reference(cells, targets, TuningSpec(tolerance=0.01))
+
+    def test_creeping_cells_stall_out(self):
+        # Pulses at the cap that move a cell by less than _EFFECT_EPS are
+        # stalls; the third ends the cell with its error from before it.
+        slow = DeviceVariationSpec(stuck_probability=0.0, kinetics_rate_range=(1e-16, 1e-15))
+        cells = build_crossbar(4, 5, slow, seed=25).cells
+        targets = np.random.default_rng(25).uniform(10e-6, 100e-6, cells.shape)
+        errors = assert_matches_reference(cells, targets, TuningSpec(tolerance=0.05))
+        assert (errors > 0.05).any()
+
+    def test_stall_at_the_amplitude_cap(self):
+        cells = build_crossbar(8, 11, CLEAN, seed=23).cells
+        assert (cells["set_threshold"] > 0.9).any()
+        targets = np.full(cells.shape, 140e-6)
+        errors = assert_matches_reference(
+            cells, targets, TuningSpec(tolerance=0.01, set_amplitude_range=(0.8, 0.9)))
+        assert (errors > 0.01).any()
 
 
 class TestImportMap:
@@ -161,8 +304,8 @@ class TestImportMap:
         import_conductance_map(xa, targets, TuningSpec(tolerance=0.05))
         for r in reversed(range(4)):            # reversed manual order
             for c in reversed(range(4)):
-                tune_device(xb, r, c, targets[r, c], TuningSpec(tolerance=0.05))
-        np.testing.assert_array_equal(xa.conductances(), xb.conductances())
+                tune_cell(xb, r, c, targets[r, c], TuningSpec(tolerance=0.05))
+        assert xa.cells.tobytes() == xb.cells.tobytes()
 
     def test_shape_mismatch_rejected(self):
         xb = build_crossbar(3, 3, CLEAN, seed=13)

@@ -59,6 +59,11 @@ class TuningSection(TuningSpec):
     tolerance: float = IMPORT_TOLERANCE
     refine_passes: int = 2
 
+    def validate(self):
+        if self.refine_passes < 1:
+            raise ConfigurationError("refine_passes must be >= 1")
+        return super().validate()
+
 
 @dataclass
 class ManhattanSection(ManhattanConfig):

@@ -106,7 +106,9 @@ def _preactivation(layer, X, topology: NetworkTopology):
 
 
 def _with_bias(X, topology: NetworkTopology):
-    return np.concatenate([X, np.full(X.shape[:-1] + (1,), topology.bias_level)], axis=-1)
+    Xb = np.empty(X.shape[:-1] + (X.shape[-1] + 1,))
+    Xb[..., :-1], Xb[..., -1] = X, topology.bias_level
+    return Xb
 
 
 def forward(layer1, layer2, Xe, topology: NetworkTopology = DEFAULT_TOPOLOGY):

@@ -16,6 +16,7 @@ from .benchmark import (canonical_training_set, generate_test_set,
                         label_vector, pixel_matrix)
 from .crossbar import Crossbar, build_crossbar
 from .device import DeviceVariationSpec
+from .errors import ConfigurationError
 from .forming import FormingSpec, form_all
 from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, encode_batch, forward
 from .rng import seed_sequence
@@ -62,11 +63,18 @@ def form_network(xb1: Crossbar, xb2: Crossbar, forming_spec: FormingSpec):
 
 def import_network(xb1: Crossbar, xb2: Crossbar, outcome: TrainingOutcome,
                    tuning_spec: TuningSpec, refine_passes: int = 2):
-    """Tune both arrays to the trained pair maps; returns the error grids."""
-    map1, map2 = outcome.pair_maps
-    e1 = import_with_refinement(xb1, map1.to_grid(), tuning_spec, refine_passes)
-    e2 = import_with_refinement(xb2, map2.to_grid(), tuning_spec, refine_passes)
-    return e1, e2
+    """Tune both arrays to the trained pair maps in one write-and-verify
+    lockstep over their cells; returns the error grids."""
+    grids = [m.to_grid() for m in outcome.pair_maps]
+    if [g.shape for g in grids] != [xb1.cells.shape, xb2.cells.shape]:
+        raise ConfigurationError(f"pair maps {[g.shape for g in grids]} do not fit the arrays")
+    cells = np.concatenate([xb1.cells, xb2.cells], axis=None)
+    errors = import_with_refinement(Crossbar(cells[None]), np.concatenate(grids, axis=None)[None],
+                                    tuning_spec, refine_passes)
+    n1 = xb1.cells.size
+    xb1.cells["conductance"] = cells["conductance"][:n1].reshape(grids[0].shape)
+    xb2.cells["conductance"] = cells["conductance"][n1:].reshape(grids[1].shape)
+    return errors[0, :n1].reshape(grids[0].shape), errors[0, n1:].reshape(grids[1].shape)
 
 
 def read_back_network(xb1: Crossbar, xb2: Crossbar) -> MlpNetwork:
@@ -131,9 +139,7 @@ def run_ex_situ_pipeline(seed: int, aware: bool,
     sw_test = float((Y.argmax(1) == label_vector(test_patterns)).mean())
 
     e1, e2 = import_network(xb1, xb2, outcome, tuning_spec, refine_passes)
-    not_stuck1, not_stuck2 = ~xb1.stuck_map(), ~xb2.stuck_map()
-    err_max = max(e1[not_stuck1].max() if not_stuck1.any() else 0.0,
-                  e2[not_stuck2].max() if not_stuck2.any() else 0.0)
+    err_max = max(e[~xb.stuck_map()].max(initial=0.0) for e, xb in ((e1, xb1), (e2, xb2)))
 
     return PipelineResult(
         aware=aware,

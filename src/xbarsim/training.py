@@ -24,6 +24,7 @@ the natural scale at which the 1e6 V/A gain cancels.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -128,7 +129,7 @@ def _grads(u1, u2, Xe, T, topology=DEFAULT_TOPOLOGY, columns=None):
     d2 = dY.T @ Ha
     dH = dY @ u2[:, :-1]
     d1 = (dH * topology.hidden_saturation * (1.0 - tanh_a ** 2)).T @ Xe
-    loss = float((err ** 2).mean())
+    loss = float(np.add.reduce(err * err, axis=None)) / err.size
     return loss, Y, d1, d2
 
 
@@ -177,11 +178,11 @@ def train_ex_situ(patterns, cfg: TrainingConfig,
     curve = []
     for epoch in range(cfg.epochs):
         loss, Y, d1, d2 = _grads(u1, u2, Xe, T, topo)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        curve.append((epoch, loss, float((Y.argmax(1) == y).mean())))
-        u1 = np.clip(u1 - lr * d1, -limit_u, limit_u)
-        u2 = np.clip(u2 - lr * d2, -limit_u, limit_u)
+        curve.append((epoch, loss, float(np.count_nonzero(Y.argmax(1) == y) / len(y))))
+        u1 = np.minimum(np.maximum(u1 - lr * d1, -limit_u), limit_u)
+        u2 = np.minimum(np.maximum(u2 - lr * d2, -limit_u), limit_u)
 
     # Normalize into the representable range: classification is invariant to
     # a common positive scale, and larger conductance contrasts buy import
@@ -240,13 +241,13 @@ def _finetune_pairs(p1, m1, p2, m2, defects, Xe, y, cfg, beta, curve, topo):
     base_epoch = len(curve)
     for epoch in range(cfg.finetune_epochs):
         loss, Y, d1, d2 = _grads(p1 - m1, p2 - m2, Xe, T, topo)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss in fine-tune epoch {epoch}")
-        curve.append((base_epoch + epoch, loss, float((Y.argmax(1) == y).mean())))
-        p1 = np.clip(p1 - lr * d1 * f1p, lo_u, hi_u)
-        m1 = np.clip(m1 + lr * d1 * f1m, lo_u, hi_u)
-        p2 = np.clip(p2 - lr * d2 * f2p, lo_u, hi_u)
-        m2 = np.clip(m2 + lr * d2 * f2m, lo_u, hi_u)
+        curve.append((base_epoch + epoch, loss, float(np.count_nonzero(Y.argmax(1) == y) / len(y))))
+        p1 = np.minimum(np.maximum(p1 - lr * d1 * f1p, lo_u), hi_u)
+        m1 = np.minimum(np.maximum(m1 + lr * d1 * f1m, lo_u), hi_u)
+        p2 = np.minimum(np.maximum(p2 - lr * d2 * f2p, lo_u), hi_u)
+        m2 = np.minimum(np.maximum(m2 + lr * d2 * f2m, lo_u), hi_u)
     return p1, m1, p2, m2
 
 

@@ -4,9 +4,9 @@ A device is pulsed toward its target with a staircase amplitude schedule:
 start gentle, escalate while pulses are ineffective (sub-threshold or
 negligible progress), and restart the ladder on every polarity flip so
 overshoots are corrected with the smallest available steps.  Error is always
-the normalized absolute difference |actual - target| / target.  The cells of
-an array climb their staircases in lockstep, one pulse and one array read-back
-per round; cells do not couple, so this equals tuning them one at a time.
+the normalized absolute difference |actual - target| / target.  Cells climb
+in lockstep, one pulse and one read-back per round, over an array or both of
+``pipeline.import_network``; cells do not couple, so each tunes as if alone.
 """
 
 from __future__ import annotations
@@ -69,6 +69,26 @@ def import_conductance_map(xbar: Crossbar, targets, spec: TuningSpec) -> np.ndar
     Stuck cells are never pulsed.  A 1x1 view, ``Crossbar(xb.cells[r:r+1,
     c:c+1])``, tunes one cell of ``xb``.  Bad targets, or a read that would
     switch a formed cell, raise ConfigurationError before any pulse."""
+    return _staircase(xbar, targets, spec, passes=1)
+
+
+def import_with_refinement(xbar: Crossbar, targets, spec: TuningSpec,
+                           passes: int = 2) -> np.ndarray:
+    """Map import with measurement-feedback retargeting between passes.
+
+    Write-and-verify approaches each device from one side and stops at the
+    first read inside the tolerance band, so a whole-map import lands with a
+    systematic offset toward the near band edge.  Each extra pass measures
+    the landing ratio per device and retargets by it (new target T*T/G_read),
+    centering the final conductances on the true targets using read data
+    only.  Reported errors are against the true targets.
+    """
+    _staircase(xbar, targets, spec, passes)
+    return tuning_error(np.asarray(targets, dtype=float), xbar.conductances())
+
+
+def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.ndarray:
+    """Both imports' staircase: ``passes`` passes over one step table."""
     spec.validate()
     targets = np.asarray(targets, dtype=float)
     if targets.shape != xbar.cells.shape:
@@ -78,8 +98,6 @@ def import_conductance_map(xbar: Crossbar, targets, spec: TuningSpec) -> np.ndar
                                                      -cells["reset_threshold"]))):
         raise ConfigurationError(f"read at {v} V would disturb a formed device")
     gain = 1.0 + cells["nonlinearity_alpha"] * v * v
-    g = xbar.conductances() * v * gain / v       # read_conductance, elementwise
-    errors = tuning_error(targets, g)
 
     # The set ladder climbs from its low end, the reset ladder from its gentle
     # (high) end, to their caps; no cell climbs more than one level per pulse.
@@ -95,51 +113,34 @@ def import_conductance_map(xbar: Crossbar, targets, spec: TuningSpec) -> np.ndar
     steps = np.stack([switching_steps(cells, a, spec.pulse_width)
                       for a in ladders[0] + ladders[1]])
     offsets = np.arange(targets.size).reshape(targets.shape)
-    level = np.where(targets > g, 0, n_set)         # index into the ladders, set first
-    stalls = np.zeros(targets.shape, dtype=int)
-    tuning = ~cells["stuck"] & (errors > spec.tolerance)
-    for _ in range(spec.max_pulses):
-        if not tuning.any():
-            break
-        up = targets > g                            # a polarity flip restarts the ladder
-        level = np.where(up == (level < n_set), level, np.where(up, 0, n_set))
-        step = np.where(tuning, steps.take(level * targets.size + offsets), 0.0)
-        cells["conductance"] = np.clip(cells["conductance"] + step, cells["g_min"],
-                                       cells["g_max"])
-        before, g = g, xbar.conductances() * v * gain / v
-        moved = abs(g - before)
-        gap = abs(targets - before)
-        weak = tuning & (moved < np.maximum(_EFFECT_EPS, PROGRESS_FRACTION * gap))
-        capped = at_cap[level]
-        stalls = np.where(weak, stalls + (capped & (moved < _EFFECT_EPS)), 0)
-        level += weak & ~capped
-        tuning &= stalls < 3                        # untunable direction or rail
-        errors = np.where(tuning, abs(g - targets) / targets, errors)  # tuning_error
-        tuning &= errors > spec.tolerance
-    return errors
-
-
-def import_with_refinement(xbar: Crossbar, targets, spec: TuningSpec,
-                           passes: int = 2) -> np.ndarray:
-    """Map import with measurement-feedback retargeting between passes.
-
-    Write-and-verify approaches each device from one side and stops at the
-    first read inside the tolerance band, so a whole-map import lands with a
-    systematic offset toward the near band edge.  Each extra pass measures
-    the landing ratio per device and retargets by it (new target T*T/G_read),
-    centering the final conductances on the true targets using read data
-    only.  Reported errors are against the true targets.
-    """
-    targets = np.asarray(targets, dtype=float)
-    import_conductance_map(xbar, targets, spec)
-    g_min, g_max = xbar.cells["g_min"], xbar.cells["g_max"]
+    conductance, g_min, g_max = cells["conductance"], cells["g_min"], cells["g_max"]
     headroom = 0.05 * (g_max - g_min)
-    lo, hi = g_min + headroom, g_max - headroom
-    for _ in range(max(0, passes - 1)):
-        read = xbar.conductances()
-        retarget = np.clip(targets * targets / np.maximum(read, 1e-12), lo, hi)
-        import_conductance_map(xbar, retarget, spec)
-    return tuning_error(targets, xbar.conductances())
+    for n in range(max(1, passes)):
+        goal = targets if n == 0 else np.clip(targets * targets / np.maximum(
+            xbar.conductances(), 1e-12), g_min + headroom, g_max - headroom)
+        g = xbar.conductances() * v * gain / v      # read_conductance, elementwise
+        errors = tuning_error(goal, g)
+        level = np.where(goal > g, 0, n_set)        # index into the ladders, set first
+        stalls = np.zeros(goal.shape, dtype=int)
+        tuning = ~cells["stuck"] & (errors > spec.tolerance)
+        for _ in range(spec.max_pulses):
+            if not tuning.any():
+                break
+            up = goal > g                           # a polarity flip restarts the ladder
+            level = np.where(up == (level < n_set), level, np.where(up, 0, n_set))
+            step = np.where(tuning, steps.take(level * goal.size + offsets), 0.0)
+            conductance[...] = np.minimum(np.maximum(conductance + step, g_min), g_max)
+            before, g = g, xbar.conductances() * v * gain / v
+            moved = abs(g - before)
+            gap = abs(goal - before)
+            weak = tuning & (moved < np.maximum(_EFFECT_EPS, PROGRESS_FRACTION * gap))
+            capped = at_cap[level]
+            stalls += weak & capped & (moved < _EFFECT_EPS)  # a stall repeats: no reset
+            level += weak & ~capped
+            tuning &= stalls < 3                    # untunable direction or rail
+            errors = np.where(tuning, abs(g - goal) / goal, errors)  # tuning_error
+            tuning &= errors > spec.tolerance
+    return errors
 
 
 def error_histogram(errors, bins=20, upper=None) -> dict:

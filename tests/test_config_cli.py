@@ -348,7 +348,8 @@ class TestCli:
         {"manhattan": {"classes": "AQ"}}, {"manhattan": {"classes": ""}},
         {"scale": {"conductance_v_half": {"set": "20uS"}}},
         {"training": {"learning_rate": 10**400}},
-        {"crossbar": {"wire_segment_resistance": "1e400ohm"}}])
+        {"crossbar": {"wire_segment_resistance": "1e400ohm"}},
+        {"tuning": {"refine_passes": 0}}, {"tuning": {"refine_passes": -3}}])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))

@@ -8,13 +8,15 @@ from xbarsim.benchmark import canonical_training_set, label_vector, pixel_matrix
 from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
-from xbarsim.mlp import DEFAULT_TOPOLOGY
-from xbarsim.pipeline import INSITU_DEVICE_SPEC, build_network_crossbars
+from xbarsim.forming import FormingSpec
+from xbarsim.mlp import DEFAULT_TOPOLOGY, ConductancePairMap, encode_pixels
+from xbarsim.pipeline import (INSITU_DEVICE_SPEC, build_network_crossbars, derive_seed,
+                              form_network)
 from xbarsim.rng import stream
 from xbarsim.training import (MANHATTAN_TARGET_LEVEL, TAIL_FRACTION, DefectMap,
-                              ManhattanConfig, TrainingConfig, _grads, _targets, encode_batch, forward_batch,
-                              pairs_to_weights, train_ex_situ,
-                              train_in_situ_manhattan, train_single_layer,
+                              ManhattanConfig, TrainingConfig, _grads, _pin_and_solve, _targets,
+                              encode_batch, forward_batch, pairs_to_weights, save_curve,
+                              train_ex_situ, train_in_situ_manhattan, train_single_layer,
                               weights_to_pairs)
 
 PATTERNS = canonical_training_set()
@@ -126,6 +128,100 @@ class TestExSitu:
     def test_single_layer_cannot_fit_canonical_set(self):
         _, best = train_single_layer(PATTERNS, TrainingConfig(epochs=4000, seed=6))
         assert best < 1.0
+
+
+def _reference_forward(u1, u2, Xe, topo):
+    tanh_a = np.tanh(Xe @ u1.T)
+    H = topo.hidden_saturation * tanh_a
+    Ha = np.concatenate([H, np.full(H.shape[:-1] + (1,), topo.bias_level)], axis=-1)
+    return tanh_a, Ha, Ha @ u2.T
+
+
+def _reference_grads(u1, u2, Xe, T, topo):
+    tanh_a, Ha, Y = _reference_forward(u1, u2, Xe, topo)
+    err = Y - T
+    dY = 2.0 * err / T.size
+    d2 = dY.T @ Ha
+    dH = dY @ u2[:, :-1]
+    d1 = (dH * topo.hidden_saturation * (1.0 - tanh_a ** 2)).T @ Xe
+    return float((err ** 2).mean()), Y, d1, d2
+
+
+def reference_train(patterns, cfg, defects=None):
+    """The ex-situ training loop written with ``np.clip``, ``.mean()`` and a
+    concatenated bias input; returns (w1, w2, pair grids, curve, train
+    fidelity, range scale).  ``train_ex_situ`` must match it byte for byte."""
+    topo = DEFAULT_TOPOLOGY
+    px = encode_pixels(pixel_matrix(patterns), topo)
+    Xe = np.concatenate([px, np.full(px.shape[:-1] + (1,), topo.bias_level)], axis=-1)
+    y = label_vector(patterns)
+    T = _targets(y, topo.n_outputs, cfg.target_level)
+    limit_u = cfg.weight_limit / 1e-6
+    lr = cfg.learning_rate
+    rng = stream(cfg.seed, "training-init")
+    init_u = cfg.init_scale / 1e-6
+    u1 = rng.uniform(-init_u, init_u, (topo.n_hidden, topo.n_inputs + 1))
+    u2 = rng.uniform(-init_u, init_u, (topo.n_outputs, topo.n_hidden + 1))
+    curve = []
+    for epoch in range(cfg.epochs):
+        loss, Y, d1, d2 = _reference_grads(u1, u2, Xe, T, topo)
+        curve.append((epoch, loss, float((Y.argmax(1) == y).mean())))
+        u1 = np.clip(u1 - lr * d1, -limit_u, limit_u)
+        u2 = np.clip(u2 - lr * d2, -limit_u, limit_u)
+    beta = cfg.fill_fraction * limit_u / max(np.abs(u1).max(), np.abs(u2).max())
+    u1, u2 = u1 * beta, u2 * beta
+    g_bias_u = cfg.g_bias / 1e-6
+    lo_u, hi_u = cfg.clip_interval[0] / 1e-6, cfg.clip_interval[1] / 1e-6
+    p1, m1 = g_bias_u + u1 / 2.0, g_bias_u - u1 / 2.0
+    p2, m2 = g_bias_u + u2 / 2.0, g_bias_u - u2 / 2.0
+    if defects is not None:
+        p1, m1 = _pin_and_solve(p1, m1, u1, defects.layer1_stuck, defects.layer1_values,
+                                lo_u, hi_u)
+        p2, m2 = _pin_and_solve(p2, m2, u2, defects.layer2_stuck, defects.layer2_values,
+                                lo_u, hi_u)
+        f1p, f1m = ~defects.layer1_stuck[0::2], ~defects.layer1_stuck[1::2]
+        f2p, f2m = ~defects.layer2_stuck[0::2], ~defects.layer2_stuck[1::2]
+        T = _targets(y, topo.n_outputs, cfg.target_level * beta)
+        lr = cfg.learning_rate / beta ** 2
+        base_epoch = len(curve)
+        for epoch in range(cfg.finetune_epochs):
+            loss, Y, d1, d2 = _reference_grads(p1 - m1, p2 - m2, Xe, T, topo)
+            curve.append((base_epoch + epoch, loss, float((Y.argmax(1) == y).mean())))
+            p1 = np.clip(p1 - lr * d1 * f1p, lo_u, hi_u)
+            m1 = np.clip(m1 + lr * d1 * f1m, lo_u, hi_u)
+            p2 = np.clip(p2 - lr * d2 * f2p, lo_u, hi_u)
+            m2 = np.clip(m2 + lr * d2 * f2m, lo_u, hi_u)
+    w1, w2 = (p1 - m1) * 1e-6, (p2 - m2) * 1e-6
+    grids = [ConductancePairMap(p * 1e-6, m * 1e-6).to_grid() for p, m in ((p1, m1), (p2, m2))]
+    Y = _reference_forward(w1 / 1e-6, w2 / 1e-6, Xe, topo)[2]
+    return w1, w2, grids, curve, float((Y.argmax(1) == y).mean()), beta
+
+
+class TestTrainingOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    @pytest.mark.parametrize("aware", [True, False])
+    def test_matches_reference_loop(self, seed, aware, tmp_path):
+        defects = None
+        if aware:
+            xb1, xb2 = build_network_crossbars(seed, DeviceVariationSpec())
+            form_network(xb1, xb2, FormingSpec())
+            defects = DefectMap.from_crossbars(xb1, xb2)
+            assert defects.layer1_stuck.any() or defects.layer2_stuck.any()
+        cfg = TrainingConfig(seed=derive_seed(seed, "training-init"))
+        out = train_ex_situ(PATTERNS, cfg, defects=defects)
+        w1, w2, grids, curve, fidelity, beta = reference_train(PATTERNS, cfg, defects)
+
+        assert len(out.curve) == cfg.epochs + (cfg.finetune_epochs if aware else 0)
+        assert all(type(v) is float for row in out.curve for v in row[1:])
+        assert repr(out.curve) == repr(curve)
+        for path, rows in ((tmp_path / "out.csv", out.curve), (tmp_path / "ref.csv", curve)):
+            save_curve(rows, path)
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert out.weights[0].tobytes() == w1.tobytes()
+        assert out.weights[1].tobytes() == w2.tobytes()
+        for pair_map, grid in zip(out.pair_maps, grids):
+            assert pair_map.to_grid().tobytes() == grid.tobytes()
+        assert out.train_fidelity == fidelity and out.range_scale == beta
 
 
 class TestManhattan:

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from xbarsim import tuning
+from xbarsim.benchmark import canonical_training_set
 from xbarsim.crossbar import Crossbar, build_crossbar
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec
-from xbarsim.pipeline import build_network_crossbars, form_network
+from xbarsim.mlp import ConductancePairMap
+from xbarsim.pipeline import build_network_crossbars, derive_seed, form_network, import_network
+from xbarsim.training import DefectMap, TrainingConfig, TrainingOutcome, train_ex_situ
 from xbarsim.tuning import (PROGRESS_FRACTION, TuningSpec, _EFFECT_EPS, error_histogram,
                             import_conductance_map, import_with_refinement, tuning_error)
 
@@ -244,6 +247,100 @@ class TestLockstepOracle:
         errors = assert_matches_reference(
             cells, targets, TuningSpec(tolerance=0.01, set_amplitude_range=(0.8, 0.9)))
         assert (errors > 0.01).any()
+
+
+@functools.cache
+def _trained_maps(seed, aware):
+    cells1, cells2 = _formed_chip(seed)
+    defects = DefectMap.from_crossbars(Crossbar(cells1), Crossbar(cells2)) if aware else None
+    cfg = TrainingConfig(seed=derive_seed(seed, "training-init"))
+    return train_ex_situ(canonical_training_set(), cfg, defects=defects).pair_maps
+
+
+def reference_refinement(xbar, targets, spec, passes):
+    """``import_with_refinement`` as one ``import_conductance_map`` call per
+    pass, retargeting between passes."""
+    import_conductance_map(xbar, targets, spec)
+    g_min, g_max = xbar.cells["g_min"], xbar.cells["g_max"]
+    headroom = 0.05 * (g_max - g_min)
+    for _ in range(passes - 1):
+        retarget = np.clip(targets * targets / np.maximum(xbar.conductances(), 1e-12),
+                           g_min + headroom, g_max - headroom)
+        import_conductance_map(xbar, retarget, spec)
+    return tuning_error(targets, xbar.conductances())
+
+
+def assert_network_import_matches(cells, pair_maps, spec, passes):
+    """``import_network``'s one lockstep over both arrays against per-array
+    refinement, through ``import_with_refinement`` and through the reference;
+    returns the merged run's arrays."""
+    merged = [Crossbar(c.copy()) for c in cells]
+    outcome = TrainingOutcome(weights=None, pair_maps=pair_maps, curve=[], train_fidelity=0.0)
+    errors = import_network(*merged, outcome, spec, passes)
+    for xb, c, error, pair_map in zip(merged, cells, errors, pair_maps):
+        single, reference = Crossbar(c.copy()), Crossbar(c.copy())
+        expected = reference_refinement(reference, pair_map.to_grid(), spec, passes)
+        assert import_with_refinement(single, pair_map.to_grid(), spec,
+                                      passes).tobytes() == expected.tobytes()
+        assert error.shape == expected.shape and error.tobytes() == expected.tobytes()
+        assert xb.cells.tobytes() == single.cells.tobytes() == reference.cells.tobytes()
+    return merged
+
+
+class TestNetworkImportOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    @pytest.mark.parametrize("aware", [True, False])
+    @pytest.mark.parametrize("passes", [1, 3])
+    def test_trained_chip(self, seed, aware, passes):
+        cells = _formed_chip(seed)
+        merged = assert_network_import_matches(cells, _trained_maps(seed, aware),
+                                               TuningSpec(tolerance=0.30), passes)
+        assert all(xb.cells.tobytes() != c.tobytes() for xb, c in zip(merged, cells))
+
+    def test_retargets_clip_to_the_headroom(self):
+        # Targets across the whole device range push retargets past g_min and
+        # g_max less 5% headroom, where the clip binds.
+        rng = np.random.default_rng(32)
+        maps = tuple(ConductancePairMap.from_grid(rng.uniform(2.5e-6, 149e-6, c.shape), layer=i)
+                     for i, c in enumerate(_formed_chip(1), start=1))
+        assert_network_import_matches(_formed_chip(1), maps, TuningSpec(tolerance=0.30), 2)
+
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    def test_array_inside_tolerance_is_left_alone(self, verify_reads, passes):
+        # The 8x11 array starts on target, so alone it takes no pulse round;
+        # in the shared lockstep it rides along the 20x17 array's rounds.
+        xb1, xb2 = build_crossbar(20, 17, CLEAN, seed=30), build_crossbar(8, 11, CLEAN, seed=31)
+        xb2.cells["conductance"] = np.random.default_rng(31).uniform(20e-6, 100e-6, (8, 11))
+        maps = (ConductancePairMap.from_grid(
+                    np.random.default_rng(30).uniform(10e-6, 100e-6, (20, 17)), layer=1),
+                ConductancePairMap.from_grid(xb2.cells["conductance"].copy(), layer=2))
+        merged = assert_network_import_matches((xb1.cells, xb2.cells), maps,
+                                               TuningSpec(tolerance=0.05), passes)
+        # Each of the two per-array paths reads 2 * passes times and pulses never.
+        assert verify_reads.count((8, 11)) == 2 * 2 * passes
+        assert verify_reads.count((1, 20 * 17 + 8 * 11)) > 2 * passes
+        assert merged[1].cells.tobytes() == xb2.cells.tobytes()
+
+    def test_disturbing_read_changes_neither_array(self):
+        cells1, cells2 = (c.copy() for c in _formed_chip(0))
+        r, c = np.argwhere(cells2["formed"])[0]
+        cells2["set_threshold"][r, c] = 0.15             # below the 0.2 V read
+        xb1, xb2 = Crossbar(cells1.copy()), Crossbar(cells2.copy())
+        outcome = TrainingOutcome(weights=None, pair_maps=_trained_maps(0, False), curve=[],
+                                  train_fidelity=0.0)
+        with pytest.raises(ConfigurationError):
+            import_network(xb1, xb2, outcome, TuningSpec(tolerance=0.30))
+        assert xb1.cells.tobytes() == cells1.tobytes()
+        assert xb2.cells.tobytes() == cells2.tobytes()
+
+    def test_swapped_arrays_are_rejected(self):
+        # Both orders hold 428 cells, so only the per-array shapes tell them apart.
+        xb1, xb2 = (Crossbar(c.copy()) for c in _formed_chip(0))
+        outcome = TrainingOutcome(weights=None, pair_maps=_trained_maps(0, False), curve=[],
+                                  train_fidelity=0.0)
+        with pytest.raises(ConfigurationError):
+            import_network(xb2, xb1, outcome, TuningSpec(tolerance=0.30))
+        assert [xb.cells.tobytes() for xb in (xb1, xb2)] == [c.tobytes() for c in _formed_chip(0)]
 
 
 class TestImportMap:

@@ -58,7 +58,10 @@ def parse_pattern_line(line: str) -> Pattern:
 
 def load_patterns(path) -> list:
     with open(path) as fh:
-        return [parse_pattern_line(line) for line in fh if line.strip()]
+        patterns = [parse_pattern_line(line) for line in fh if line.strip()]
+    if not patterns:
+        raise ConfigurationError(f"no patterns in {path}")
+    return patterns
 
 
 def save_patterns(patterns, path):

@@ -70,12 +70,6 @@ def cmd_tune(cfg: ExperimentConfig, out: str, targets_path: str) -> int:
     return EXIT_NONCONVERGED if failed else EXIT_OK
 
 
-def _write_pair_maps(outcome, out):
-    map1, map2 = outcome.pair_maps
-    export_grid(map1.to_grid(), os.path.join(out, "layer1_pairs.csv"))
-    export_grid(map2.to_grid(), os.path.join(out, "layer2_pairs.csv"))
-
-
 def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
     lines = cfg.crossbar
     if (mode == "in-situ" and lines.line_model == "wire_resistive"
@@ -90,16 +84,14 @@ def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
             training_cfg=cfg.training, tuning_spec=cfg.tuning,
             refine_passes=cfg.tuning.refine_passes,
             R_w=cfg.crossbar.wire_segment_resistance, line_model=cfg.crossbar.line_model)
-        _write_pair_maps(result.outcome, out)
         save_curve(result.outcome.curve, os.path.join(out, "training_curve.csv"))
-        xb1, xb2 = result.crossbars
-        save_state(xb1, os.path.join(out, "crossbar1_state.json"))
-        save_state(xb2, os.path.join(out, "crossbar2_state.json"))
-        e1, e2 = result.import_errors
-        export_grid(e1, os.path.join(out, "import_error_layer1.csv"))
-        export_grid(e2, os.path.join(out, "import_error_layer2.csv"))
-        write_json(result.forming_reports[0], os.path.join(out, "forming_report_layer1.json"))
-        write_json(result.forming_reports[1], os.path.join(out, "forming_report_layer2.json"))
+        layers = zip(result.outcome.pair_maps, result.crossbars, result.import_errors,
+                     result.forming_reports)
+        for k, (pair_map, xbar, errors, report) in enumerate(layers, 1):
+            export_grid(pair_map.to_grid(), os.path.join(out, f"layer{k}_pairs.csv"))
+            save_state(xbar, os.path.join(out, f"crossbar{k}_state.json"))
+            export_grid(errors, os.path.join(out, f"import_error_layer{k}.csv"))
+            write_json(report, os.path.join(out, f"forming_report_layer{k}.json"))
         write_json({
             "mode": mode,
             "software_train_fidelity": result.software_train_fidelity,
@@ -140,18 +132,21 @@ def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
     raise ConfigurationError(f"unknown training mode {mode!r}")
 
 
+def _load_pair_maps(artifact_dir: str) -> MlpNetwork:
+    """The network of the pair-map CSVs that 'train' writes to ``artifact_dir``."""
+    paths = [os.path.join(artifact_dir, f"layer{k}_pairs.csv") for k in (1, 2)]
+    if not all(map(os.path.exists, paths)):
+        raise ConfigurationError(f"no pair-map CSVs under {artifact_dir}; run 'train' first")
+    return MlpNetwork(*(ConductancePairMap.from_grid(import_grid(p), layer=k)
+                        for k, p in enumerate(paths, 1)))
+
+
 def _load_network(artifact_dir: str) -> MlpNetwork:
-    s1 = os.path.join(artifact_dir, "crossbar1_state.json")
-    s2 = os.path.join(artifact_dir, "crossbar2_state.json")
-    if os.path.exists(s1) and os.path.exists(s2):
-        return MlpNetwork(load_state(s1), load_state(s2))
-    p1 = os.path.join(artifact_dir, "layer1_pairs.csv")
-    p2 = os.path.join(artifact_dir, "layer2_pairs.csv")
-    if os.path.exists(p1) and os.path.exists(p2):
-        return MlpNetwork(ConductancePairMap.from_grid(import_grid(p1), layer=1),
-                          ConductancePairMap.from_grid(import_grid(p2), layer=2))
-    raise ConfigurationError(
-        f"{artifact_dir} holds neither crossbar snapshots nor pair-map CSVs")
+    """The crossbar snapshots in ``artifact_dir``, else its pair maps."""
+    paths = [os.path.join(artifact_dir, f"crossbar{k}_state.json") for k in (1, 2)]
+    if all(map(os.path.exists, paths)):
+        return MlpNetwork(*map(load_state, paths))
+    return _load_pair_maps(artifact_dir)
 
 
 def cmd_infer(cfg: ExperimentConfig, out: str, network_dir: str,
@@ -175,12 +170,8 @@ def cmd_infer(cfg: ExperimentConfig, out: str, network_dir: str,
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: str, weights_dir: str) -> int:
-    p1 = os.path.join(weights_dir, "layer1_pairs.csv")
-    p2 = os.path.join(weights_dir, "layer2_pairs.csv")
-    if not (os.path.exists(p1) and os.path.exists(p2)):
-        raise ConfigurationError(f"no trained pair maps under {weights_dir}; run 'train' first")
-    w1 = pairs_to_weights(ConductancePairMap.from_grid(import_grid(p1)))
-    w2 = pairs_to_weights(ConductancePairMap.from_grid(import_grid(p2)))
+    net = _load_pair_maps(weights_dir)
+    w1, w2 = pairs_to_weights(net.layer1), pairs_to_weights(net.layer2)
     sweep = cfg.benchmark
     stats = precision_sweep((w1, w2), sweep.noise_sigmas, runs=sweep.runs,
                             seed=derive_seed(cfg.seed, "noise"),

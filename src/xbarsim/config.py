@@ -13,6 +13,7 @@ uniquely determines every artifact.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -112,6 +113,11 @@ class ScaleSection:
         for name in ("conductance_v_third", "conductance_v_half"):
             if not {"set", "reset"} <= set(getattr(self, name)):
                 raise ConfigurationError(f"scale.{name} needs 'set' and 'reset'")
+        for name in ("wire_presets", "conductance_v_third", "conductance_v_half"):
+            if not all(0 <= v < math.inf for v in getattr(self, name).values()):
+                raise ConfigurationError(f"scale.{name} must be finite and non-negative")
+        if not all(n >= 1 for n in self.ladder_lengths):
+            raise ConfigurationError("scale.ladder_lengths must be >= 1")
         return self
 
 

@@ -84,6 +84,8 @@ class DeviceVariationSpec:
             raise ConfigurationError("need 0 < g_min <= g_max")
         if self.kinetics_voltage_scale <= 0:
             raise ConfigurationError("kinetics_voltage_scale must be positive")
+        if not self.nonlinearity_alpha >= 0:
+            raise ConfigurationError("nonlinearity_alpha must be non-negative")
         return self
 
 

@@ -71,15 +71,12 @@ class ConductancePairMap:
             raise ConfigurationError("plus/minus shapes differ")
 
     @property
-    def n_neurons(self):
-        return self.plus.shape[0]
-
-    @property
-    def n_inputs(self):
-        return self.plus.shape[1]
+    def grid_shape(self):
+        """(grid rows, grid cols): two rows per neuron, one column per input."""
+        return 2 * self.plus.shape[0], self.plus.shape[1]
 
     def to_grid(self) -> np.ndarray:
-        grid = np.empty((2 * self.n_neurons, self.n_inputs))
+        grid = np.empty(self.grid_shape)
         grid[0::2] = self.plus
         grid[1::2] = self.minus
         return grid
@@ -133,11 +130,18 @@ def layer_forward(layer, inputs, kind: str, topology: NetworkTopology = DEFAULT_
 
 @dataclass
 class MlpNetwork:
-    """Two layers (pair maps or crossbars) plus the topology constants."""
+    """Two layers (pair maps or crossbars) whose pair grids fit the topology."""
 
     layer1: object
     layer2: object
     topology: NetworkTopology = field(default_factory=NetworkTopology)
+
+    def __post_init__(self):
+        shapes = tuple(layer.grid_shape if isinstance(layer, ConductancePairMap)
+                       else layer.cells.shape for layer in (self.layer1, self.layer2))
+        wanted = self.topology.layer1_shape, self.topology.layer2_shape
+        if shapes != wanted:
+            raise ConfigurationError(f"layer grids {shapes} do not match the topology's {wanted}")
 
 
 def encode_pixels(pixels, topology: NetworkTopology = DEFAULT_TOPOLOGY) -> np.ndarray:

@@ -16,7 +16,6 @@ from .benchmark import (canonical_training_set, generate_test_set,
                         label_vector, pixel_matrix)
 from .crossbar import Crossbar, build_crossbar
 from .device import DeviceVariationSpec
-from .errors import ConfigurationError
 from .forming import FormingSpec, form_all
 from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, encode_batch, forward
 from .rng import seed_sequence
@@ -65,9 +64,9 @@ def import_network(xb1: Crossbar, xb2: Crossbar, outcome: TrainingOutcome,
                    tuning_spec: TuningSpec, refine_passes: int = 2):
     """Tune both arrays to the trained pair maps in one write-and-verify
     lockstep over their cells; returns the error grids."""
+    for layers in (outcome.pair_maps, (xb1, xb2)):
+        MlpNetwork(*layers)                     # raises unless they fit the topology
     grids = [m.to_grid() for m in outcome.pair_maps]
-    if [g.shape for g in grids] != [xb1.cells.shape, xb2.cells.shape]:
-        raise ConfigurationError(f"pair maps {[g.shape for g in grids]} do not fit the arrays")
     cells = np.concatenate([xb1.cells, xb2.cells], axis=None)
     errors = import_with_refinement(Crossbar(cells[None]), np.concatenate(grids, axis=None)[None],
                                     tuning_spec, refine_passes)

@@ -34,7 +34,7 @@ from .benchmark import label_vector, pixel_matrix
 from .crossbar import BiasScheme, Crossbar
 from .device import switching_steps
 from .errors import ConfigurationError, DivergenceError
-from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, encode_batch, forward
+from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, encode_batch, forward
 from .rng import stream
 from .units import quantity
 
@@ -62,6 +62,10 @@ class TrainingConfig:
             raise ConfigurationError("g_bias must sit inside the clip interval")
         if self.epochs < 0 or self.finetune_epochs < 0:
             raise ConfigurationError("epoch counts must be non-negative")
+        if not self.learning_rate > 0:
+            raise ConfigurationError("learning_rate must be positive")
+        if not 0 < self.fill_fraction <= 1:
+            raise ConfigurationError("fill_fraction must be in (0, 1]")
         return self
 
     @property
@@ -364,10 +368,7 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     restricted to the labels present in the dataset.
     """
     cfg.validate()
-    topo = DEFAULT_TOPOLOGY
-    if (xb1.cells.shape, xb2.cells.shape) != (topo.layer1_shape, topo.layer2_shape):
-        raise ConfigurationError(f"crossbars {xb1.cells.shape} and {xb2.cells.shape} do not "
-                                 f"match the topology's {topo.layer1_shape} and {topo.layer2_shape}")
+    topo = MlpNetwork(xb1, xb2).topology        # raises unless the arrays fit it
     Xe = encode_batch(pixel_matrix(patterns), topo)
     y = label_vector(patterns)
     class_idx = sorted(set(int(v) for v in y))

@@ -90,6 +90,8 @@ def import_with_refinement(xbar: Crossbar, targets, spec: TuningSpec,
 def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.ndarray:
     """Both imports' staircase: ``passes`` passes over one step table."""
     spec.validate()
+    if passes < 1:
+        raise ConfigurationError(f"need at least one pass, got {passes}")
     targets = np.asarray(targets, dtype=float)
     if targets.shape != xbar.cells.shape:
         raise ConfigurationError(f"target grid shape {targets.shape} != {xbar.cells.shape}")
@@ -115,7 +117,7 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
     offsets = np.arange(targets.size).reshape(targets.shape)
     conductance, g_min, g_max = cells["conductance"], cells["g_min"], cells["g_max"]
     headroom = 0.05 * (g_max - g_min)
-    for n in range(max(1, passes)):
+    for n in range(passes):
         goal = targets if n == 0 else np.clip(targets * targets / np.maximum(
             xbar.conductances(), 1e-12), g_min + headroom, g_max - headroom)
         g = xbar.conductances() * v * gain / v      # read_conductance, elementwise

@@ -349,7 +349,17 @@ class TestCli:
         {"scale": {"conductance_v_half": {"set": "20uS"}}},
         {"training": {"learning_rate": 10**400}},
         {"crossbar": {"wire_segment_resistance": "1e400ohm"}},
-        {"tuning": {"refine_passes": 0}}, {"tuning": {"refine_passes": -3}}])
+        {"tuning": {"refine_passes": 0}}, {"tuning": {"refine_passes": -3}},
+        {"device": {"nonlinearity_alpha": -100.0}},
+        {"insitu_device": {"nonlinearity_alpha": -0.5}},
+        {"training": {"fill_fraction": 1.5}}, {"training": {"fill_fraction": -1.0}},
+        {"training": {"fill_fraction": 0.0}},
+        {"training": {"learning_rate": 0.0}}, {"training": {"learning_rate": -1.0}},
+        {"scale": {"ladder_lengths": [1, 0]}}, {"scale": {"ladder_lengths": [-4]}},
+        {"scale": {"conductance_v_third": {"set": "-30uS", "reset": "50uS"}}},
+        {"scale": {"conductance_v_half": {"set": "20uS", "reset": "-33uS"}}},
+        {"scale": {"wire_presets": {"copper": "-0.185ohm"}}},
+        {"scale": {"wire_presets": {"copper": "1e400ohm"}}}])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -423,6 +433,43 @@ class TestCli:
                          "--weights", str(weights)]) == 0
             sweeps.append((out / "test_sweep.csv").read_text())
         assert sweeps[0] != sweeps[1]
+
+    def test_empty_pattern_file_is_config_error(self, tmp_path):
+        net = tmp_path / "net"
+        net.mkdir()
+        export_grid(np.full((20, 17), 50e-6), net / "layer1_pairs.csv")
+        export_grid(np.full((8, 11), 50e-6), net / "layer2_pairs.csv")
+        patterns = tmp_path / "empty.txt"
+        patterns.write_text("\n")
+        out = tmp_path / "res"
+        assert main(["--out", str(out), "infer", "--network", str(net),
+                     "--patterns", str(patterns)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, shapes", [
+        ("infer", [(2, 2), (2, 2)]), ("infer", [(8, 11), (20, 17)]),
+        ("infer", "form"), ("sweep", [(2, 2), (2, 2)])],
+        ids=["infer-2x2-maps", "infer-swapped-maps", "infer-form-snapshots", "sweep-2x2-maps"])
+    def test_network_that_misfits_the_topology_is_config_error(self, tmp_path, command,
+                                                               shapes):
+        net = tmp_path / "net"
+        if shapes == "form":
+            # Two copies of the 20x20 array 'form' writes stand in for the 20x17 and 8x11.
+            assert main(["--out", str(net), "form"]) == 0
+            for k in (1, 2):
+                (net / f"crossbar{k}_state.json").write_bytes(
+                    (net / "crossbar_state.json").read_bytes())
+        else:
+            net.mkdir()
+            for k, shape in enumerate(shapes, 1):
+                export_grid(np.full(shape, 50e-6), net / f"layer{k}_pairs.csv")
+        patterns = tmp_path / "one.txt"
+        patterns.write_text("0110100111111001 A\n")
+        out = tmp_path / "res"
+        argv = (["infer", "--network", str(net), "--patterns", str(patterns)]
+                if command == "infer" else ["sweep", "--weights", str(net)])
+        assert main(["--out", str(out), *argv]) == 2
+        assert not out.exists()
 
     def test_export_patterns(self, tmp_path):
         out = str(tmp_path / "pats")

@@ -6,6 +6,7 @@ import pytest
 from xbarsim.benchmark import canonical_training_set, generate_test_set, pixel_matrix
 from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec
+from xbarsim.errors import ConfigurationError
 from xbarsim.mlp import (ConductancePairMap, MlpNetwork, NetworkTopology,
                          encode_batch, encode_pixels, forward, infer,
                          layer_forward)
@@ -186,6 +187,47 @@ def small_network(seed, topology):
     return MlpNetwork(*(ConductancePairMap(rng.uniform(10e-6, 100e-6, shape),
                                            rng.uniform(10e-6, 100e-6, shape))
                         for shape in shapes), topology=topology)
+
+
+def layers(net):
+    return net.layer1, net.layer2
+
+
+class TestShapeContract:
+    """MlpNetwork takes only layers whose pair grids have the topology's shapes."""
+
+    def test_default_shapes_are_accepted(self):
+        net = random_network(15)
+        assert (net.layer1.grid_shape, net.layer2.grid_shape) == ((20, 17), (8, 11))
+        MlpNetwork(*layers(crossbar_network(net, seed=150)))
+
+    @pytest.mark.parametrize("misfit", [
+        lambda net, xbars: (net.layer2, net.layer1),
+        lambda net, xbars: (net.layer1, ConductancePairMap(net.layer2.plus[:3],
+                                                           net.layer2.minus[:3])),
+        lambda net, xbars: (ConductancePairMap(net.layer1.plus[:, :16],
+                                               net.layer1.minus[:, :16]), net.layer2),
+        lambda net, xbars: xbars[::-1],
+        lambda net, xbars: (build_crossbar(20, 20, CLEAN, seed=0), xbars[1]),
+        lambda net, xbars: (xbars[0], net.layer1)],
+        ids=["swapped maps", "3-neuron output map", "16-input hidden map",
+             "swapped arrays", "20x20 hidden array", "hidden map as output"])
+    def test_misfit_layers_are_rejected(self, misfit):
+        net = random_network(16)
+        xbars = layers(crossbar_network(net, seed=160))
+        # The message names the shapes found and the topology's (20, 17), (8, 11).
+        with pytest.raises(ConfigurationError, match=r"\(20, 17\), \(8, 11\)\)$"):
+            MlpNetwork(*misfit(net, xbars))
+
+    def test_custom_topology(self):
+        topo = NetworkTopology(n_inputs=5, n_hidden=3, n_outputs=2)
+        net = small_network(17, topo)
+        assert (net.layer1.grid_shape, net.layer2.grid_shape) == ((6, 6), (4, 4))
+        MlpNetwork(*layers(crossbar_network(net, seed=170, topology=topo)), topology=topo)
+        with pytest.raises(ConfigurationError):
+            MlpNetwork(*layers(net))
+        with pytest.raises(ConfigurationError):
+            MlpNetwork(*layers(random_network(17)), topology=topo)
 
 
 class TestBatchedForward:

@@ -10,7 +10,8 @@ from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec
 from xbarsim.mlp import ConductancePairMap
-from xbarsim.pipeline import build_network_crossbars, derive_seed, form_network, import_network
+from xbarsim.pipeline import (build_network_crossbars, derive_seed, form_network, import_network,
+                              run_ex_situ_pipeline)
 from xbarsim.training import DefectMap, TrainingConfig, TrainingOutcome, train_ex_situ
 from xbarsim.tuning import (PROGRESS_FRACTION, TuningSpec, _EFFECT_EPS, error_histogram,
                             import_conductance_map, import_with_refinement, tuning_error)
@@ -341,6 +342,31 @@ class TestNetworkImportOracle:
         with pytest.raises(ConfigurationError):
             import_network(xb2, xb1, outcome, TuningSpec(tolerance=0.30))
         assert [xb.cells.tobytes() for xb in (xb1, xb2)] == [c.tobytes() for c in _formed_chip(0)]
+
+
+class TestPassCount:
+    """Fewer than one write-and-verify pass is an error before any pulse."""
+
+    @pytest.mark.parametrize("passes", [0, -3])
+    def test_import_with_refinement(self, passes):
+        xb = Crossbar(_formed_chip(0)[1].copy())
+        targets = np.random.default_rng(40).uniform(10e-6, 100e-6, xb.cells.shape)
+        with pytest.raises(ConfigurationError, match="pass"):
+            import_with_refinement(xb, targets, TuningSpec(tolerance=0.30), passes=passes)
+        assert xb.cells.tobytes() == _formed_chip(0)[1].tobytes()
+
+    def test_import_network(self):
+        xb1, xb2 = (Crossbar(c.copy()) for c in _formed_chip(0))
+        outcome = TrainingOutcome(weights=None, pair_maps=_trained_maps(0, False), curve=[],
+                                  train_fidelity=0.0)
+        with pytest.raises(ConfigurationError, match="pass"):
+            import_network(xb1, xb2, outcome, TuningSpec(tolerance=0.30), refine_passes=0)
+        assert [xb.cells.tobytes() for xb in (xb1, xb2)] == [c.tobytes() for c in _formed_chip(0)]
+
+    def test_pipeline(self):
+        cfg = TrainingConfig(epochs=5, finetune_epochs=5)
+        with pytest.raises(ConfigurationError, match="pass"):
+            run_ex_situ_pipeline(0, aware=False, training_cfg=cfg, refine_passes=0)
 
 
 class TestImportMap:

@@ -19,11 +19,10 @@ from .mlp import (ConductancePairMap, MlpNetwork, NetworkTopology, infer,
 from .training import (DefectMap, ManhattanConfig, ManhattanResult,
                        TrainingConfig, TrainingOutcome, forward_batch,
                        pairs_to_weights, train_ex_situ, train_in_situ_manhattan,
-                       train_single_layer, weights_to_pairs)
+                       train_single_layer)
 from .benchmark import (Pattern, SweepStats, canonical_training_set,
-                        evaluate_fidelity, generate_test_set,
-                        linear_separability_check, load_patterns,
-                        precision_sweep, save_patterns)
+                        generate_test_set, linear_separability_check,
+                        load_patterns, precision_sweep, save_patterns)
 from .pipeline import (INSITU_DEVICE_SPEC, PipelineResult, derive_seed,
                        hardware_fidelity, run_ex_situ_pipeline)
 from .errors import ConfigurationError, DivergenceError

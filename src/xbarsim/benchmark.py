@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .mlp import fidelity
 from .rng import stream
 
 CLASS_NAMES = ("A", "T", "V", "X")
@@ -91,21 +92,6 @@ def pixel_matrix(patterns) -> np.ndarray:
 
 def label_vector(patterns) -> np.ndarray:
     return np.array([p.label_index for p in patterns], dtype=int)
-
-
-def evaluate_fidelity(model, patterns) -> tuple:
-    """Fraction of patterns whose predicted class matches the label.
-
-    ``model`` maps a Pattern to a class index.  Returns (fidelity,
-    4x4 confusion matrix indexed [true, predicted]).
-    """
-    confusion = np.zeros((len(CLASS_NAMES), len(CLASS_NAMES)), dtype=int)
-    correct = 0
-    for p in patterns:
-        predicted = int(model(p))
-        confusion[p.label_index, predicted] += 1
-        correct += predicted == p.label_index
-    return correct / len(patterns), confusion
 
 
 def linear_separability_check(patterns) -> bool:
@@ -204,8 +190,8 @@ def precision_sweep(weights, noise_sigmas, runs: int = 100, seed: int = 0,
         for z1, z2 in draws:
             n1 = np.clip(w1 + sigma * scale * z1, -limit, limit)
             n2 = np.clip(w2 + sigma * scale * z2, -limit, limit)
-            train_f.append(float((forward_batch(n1, n2, Xtr).argmax(1) == ytr).mean()))
-            test_f.append(float((forward_batch(n1, n2, Xte).argmax(1) == yte).mean()))
+            train_f.append(fidelity(forward_batch(n1, n2, Xtr), ytr))
+            test_f.append(fidelity(forward_batch(n1, n2, Xte), yte))
         stats["train"].append(sigma, train_f)
         stats["test"].append(sigma, test_f)
     return stats

@@ -26,7 +26,7 @@ from .crossbar import (BiasScheme, build_crossbar, export_grid, import_grid,
                        save_state, write_drop_budget, write_json)
 from .errors import ConfigurationError, DivergenceError
 from .forming import form_all
-from .mlp import ConductancePairMap, MlpNetwork, infer
+from .mlp import ConductancePairMap, MlpNetwork, fidelity, infer
 from .pipeline import (build_network_crossbars, derive_seed, run_ex_situ_pipeline)
 from .training import (pairs_to_weights, save_curve,
                        train_in_situ_manhattan, train_single_layer, forward_batch)
@@ -137,8 +137,10 @@ def _load_pair_maps(artifact_dir: str) -> MlpNetwork:
     paths = [os.path.join(artifact_dir, f"layer{k}_pairs.csv") for k in (1, 2)]
     if not all(map(os.path.exists, paths)):
         raise ConfigurationError(f"no pair-map CSVs under {artifact_dir}; run 'train' first")
-    return MlpNetwork(*(ConductancePairMap.from_grid(import_grid(p), layer=k)
-                        for k, p in enumerate(paths, 1)))
+    grids = [import_grid(p) for p in paths]
+    if not all((grid > 0).all() for grid in grids):
+        raise ConfigurationError(f"pair maps under {artifact_dir} hold conductances <= 0 S")
+    return MlpNetwork(*map(ConductancePairMap.from_grid, grids))
 
 
 def _load_network(artifact_dir: str) -> MlpNetwork:
@@ -182,8 +184,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, weights_dir: str) -> int:
 
     patterns = canonical_training_set()
     _, single_best = train_single_layer(patterns, cfg.training)
-    mlp_fid = float((forward_batch(w1, w2, pixel_matrix(patterns)).argmax(1)
-                     == label_vector(patterns)).mean())
+    mlp_fid = fidelity(forward_batch(w1, w2, pixel_matrix(patterns)), label_vector(patterns))
     with open(os.path.join(out, "model_comparison.csv"), "w") as fh:
         fh.write("model,best_train_fidelity\n")
         fh.write(f"single-layer,{single_best:.9g}\n")

@@ -17,6 +17,8 @@ per-pattern ``infer`` all run through it, on any leading batch shape.  A
 layer is a ConductancePairMap, a Crossbar (read through ``vmm``, so its line
 model applies) or signed weights in gain-normalized units (gain * (G+ - G-),
 so their product with the input volts is the pre-activation in volts).
+``fidelity``, the share of patterns whose largest output is their label's, is
+the one definition of classification fidelity.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ class ConductancePairMap:
 
     plus: np.ndarray
     minus: np.ndarray
-    layer: int = 1
 
     def __post_init__(self):
         self.plus = np.asarray(self.plus, dtype=float)
@@ -82,11 +83,11 @@ class ConductancePairMap:
         return grid
 
     @classmethod
-    def from_grid(cls, grid, layer: int = 1) -> "ConductancePairMap":
+    def from_grid(cls, grid) -> "ConductancePairMap":
         grid = np.asarray(grid, dtype=float)
         if grid.shape[0] % 2:
             raise ConfigurationError("pair grid needs an even number of rows")
-        return cls(plus=grid[0::2].copy(), minus=grid[1::2].copy(), layer=layer)
+        return cls(plus=grid[0::2].copy(), minus=grid[1::2].copy())
 
 
 def _preactivation(layer, X, topology: NetworkTopology):
@@ -156,6 +157,11 @@ def encode_pixels(pixels, topology: NetworkTopology = DEFAULT_TOPOLOGY) -> np.nd
 def encode_batch(pixels, topology: NetworkTopology = DEFAULT_TOPOLOGY) -> np.ndarray:
     """The network's encoded inputs: pixel volts with the bias input appended."""
     return _with_bias(encode_pixels(pixels, topology), topology)
+
+
+def fidelity(Y, y) -> float:
+    """Share of output rows Y (n, classes) whose argmax (ties: lowest index) is y (n,)."""
+    return float(np.count_nonzero(Y.argmax(-1) == y) / len(y))
 
 
 def infer(net: MlpNetwork, pixels) -> tuple:

@@ -17,7 +17,8 @@ from .benchmark import (canonical_training_set, generate_test_set,
 from .crossbar import Crossbar, build_crossbar
 from .device import DeviceVariationSpec
 from .forming import FormingSpec, form_all
-from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, encode_batch, forward
+from .mlp import (DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, encode_batch,
+                  fidelity, forward)
 from .rng import seed_sequence
 from .training import (DefectMap, TrainingConfig, TrainingOutcome,
                        forward_batch, train_ex_situ)
@@ -78,15 +79,15 @@ def import_network(xb1: Crossbar, xb2: Crossbar, outcome: TrainingOutcome,
 
 def read_back_network(xb1: Crossbar, xb2: Crossbar) -> MlpNetwork:
     """Snapshot the crossbars into pair maps (the software view of the chip)."""
-    return MlpNetwork(ConductancePairMap.from_grid(xb1.conductances(), layer=1),
-                      ConductancePairMap.from_grid(xb2.conductances(), layer=2))
+    return MlpNetwork(ConductancePairMap.from_grid(xb1.conductances()),
+                      ConductancePairMap.from_grid(xb2.conductances()))
 
 
 def hardware_fidelity(xb1: Crossbar, xb2: Crossbar, patterns) -> float:
     """Classification fidelity of the crossbar state, read through each
     array's line model."""
     _, _, Y = forward(xb1, xb2, encode_batch(pixel_matrix(patterns)))
-    return float((Y.argmax(1) == label_vector(patterns)).mean())
+    return fidelity(Y, label_vector(patterns))
 
 
 @dataclass
@@ -135,7 +136,7 @@ def run_ex_situ_pipeline(seed: int, aware: bool,
     defects = DefectMap.from_crossbars(xb1, xb2) if aware else None
     outcome = train_ex_situ(patterns, training_cfg, defects=defects)
     Y = forward_batch(*outcome.weights, pixel_matrix(test_patterns))
-    sw_test = float((Y.argmax(1) == label_vector(test_patterns)).mean())
+    sw_test = fidelity(Y, label_vector(test_patterns))
 
     e1, e2 = import_network(xb1, xb2, outcome, tuning_spec, refine_passes)
     err_max = max(e[~xb.stuck_map()].max(initial=0.0) for e, xb in ((e1, xb1), (e2, xb2)))

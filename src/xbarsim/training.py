@@ -25,7 +25,6 @@ the natural scale at which the 1e6 V/A gain cancels.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,8 @@ from .benchmark import label_vector, pixel_matrix
 from .crossbar import BiasScheme, Crossbar
 from .device import switching_steps
 from .errors import ConfigurationError, DivergenceError
-from .mlp import DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, encode_batch, forward
+from .mlp import (DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, encode_batch,
+                  fidelity, forward)
 from .rng import stream
 from .units import quantity
 
@@ -87,22 +87,6 @@ class DefectMap:
     def from_crossbars(cls, xb1: Crossbar, xb2: Crossbar) -> "DefectMap":
         return cls(xb1.stuck_map(), xb1.conductances(),
                    xb2.stuck_map(), xb2.conductances())
-
-
-def weights_to_pairs(W, g_bias: float = 55e-6, clip=(10e-6, 100e-6),
-                     layer: int = 1) -> ConductancePairMap:
-    """Split signed weights into differential pairs: G+/- = g_bias +/- W/2.
-
-    Out-of-range weights are clipped into the representable interval with a
-    warning, mirroring the training-time clip.
-    """
-    W = np.asarray(W, dtype=float)
-    limit = 2.0 * min(g_bias - clip[0], clip[1] - g_bias)
-    if np.any(np.abs(W) > limit * (1 + 1e-12)):
-        warnings.warn("weights exceed the pair-representable range; clipping")
-        W = np.clip(W, -limit, limit)
-    return ConductancePairMap(plus=g_bias + W / 2.0, minus=g_bias - W / 2.0,
-                              layer=layer)
 
 
 def pairs_to_weights(pair_map: ConductancePairMap) -> np.ndarray:
@@ -184,7 +168,7 @@ def train_ex_situ(patterns, cfg: TrainingConfig,
         loss, Y, d1, d2 = _grads(u1, u2, Xe, T, topo)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        curve.append((epoch, loss, float(np.count_nonzero(Y.argmax(1) == y) / len(y))))
+        curve.append((epoch, loss, fidelity(Y, y)))
         u1 = np.minimum(np.maximum(u1 - lr * d1, -limit_u), limit_u)
         u2 = np.minimum(np.maximum(u2 - lr * d2, -limit_u), limit_u)
 
@@ -212,9 +196,9 @@ def train_ex_situ(patterns, cfg: TrainingConfig,
             p1, m1, p2, m2, defects, Xe, y, cfg, beta, curve, topo)
 
     w1, w2 = (p1 - m1) * _U, (p2 - m2) * _U
-    maps = (ConductancePairMap(p1 * _U, m1 * _U, layer=1),
-            ConductancePairMap(p2 * _U, m2 * _U, layer=2))
-    fid = float((forward_batch(w1, w2, pixel_matrix(patterns), topo).argmax(1) == y).mean())
+    maps = (ConductancePairMap(p1 * _U, m1 * _U),
+            ConductancePairMap(p2 * _U, m2 * _U))
+    fid = fidelity(forward_batch(w1, w2, pixel_matrix(patterns), topo), y)
     return TrainingOutcome(weights=(w1, w2), pair_maps=maps, curve=curve,
                            train_fidelity=fid, range_scale=beta)
 
@@ -247,7 +231,7 @@ def _finetune_pairs(p1, m1, p2, m2, defects, Xe, y, cfg, beta, curve, topo):
         loss, Y, d1, d2 = _grads(p1 - m1, p2 - m2, Xe, T, topo)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss in fine-tune epoch {epoch}")
-        curve.append((base_epoch + epoch, loss, float(np.count_nonzero(Y.argmax(1) == y) / len(y))))
+        curve.append((base_epoch + epoch, loss, fidelity(Y, y)))
         p1 = np.minimum(np.maximum(p1 - lr * d1 * f1p, lo_u), hi_u)
         m1 = np.minimum(np.maximum(m1 + lr * d1 * f1m, lo_u), hi_u)
         p2 = np.minimum(np.maximum(p2 - lr * d2 * f2p, lo_u), hi_u)
@@ -273,10 +257,10 @@ def train_single_layer(patterns, cfg: TrainingConfig) -> tuple:
     best = 0.0
     for _ in range(cfg.epochs):
         Y = Xe @ w.T
-        best = max(best, float((Y.argmax(1) == y).mean()))
+        best = max(best, fidelity(Y, y))
         dY = 2.0 * (Y - T) / T.size
         w = np.clip(w - cfg.learning_rate * (dY.T @ Xe), -limit_u, limit_u)
-    best = max(best, float(((Xe @ w.T).argmax(1) == y).mean()))
+    best = max(best, fidelity(Xe @ w.T, y))
     return w * _U, best
 
 
@@ -383,20 +367,17 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
 
     # Gradients run over the full 4-output head with error only on the
     # classes in play; unused outputs see zero error and get zero pulses.
-    def fidelity(Y):
-        return float((Y[:, class_idx].argmax(1) == y_local).mean())
-
     for _ in range(cfg.epochs):
         _, Y, d1, d2 = _grads(_weights(G1), _weights(G2), Xe, T, topo,
                               columns=class_idx)
-        fid = fidelity(Y)
+        fid = fidelity(Y[:, class_idx], y_local)
         errors.append(1.0 - fid)
         fids.append(fid)
         G1, n1 = _pulse(G1, d1, *fixed1)
         G2, n2 = _pulse(G2, d2, *fixed2)
         pulses += n1 + n2
 
-    fid = fidelity(forward(_weights(G1), _weights(G2), Xe, topo)[2])
+    fid = fidelity(forward(_weights(G1), _weights(G2), Xe, topo)[2][:, class_idx], y_local)
     fids.append(fid)
     for xbar, G, live in ((xb1, G1, fixed1[0]), (xb2, G2, fixed2[0])):
         xbar.cells["conductance"][live] = G[live]

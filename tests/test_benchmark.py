@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xbarsim.benchmark import (CLASS_NAMES, Pattern, canonical_training_set,
-                               evaluate_fidelity, generate_test_set,
+                               generate_test_set,
                                linear_separability_check, load_patterns,
                                parse_pattern_line, pixel_matrix, precision_sweep,
                                save_patterns, label_vector)
@@ -93,24 +93,6 @@ class TestTestSet:
     def test_provenance_keys_unique(self):
         keys = {(idx // 16, idx % 16) for idx in range(len(TEST))}
         assert len(keys) == 640
-
-
-class TestEvaluate:
-    def test_perfect_oracle(self):
-        fid, confusion = evaluate_fidelity(lambda p: p.label_index, TRAIN)
-        assert fid == 1.0
-        assert np.trace(confusion) == 40
-        assert (confusion.sum(axis=1) == 10).all()
-
-    def test_constant_model_quarter_fidelity(self):
-        fid, confusion = evaluate_fidelity(lambda p: 0, TRAIN)
-        assert fid == 0.25
-        assert confusion[:, 0].sum() == 40
-
-    def test_fidelity_bounds(self):
-        fid, confusion = evaluate_fidelity(lambda p: (p.label_index + 1) % 4, TEST)
-        assert 0.0 <= fid <= 1.0
-        assert confusion.sum() == len(TEST)
 
 
 class TestPatternIO:

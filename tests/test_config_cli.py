@@ -446,14 +446,18 @@ class TestCli:
                      "--patterns", str(patterns)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, shapes", [
-        ("infer", [(2, 2), (2, 2)]), ("infer", [(8, 11), (20, 17)]),
-        ("infer", "form"), ("sweep", [(2, 2), (2, 2)])],
-        ids=["infer-2x2-maps", "infer-swapped-maps", "infer-form-snapshots", "sweep-2x2-maps"])
+    @pytest.mark.parametrize("command, layers", [
+        ("infer", [((2, 2), 50e-6)] * 2), ("infer", [((8, 11), 50e-6), ((20, 17), 50e-6)]),
+        ("infer", "form"), ("sweep", [((2, 2), 50e-6)] * 2),
+        # Right shapes, but conductances no device can hold.
+        ("infer", [((20, 17), -50e-6), ((8, 11), 50e-6)]),
+        ("sweep", [((20, 17), 50e-6), ((8, 11), 0.0)])],
+        ids=["infer-2x2-maps", "infer-swapped-maps", "infer-form-snapshots", "sweep-2x2-maps",
+             "infer-negative-maps", "sweep-zero-maps"])
     def test_network_that_misfits_the_topology_is_config_error(self, tmp_path, command,
-                                                               shapes):
+                                                               layers):
         net = tmp_path / "net"
-        if shapes == "form":
+        if layers == "form":
             # Two copies of the 20x20 array 'form' writes stand in for the 20x17 and 8x11.
             assert main(["--out", str(net), "form"]) == 0
             for k in (1, 2):
@@ -461,8 +465,8 @@ class TestCli:
                     (net / "crossbar_state.json").read_bytes())
         else:
             net.mkdir()
-            for k, shape in enumerate(shapes, 1):
-                export_grid(np.full(shape, 50e-6), net / f"layer{k}_pairs.csv")
+            for k, (shape, siemens) in enumerate(layers, 1):
+                export_grid(np.full(shape, siemens), net / f"layer{k}_pairs.csv")
         patterns = tmp_path / "one.txt"
         patterns.write_text("0110100111111001 A\n")
         out = tmp_path / "res"

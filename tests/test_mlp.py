@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from xbarsim.benchmark import canonical_training_set, generate_test_set, pixel_matrix
+from xbarsim.benchmark import (canonical_training_set, generate_test_set, label_vector,
+                               pixel_matrix)
 from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
 from xbarsim.mlp import (ConductancePairMap, MlpNetwork, NetworkTopology,
-                         encode_batch, encode_pixels, forward, infer,
+                         encode_batch, encode_pixels, fidelity, forward, infer,
                          layer_forward)
 from xbarsim.pipeline import hardware_fidelity, run_ex_situ_pipeline
 from xbarsim.rng import stream
@@ -19,9 +23,9 @@ CLEAN = DeviceVariationSpec(stuck_probability=0.0)
 def random_network(seed=0, scale=40e-6):
     rng = stream(seed, "net")
     l1 = ConductancePairMap(rng.uniform(10e-6, 100e-6, (10, 17)),
-                            rng.uniform(10e-6, 100e-6, (10, 17)), layer=1)
+                            rng.uniform(10e-6, 100e-6, (10, 17)))
     l2 = ConductancePairMap(rng.uniform(10e-6, 100e-6, (4, 11)),
-                            rng.uniform(10e-6, 100e-6, (4, 11)), layer=2)
+                            rng.uniform(10e-6, 100e-6, (4, 11)))
     return MlpNetwork(l1, l2)
 
 
@@ -160,7 +164,7 @@ class TestPairGrid:
         net = random_network(14)
         grid = net.layer1.to_grid()
         assert grid.shape == (20, 17)
-        back = ConductancePairMap.from_grid(grid, layer=1)
+        back = ConductancePairMap.from_grid(grid)
         np.testing.assert_array_equal(back.plus, net.layer1.plus)
         np.testing.assert_array_equal(back.minus, net.layer1.minus)
 
@@ -228,6 +232,33 @@ class TestShapeContract:
             MlpNetwork(*layers(net))
         with pytest.raises(ConfigurationError):
             MlpNetwork(*layers(random_network(17)), topology=topo)
+
+
+LABELS = label_vector(canonical_training_set())
+
+# Output stacks drawn from a few levels, so rows often tie at their maximum.
+OUTPUT_STACKS = st.tuples(st.integers(1, 40), st.integers(1, 5)).flatmap(
+    lambda shape: st.tuples(
+        hnp.arrays(float, shape, elements=st.sampled_from([-1.0, -0.2, 0.0, 0.2, 1.0])),
+        hnp.arrays(np.int64, shape[:1], elements=st.integers(0, shape[1] - 1))))
+
+
+class TestFidelity:
+    @settings(max_examples=300, deadline=None)
+    @given(stack=OUTPUT_STACKS)
+    def test_is_the_argmax_hit_rate_as_a_float(self, stack):
+        Y, y = stack
+        v = fidelity(Y, y)
+        assert type(v) is float
+        assert v == float((Y.argmax(1) == y).mean())
+
+    # One-hot outputs of the labels are all correct; all-zero outputs tie in
+    # every row, so every pattern is called class 0, a quarter of the set.
+    @pytest.mark.parametrize("outputs, expected", [
+        (np.eye(4)[LABELS], 1.0), (np.zeros((len(LABELS), 4)), 0.25)],
+        ids=["one-hot-labels", "all-tied"])
+    def test_canonical_set(self, outputs, expected):
+        assert fidelity(outputs, LABELS) == expected
 
 
 class TestBatchedForward:

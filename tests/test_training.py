@@ -16,32 +16,19 @@ from xbarsim.rng import stream
 from xbarsim.training import (MANHATTAN_TARGET_LEVEL, TAIL_FRACTION, DefectMap,
                               ManhattanConfig, TrainingConfig, _grads, _pin_and_solve, _targets,
                               encode_batch, forward_batch, pairs_to_weights, save_curve,
-                              train_ex_situ, train_in_situ_manhattan, train_single_layer,
-                              weights_to_pairs)
+                              train_ex_situ, train_in_situ_manhattan, train_single_layer)
 
 PATTERNS = canonical_training_set()
 
 
 class TestPairMapping:
-    def test_zero_weight_sits_at_bias(self):
-        pm = weights_to_pairs(np.zeros((2, 2)), g_bias=55e-6)
-        assert (pm.plus == 55e-6).all() and (pm.minus == 55e-6).all()
-
-    def test_large_weight_splits_to_range_edges(self):
-        pm = weights_to_pairs(np.array([[80e-6]]), g_bias=55e-6)
-        assert pm.plus[0, 0] == pytest.approx(95e-6, rel=1e-12)
-        assert pm.minus[0, 0] == pytest.approx(15e-6, rel=1e-12)
-
     def test_round_trip(self):
         rng = stream(1, "w")
         W = rng.uniform(-90e-6, 90e-6, (4, 6))
-        np.testing.assert_allclose(pairs_to_weights(weights_to_pairs(W)), W,
-                                   rtol=1e-12, atol=1e-20)
-
-    def test_out_of_range_weight_clipped_with_warning(self):
-        with pytest.warns(UserWarning):
-            pm = weights_to_pairs(np.array([[120e-6]]), g_bias=55e-6)
-        assert pm.plus[0, 0] == pytest.approx(100e-6, rel=1e-12)
+        g_bias = 55e-6
+        np.testing.assert_allclose(
+            pairs_to_weights(ConductancePairMap(g_bias + W / 2, g_bias - W / 2)), W,
+            rtol=1e-12, atol=1e-20)
 
 
 class TestGradients:

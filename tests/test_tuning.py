@@ -302,8 +302,8 @@ class TestNetworkImportOracle:
         # Targets across the whole device range push retargets past g_min and
         # g_max less 5% headroom, where the clip binds.
         rng = np.random.default_rng(32)
-        maps = tuple(ConductancePairMap.from_grid(rng.uniform(2.5e-6, 149e-6, c.shape), layer=i)
-                     for i, c in enumerate(_formed_chip(1), start=1))
+        maps = tuple(ConductancePairMap.from_grid(rng.uniform(2.5e-6, 149e-6, c.shape))
+                     for c in _formed_chip(1))
         assert_network_import_matches(_formed_chip(1), maps, TuningSpec(tolerance=0.30), 2)
 
     @pytest.mark.parametrize("passes", [1, 2, 3])
@@ -313,8 +313,8 @@ class TestNetworkImportOracle:
         xb1, xb2 = build_crossbar(20, 17, CLEAN, seed=30), build_crossbar(8, 11, CLEAN, seed=31)
         xb2.cells["conductance"] = np.random.default_rng(31).uniform(20e-6, 100e-6, (8, 11))
         maps = (ConductancePairMap.from_grid(
-                    np.random.default_rng(30).uniform(10e-6, 100e-6, (20, 17)), layer=1),
-                ConductancePairMap.from_grid(xb2.cells["conductance"].copy(), layer=2))
+                    np.random.default_rng(30).uniform(10e-6, 100e-6, (20, 17))),
+                ConductancePairMap.from_grid(xb2.cells["conductance"].copy()))
         merged = assert_network_import_matches((xb1.cells, xb2.cells), maps,
                                                TuningSpec(tolerance=0.05), passes)
         # Each of the two per-array paths reads 2 * passes times and pulses never.

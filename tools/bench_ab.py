@@ -7,11 +7,12 @@ parent side runs from a `git archive` of the --parent revision, the change
 side from a `git archive` of the staged tree (after a commit, HEAD's tree),
 each in a temporary directory, so unstaged edits and untracked files are not
 measured.  The record names both sides' `src` trees, which a commit's
-`git rev-parse <commit>:src` can be checked against.  Every workload gets
-PAIRS pairs; each pair runs both sides once, untraced, on the same seed, the
-side that runs first alternates from pair to pair, and pair i uses seed
-seeds[i % len(seeds)].  The result is written to BENCH_<pr>.json at the
-checkout root: for every workload and end-to-end metric, both sides'
+`git rev-parse <commit>:src` can be checked against, and the line count of
+each side's `src/**/*.py`, which a PR reports next to its timings.  Every
+workload gets PAIRS pairs; each pair runs both sides once, untraced, on the
+same seed, the side that runs first alternates from pair to pair, and pair i
+uses seed seeds[i % len(seeds)].  The result is written to BENCH_<pr>.json at
+the checkout root: for every workload and end-to-end metric, both sides'
 medians and quartiles, the change/parent ratio of the medians, and how many
 pairs the change won (ties count for neither side), plus every run.
 """
@@ -45,6 +46,11 @@ def extract(rev: str, into: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into, filter="data")
     return into
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under the checkout's src/."""
+    return sum(len(path.read_bytes().splitlines()) for path in checkout.glob("src/**/*.py"))
 
 
 def run_once(checkout: Path, benchmark: dict, workload: str, seed: int) -> dict:
@@ -108,7 +114,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     revs = {"parent": git("rev-parse", args.parent), "change": git("write-tree")}
     result = {
-        "schema_version": 2,
+        "schema_version": 3,
         "parent": revs["parent"],
         "change_tree": revs["change"],
         "src_trees": {side: git("rev-parse", f"{rev}:src") for side, rev in revs.items()},
@@ -120,6 +126,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         checkouts = {side: extract(revs[side], Path(tmp) / side) for side in SIDES}
+        result["src_lines"] = {side: src_lines(checkouts[side]) for side in SIDES}
         for workload in (w["name"] for w in benchmark["workloads"]):
             runs = []
             for i in range(PAIRS):

@@ -182,22 +182,29 @@ CELL_DTYPE = np.dtype(list(DEVICE_FIELDS.items()))
 device_fields = operator.attrgetter(*CELL_DTYPE.names)
 
 
-def switching_steps(cells: np.ndarray, amplitude: float,
+def switching_steps(cells: np.ndarray, amplitude: float | np.ndarray,
                     width: float = PULSE_WIDTH_REF) -> np.ndarray:
     """``MemristorDevice.switching_step`` of every cell of a ``CELL_DTYPE``
     array, bit for bit: ``math.exp`` runs only on the cells that move, since
-    ``np.exp`` may differ in the last bit."""
+    ``np.exp`` may differ in the last bit.  An array of amplitudes gives one
+    table per amplitude, its axes leading the cells'.  Work arrays are reused
+    in place to keep the peak memory of a whole ladder's table low."""
     if width <= 0:
         raise ValueError("pulse width must be positive")
+    amplitude = np.asarray(amplitude, dtype=float)
+    amplitude = amplitude.reshape(amplitude.shape + (1,) * cells.ndim)
     live = cells["formed"] & ~cells["stuck"]
     up = live & (amplitude >= cells["set_threshold"])
     down = live & (amplitude <= cells["reset_threshold"])
-    over = abs(amplitude - np.where(up, cells["set_threshold"], cells["reset_threshold"]))
     move = up | down
-    exps = [math.exp(x) for x in (over[move] / cells["kinetics_voltage_scale"][move]).tolist()]
-    steps = np.zeros(cells.shape)
-    steps[move] = cells["kinetics_rate"][move] * (width / PULSE_WIDTH_REF) * exps
-    return np.where(down, -steps, steps)
+    steps = np.where(up, cells["set_threshold"], cells["reset_threshold"])
+    over = np.abs(np.subtract(amplitude, steps, out=steps), out=steps)[move]
+    over /= np.broadcast_to(cells["kinetics_voltage_scale"], move.shape)[move]
+    exps = np.fromiter(map(math.exp, memoryview(over)), float, over.size)
+    steps.fill(0.0)
+    steps[move] = np.broadcast_to(cells["kinetics_rate"], move.shape)[move] * (
+        width / PULSE_WIDTH_REF) * exps
+    return np.negative(steps, out=steps, where=down)
 
 
 def _uniform(rng: np.random.Generator, bounds) -> float:

@@ -6,16 +6,18 @@ saturating 0.2*tanh hidden stage, 1e6 V/A gain), keeping every weight
 representable as a differential conductance pair inside the working range.
 The hardware-aware variant additionally freezes defective devices at their
 measured conductances and routes the remaining updates around them.
-``_grads`` backpropagates through that one forward for both training paths.
+``_backward`` backpropagates through that one forward for both training
+paths.  Both layers' parameters live in one flat vector (one per pair side
+in the fine-tune), so an epoch's update is one clipped step over it.
 
 In-situ training drives the simulated crossbars directly: inference on the
 hardware, update signs from backpropagation on read-back conductances, and
 one fixed-amplitude pulse per device.  The hardware applies the pulses one
 crossbar row at a time in two polarity steps; because ideal-line writes do
 not couple cells, the simulator applies each epoch's schedule as one masked
-update per crossbar on arrays copied from the crossbars' cells, stored back
-once training ends.  A wire-resistive write model would need the row loop
-back.
+increase and one masked decrease over a flat vector holding both arrays'
+cells, copied from the crossbars and stored back once training ends.  A
+wire-resistive write model would need the row loop back.
 
 Weights at every interface are in siemens.  Learning rates are quoted in
 gain-normalized units (1 unit = 1 uS of differential conductance), which is
@@ -62,8 +64,9 @@ class TrainingConfig:
             raise ConfigurationError("g_bias must sit inside the clip interval")
         if self.epochs < 0 or self.finetune_epochs < 0:
             raise ConfigurationError("epoch counts must be non-negative")
-        if not self.learning_rate > 0:
-            raise ConfigurationError("learning_rate must be positive")
+        for name in ("learning_rate", "init_scale", "target_level"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         if not 0 < self.fill_fraction <= 1:
             raise ConfigurationError("fill_fraction must be in (0, 1]")
         return self
@@ -100,25 +103,52 @@ def forward_batch(w1, w2, pixels_matrix, topology=DEFAULT_TOPOLOGY) -> np.ndarra
                    encode_batch(pixels_matrix, topology), topology)[2]
 
 
-def _grads(u1, u2, Xe, T, topology=DEFAULT_TOPOLOGY, columns=None):
-    """MSE gradients in gain-normalized units; returns (loss, Y, d1, d2).
-
-    With ``columns`` the error comes only from those output columns (T holds
-    just their targets); the other outputs see zero error.
-    """
-    tanh_a, Ha, Y = forward(u1, u2, Xe, topology)
-    if columns is None:
-        err = Y - T
-        dY = 2.0 * err / T.size
-    else:
-        err = Y[:, columns] - T
-        dY = np.zeros_like(Y)
-        dY[:, columns] = 2.0 * err / T.size
+def _backward(u2, Xe, tanh_a, Ha, dY, topology):
+    """Both layers' gradients from dY, the loss's gradient in the outputs, and
+    ``forward``'s tanh_a and hidden volts Ha."""
     d2 = dY.T @ Ha
     dH = dY @ u2[:, :-1]
     d1 = (dH * topology.hidden_saturation * (1.0 - tanh_a ** 2)).T @ Xe
+    return d1, d2
+
+
+def _grads(u1, u2, Xe, T, topology=DEFAULT_TOPOLOGY):
+    """MSE gradients in gain-normalized units; returns (loss, Y, d1, d2)."""
+    tanh_a, Ha, Y = forward(u1, u2, Xe, topology)
+    err = Y - T
+    d1, d2 = _backward(u2, Xe, tanh_a, Ha, err / (T.size / 2.0), topology)
     loss = float(np.add.reduce(err * err, axis=None)) / err.size
     return loss, Y, d1, d2
+
+
+def _split(vector, shape1, shape2):
+    """The two layers' grids as views of one flat vector, layer 1 first."""
+    n = shape1[0] * shape1[1]
+    return vector[:n].reshape(shape1), vector[n:].reshape(shape2)
+
+
+# Epochs whose output argmaxes are buffered before their fidelities are taken.
+_FIDELITY_CHUNK = 200
+
+
+def _descend(epochs, step, y, first_epoch, where):
+    """Run ``step`` ``epochs`` times; each call returns the loss and outputs Y
+    at the parameters it then updates.  Returns the curve rows (epoch, loss,
+    fidelity of Y), epochs numbered from ``first_epoch``.  A non-finite loss
+    raises DivergenceError naming the epoch, ``where`` saying which loop's."""
+    losses, fids = [], []
+    hits = np.empty((min(epochs, _FIDELITY_CHUNK), len(y)), dtype=np.intp)
+    for epoch in range(epochs):
+        loss, Y = step()
+        if not math.isfinite(loss):
+            raise DivergenceError(f"non-finite loss {where} {epoch}")
+        losses.append(loss)
+        row = epoch % len(hits)
+        Y.argmax(-1, out=hits[row])
+        if row == len(hits) - 1 or epoch == epochs - 1:
+            # fidelity(), chunk by chunk: the same int / int division
+            fids += (np.count_nonzero(hits[:row + 1] == y, axis=1) / len(y)).tolist()
+    return list(zip(range(first_epoch, first_epoch + epochs), losses, fids))
 
 
 def _targets(y, n_outputs, level):
@@ -162,15 +192,16 @@ def train_ex_situ(patterns, cfg: TrainingConfig,
     init_u = cfg.init_scale / _U
     u1 = rng.uniform(-init_u, init_u, (topo.n_hidden, topo.n_inputs + 1))
     u2 = rng.uniform(-init_u, init_u, (topo.n_outputs, topo.n_hidden + 1))
+    U = np.concatenate((u1, u2), axis=None)     # both layers; u1, u2 are its views
+    u1, u2 = _split(U, u1.shape, u2.shape)
 
-    curve = []
-    for epoch in range(cfg.epochs):
+    def step():
         loss, Y, d1, d2 = _grads(u1, u2, Xe, T, topo)
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        curve.append((epoch, loss, fidelity(Y, y)))
-        u1 = np.minimum(np.maximum(u1 - lr * d1, -limit_u), limit_u)
-        u2 = np.minimum(np.maximum(u2 - lr * d2, -limit_u), limit_u)
+        np.subtract(U, lr * np.concatenate((d1, d2), axis=None), out=U)
+        np.minimum(np.maximum(U, -limit_u, out=U), limit_u, out=U)
+        return loss, Y
+
+    curve = _descend(cfg.epochs, step, y, 0, "at epoch")
 
     # Normalize into the representable range: classification is invariant to
     # a common positive scale, and larger conductance contrasts buy import
@@ -220,22 +251,26 @@ def _pin_and_solve(p, m, u, stuck_grid, value_grid, lo_u, hi_u):
 def _finetune_pairs(p1, m1, p2, m2, defects, Xe, y, cfg, beta, curve, topo):
     """Constrained pair-space polish: stuck entries get exactly zero update."""
     lo_u, hi_u = cfg.clip_interval[0] / _U, cfg.clip_interval[1] / _U
-    f1p, f1m = ~defects.layer1_stuck[0::2], ~defects.layer1_stuck[1::2]
-    f2p, f2m = ~defects.layer2_stuck[0::2], ~defects.layer2_stuck[1::2]
+    stuck = defects.layer1_stuck, defects.layer2_stuck
+    free_p, free_m = (~np.concatenate([s[k::2] for s in stuck], axis=None) for k in (0, 1))
     # Targets and step size follow the range normalization so the polish
     # starts at equilibrium instead of undoing the scale.
     T = _targets(y, topo.n_outputs, cfg.target_level * beta)
     lr = cfg.learning_rate / beta ** 2 if beta > 0 else cfg.learning_rate
-    base_epoch = len(curve)
-    for epoch in range(cfg.finetune_epochs):
-        loss, Y, d1, d2 = _grads(p1 - m1, p2 - m2, Xe, T, topo)
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite loss in fine-tune epoch {epoch}")
-        curve.append((base_epoch + epoch, loss, fidelity(Y, y)))
-        p1 = np.minimum(np.maximum(p1 - lr * d1 * f1p, lo_u), hi_u)
-        m1 = np.minimum(np.maximum(m1 + lr * d1 * f1m, lo_u), hi_u)
-        p2 = np.minimum(np.maximum(p2 - lr * d2 * f2p, lo_u), hi_u)
-        m2 = np.minimum(np.maximum(m2 + lr * d2 * f2m, lo_u), hi_u)
+    P, M = (np.concatenate(pair, axis=None) for pair in ((p1, p2), (m1, m2)))
+    W = np.empty_like(P)                        # P - M; u1, u2 are its views
+    u1, u2 = _split(W, p1.shape, p2.shape)
+
+    def step():
+        np.subtract(P, M, out=W)
+        loss, Y, d1, d2 = _grads(u1, u2, Xe, T, topo)
+        D = lr * np.concatenate((d1, d2), axis=None)
+        np.minimum(np.maximum(np.subtract(P, D * free_p, out=P), lo_u, out=P), hi_u, out=P)
+        np.minimum(np.maximum(np.add(M, D * free_m, out=M), lo_u, out=M), hi_u, out=M)
+        return loss, Y
+
+    curve += _descend(cfg.finetune_epochs, step, y, len(curve), "in fine-tune epoch")
+    (p1, p2), (m1, m2) = _split(P, p1.shape, p2.shape), _split(M, m1.shape, m2.shape)
     return p1, m1, p2, m2
 
 
@@ -281,10 +316,10 @@ class ManhattanConfig:
     epochs: int = 400
 
     def validate(self):
-        if self.amplitude <= 0:
-            raise ConfigurationError("pulse amplitude must be positive")
-        if self.pulse_width <= 0:
-            raise ConfigurationError("pulse width must be positive")
+        if not 0 < self.amplitude < math.inf:
+            raise ConfigurationError("pulse amplitude must be positive and finite")
+        if not 0 < self.pulse_width < math.inf:
+            raise ConfigurationError("pulse width must be positive and finite")
         if self.epochs < 1:
             raise ConfigurationError("need at least one epoch")
         BiasScheme(self.bias_scheme)
@@ -309,31 +344,37 @@ def _half_select_risk(xbar: Crossbar, cfg: ManhattanConfig) -> int:
 
 
 def _pulse_arrays(xbar: Crossbar, cfg: ManhattanConfig) -> tuple:
-    """Contiguous copies of what a crossbar's Manhattan pulses act on: G, the
-    mask of live (formed, non-stuck) devices, g_min, g_max, and how far the
-    fixed pulse moves each device up and down (``switching_steps``)."""
+    """What a crossbar's Manhattan pulses act on: G, the mask of live (formed,
+    non-stuck) devices, g_min, g_max, and how far the fixed pulse moves each
+    device up and down (``switching_steps``)."""
     cells = xbar.cells
-    up, down = (switching_steps(cells, amplitude, cfg.pulse_width)
-                for amplitude in (cfg.amplitude, -cfg.amplitude))
+    up, down = switching_steps(cells, [cfg.amplitude, -cfg.amplitude], cfg.pulse_width)
     return (xbar.conductances(), cells["formed"] & ~cells["stuck"],
-            cells["g_min"].copy(), cells["g_max"].copy(), up, -down)
+            cells["g_min"], cells["g_max"], up, -down)
 
 
-def _pulse(G, grad, live, g_min, g_max, up, down) -> tuple:
-    """Pulse every device once against ``grad``; returns the new G and the
-    pulses issued.  Row 2j (G+) of neuron j takes -sign(grad[j]) and row
-    2j+1 (G-) its negation."""
-    signs = np.repeat(-np.sign(grad), 2, axis=0)
-    signs[1::2] *= -1.0
-    inc, dec = signs > 0, signs < 0
-    G = np.where(inc & live, np.minimum(G + up, g_max), G)
-    G = np.where(dec & live, np.maximum(G - down, g_min), G)
-    return G, int(np.count_nonzero(inc) + np.count_nonzero(dec))
+def _pair_cells(shapes) -> tuple:
+    """Flat positions of every weight's G+ (row 2j) and G- (row 2j+1) cell, in
+    layer order, over pair grids of ``shapes`` laid end to end, row-major."""
+    grids, start = [], 0
+    for rows, cols in shapes:
+        grids.append(start + np.arange(rows * cols).reshape(rows, cols))
+        start += rows * cols
+    return tuple(np.concatenate([grid[k::2] for grid in grids], axis=None) for k in (0, 1))
 
 
-def _weights(G) -> np.ndarray:
-    """Signed weights in gain-normalized units."""
-    return (G[0::2] - G[1::2]) / _U
+def _flat_weights(G, plus, minus) -> np.ndarray:
+    """Every layer's signed weights (G+ - G-) in gain-normalized units, flat."""
+    return (G.take(plus) - G.take(minus)) / _U
+
+
+def _directions(grad, plus, minus) -> np.ndarray:
+    """Each cell's pulse direction (+1 up, -1 down, 0 none) from the flat
+    gradient: G+ moves against it, G- with it."""
+    signs = np.sign(grad)
+    direction = np.empty(plus.size + minus.size)
+    direction[plus], direction[minus] = -signs, signs
+    return direction
 
 
 def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
@@ -346,47 +387,60 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     row at a time in two steps (positive polarity first, then negative) under
     half-select biasing; each device takes at most one pulse per epoch and
     ideal-line writes do not couple cells, so the simulator applies the whole
-    schedule as one masked increase and one masked decrease per crossbar on
-    conductance arrays, stored into the cells of the live devices on exit.  A
-    wire-resistive write model would need the row loop back.  Classes are
-    restricted to the labels present in the dataset.
+    schedule as one masked increase and one masked decrease over one flat
+    conductance vector holding both arrays' cells, stored into the cells of
+    the live devices on exit.  A wire-resistive write model would need the
+    row loop back.  Classes are restricted to the labels present in the
+    dataset.
     """
     cfg.validate()
     topo = MlpNetwork(xb1, xb2).topology        # raises unless the arrays fit it
     Xe = encode_batch(pixel_matrix(patterns), topo)
     y = label_vector(patterns)
-    class_idx = sorted(set(int(v) for v in y))
-    y_local = np.array([class_idx.index(v) for v in y])
+    class_idx = np.unique(y)                    # the labels in play, sorted
+    y_local = np.searchsorted(class_idx, y)
     T = _targets(y_local, len(class_idx), MANHATTAN_TARGET_LEVEL)
 
     disturb = _half_select_risk(xb1, cfg) + _half_select_risk(xb2, cfg)
-    (G1, *fixed1), (G2, *fixed2) = _pulse_arrays(xb1, cfg), _pulse_arrays(xb2, cfg)
+    G, live, g_min, g_max, up, down = (np.concatenate(parts, axis=None) for parts in
+                                       zip(_pulse_arrays(xb1, cfg), _pulse_arrays(xb2, cfg)))
+    shapes = xb1.cells.shape, xb2.cells.shape
+    plus, minus = _pair_cells(shapes)
+    layers = [(rows // 2, cols) for rows, cols in shapes]
     errors = []
     fids = []
     pulses = 0
 
     # Gradients run over the full 4-output head with error only on the
     # classes in play; unused outputs see zero error and get zero pulses.
+    dY = np.zeros((len(y), topo.n_outputs))
     for _ in range(cfg.epochs):
-        _, Y, d1, d2 = _grads(_weights(G1), _weights(G2), Xe, T, topo,
-                              columns=class_idx)
-        fid = fidelity(Y[:, class_idx], y_local)
+        u1, u2 = _split(_flat_weights(G, plus, minus), *layers)
+        tanh_a, Ha, Y = forward(u1, u2, Xe, topo)
+        Y = Y.take(class_idx, axis=1)
+        fid = fidelity(Y, y_local)
         errors.append(1.0 - fid)
         fids.append(fid)
-        G1, n1 = _pulse(G1, d1, *fixed1)
-        G2, n2 = _pulse(G2, d2, *fixed2)
-        pulses += n1 + n2
+        dY[:, class_idx] = (Y - T) / (T.size / 2.0)
+        direction = _directions(np.concatenate(_backward(u2, Xe, tanh_a, Ha, dY, topo),
+                                               axis=None), plus, minus)
+        inc, dec = direction > 0, direction < 0
+        pulses += np.count_nonzero(inc) + np.count_nonzero(dec)
+        np.copyto(G, np.minimum(G + up, g_max), where=inc & live)
+        np.copyto(G, np.maximum(G - down, g_min), where=dec & live)
 
-    fid = fidelity(forward(_weights(G1), _weights(G2), Xe, topo)[2][:, class_idx], y_local)
+    u1, u2 = _split(_flat_weights(G, plus, minus), *layers)
+    fid = fidelity(forward(u1, u2, Xe, topo)[2][:, class_idx], y_local)
     fids.append(fid)
-    for xbar, G, live in ((xb1, G1, fixed1[0]), (xb2, G2, fixed2[0])):
-        xbar.cells["conductance"][live] = G[live]
+    n1 = xb1.cells.size
+    for xbar, G_part, live_part in zip((xb1, xb2), np.split(G, [n1]), np.split(live, [n1])):
+        xbar.cells["conductance"][live_part.reshape(xbar.cells.shape)] = G_part[live_part]
     tail = max(1, int(round(TAIL_FRACTION * len(fids))))
     return ManhattanResult(error_curve=errors,
                            final_fidelity=float(np.mean(fids[-tail:])),
                            last_fidelity=fid,
                            disturb_risk_count=disturb,
-                           pulses_issued=pulses)
+                           pulses_issued=int(pulses))
 
 
 def save_curve(curve, path):

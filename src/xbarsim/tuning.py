@@ -7,6 +7,9 @@ overshoots are corrected with the smallest available steps.  Error is always
 the normalized absolute difference |actual - target| / target.  Cells climb
 in lockstep, one pulse and one read-back per round, over an array or both of
 ``pipeline.import_network``; cells do not couple, so each tunes as if alone.
+Whenever at most half of a round's cells still tune, the finished ones are
+stored and the rounds go on over a flat copy of the rest, so a pass's long
+tail of slow cells costs rounds over a few cells, not over the whole array.
 """
 
 from __future__ import annotations
@@ -112,36 +115,52 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
             ladder.append(clamp(ladder[-1] + step, cap))
     n_set = len(ladders[0])
     at_cap = np.array([a == set_hi for a in ladders[0]] + [a == reset_lo for a in ladders[1]])
-    steps = np.stack([switching_steps(cells, a, spec.pulse_width)
-                      for a in ladders[0] + ladders[1]])
+    table = switching_steps(cells, np.array(ladders[0] + ladders[1]), spec.pulse_width)
     offsets = np.arange(targets.size).reshape(targets.shape)
     conductance, g_min, g_max = cells["conductance"], cells["g_min"], cells["g_max"]
     headroom = 0.05 * (g_max - g_min)
+    errors = np.empty(targets.shape)
     for n in range(passes):
         goal = targets if n == 0 else np.clip(targets * targets / np.maximum(
             xbar.conductances(), 1e-12), g_min + headroom, g_max - headroom)
         g = xbar.conductances() * v * gain / v      # read_conductance, elementwise
-        errors = tuning_error(goal, g)
+        err, gap = tuning_error(goal, g), abs(g - goal)
         level = np.where(goal > g, 0, n_set)        # index into the ladders, set first
         stalls = np.zeros(goal.shape, dtype=int)
-        tuning = ~cells["stuck"] & (errors > spec.tolerance)
+        tuning = ~cells["stuck"] & (err > spec.tolerance)
+        # The round's cells: all of them in the grid's shape, then, whenever at
+        # most half of them still tune, a flat copy of those that do, with
+        # their flat positions ``at`` and their columns of the step table.
+        live, at, steps, col, lo, hi, gn = xbar, offsets, table, offsets, g_min, g_max, gain
         for _ in range(spec.max_pulses):
-            if not tuning.any():
-                break
+            count = np.count_nonzero(tuning)
+            if 2 * count <= tuning.size:
+                conductance.flat[at] = live.cells["conductance"]
+                errors.flat[at] = err
+                if not count:
+                    break
+                live = Crossbar(live.cells[tuning])
+                at, goal, g, gap, level, stalls, err, lo, hi, gn = (
+                    a[tuning] for a in (at, goal, g, gap, level, stalls, err, lo, hi, gn))
+                steps, col, tuning = steps[:, tuning], np.arange(count), np.ones(count, bool)
             up = goal > g                           # a polarity flip restarts the ladder
             level = np.where(up == (level < n_set), level, np.where(up, 0, n_set))
-            step = np.where(tuning, steps.take(level * goal.size + offsets), 0.0)
-            conductance[...] = np.minimum(np.maximum(conductance + step, g_min), g_max)
-            before, g = g, xbar.conductances() * v * gain / v
-            moved = abs(g - before)
-            gap = abs(goal - before)
+            step = np.where(tuning, steps.take(level * goal.size + col), 0.0)
+            cond = live.cells["conductance"]
+            np.minimum(np.maximum(cond + step, lo), hi, out=cond)
+            before, g = g, live.conductances() * v * gn / v
+            moved = abs(g - before)                 # gap: |goal - before|, from last round
             weak = tuning & (moved < np.maximum(_EFFECT_EPS, PROGRESS_FRACTION * gap))
             capped = at_cap[level]
             stalls += weak & capped & (moved < _EFFECT_EPS)  # a stall repeats: no reset
             level += weak & ~capped
             tuning &= stalls < 3                    # untunable direction or rail
-            errors = np.where(tuning, abs(g - goal) / goal, errors)  # tuning_error
-            tuning &= errors > spec.tolerance
+            gap = abs(g - goal)
+            err = np.where(tuning, gap / goal, err)  # tuning_error
+            tuning &= err > spec.tolerance
+        else:                                       # the pulse budget ran out
+            conductance.flat[at] = live.cells["conductance"]
+            errors.flat[at] = err
     return errors
 
 

@@ -341,6 +341,25 @@ class TestCli:
                      "--mode", "in-situ"]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, raw", [
+        ("ex-situ-oblivious", {"training": {"learning_rate": float("inf")}}),
+        ("ex-situ-aware", {"training": {"init_scale": "1e400uS"}}),
+        ("ex-situ-oblivious", {"training": {"target_level": "1e400V"}}),
+        ("in-situ", {"manhattan": {"amplitude": "1e400V"}}),
+        ("in-situ", {"manhattan": {"pulse_width": "1e400s"}}),
+        ("ex-situ-oblivious", {"training": {"init_scale": "-4uS"}}),
+        ("ex-situ-oblivious", {"training": {"target_level": "0V"}}),
+        ("ex-situ-oblivious", {"training": {"target_level": "-1V"}})],
+        ids=["learning_rate", "init_scale", "target_level", "amplitude", "pulse_width",
+             "negative-init_scale", "zero-target_level", "negative-target_level"])
+    def test_bad_training_knob_is_config_error(self, tmp_path, mode, raw):
+        # json.dumps writes an infinite float as Infinity; 1e400 overflows to it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "train"
+        assert main(["--config", str(cfg), "--out", str(out), "train", "--mode", mode]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", [
         {"device": 5}, [], {"scale": {"wire_presets": 5}},
         {"benchmark": {"noise_sigmas": 5}}, {"seed": -1},

@@ -237,6 +237,16 @@ class TestSwitchingSteps:
         expected = np.array([[d.switching_step(amplitude, width) for d in devs]])
         assert switching_steps(_cells(devs), amplitude, width).tobytes() == expected.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), devs=st.lists(devices, min_size=1, max_size=12),
+           width=st.floats(1e-6, 1e-2), n=st.integers(1, 6))
+    def test_amplitude_axis_leads(self, data, devs, width, n):
+        # One call over a ladder of amplitudes: one table per amplitude.
+        amplitudes = [data.draw(amplitude_for(devs)) for _ in range(n)]
+        expected = np.stack([switching_steps(_cells(devs), a, width) for a in amplitudes])
+        table = switching_steps(_cells(devs), np.array(amplitudes), width)
+        assert table.shape == (n, 1, len(devs)) and table.tobytes() == expected.tobytes()
+
     @settings(max_examples=50, deadline=None)
     @given(devs=st.lists(devices, min_size=1, max_size=4),
            amplitude=st.floats(-2.4, 2.4), width=st.floats(-1.0, 0.0))

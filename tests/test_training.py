@@ -1,22 +1,28 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from xbarsim import training
 from xbarsim.benchmark import canonical_training_set, label_vector, pixel_matrix
 from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec
-from xbarsim.errors import ConfigurationError
+from xbarsim.errors import ConfigurationError, DivergenceError
 from xbarsim.forming import FormingSpec
 from xbarsim.mlp import DEFAULT_TOPOLOGY, ConductancePairMap, encode_pixels
 from xbarsim.pipeline import (INSITU_DEVICE_SPEC, build_network_crossbars, derive_seed,
                               form_network)
 from xbarsim.rng import stream
 from xbarsim.training import (MANHATTAN_TARGET_LEVEL, TAIL_FRACTION, DefectMap,
-                              ManhattanConfig, TrainingConfig, _grads, _pin_and_solve, _targets,
-                              encode_batch, forward_batch, pairs_to_weights, save_curve,
-                              train_ex_situ, train_in_situ_manhattan, train_single_layer)
+                              ManhattanConfig, TrainingConfig, _directions, _flat_weights,
+                              _grads, _pair_cells, _pin_and_solve, _targets, encode_batch,
+                              forward_batch, pairs_to_weights, save_curve, train_ex_situ,
+                              train_in_situ_manhattan, train_single_layer)
 
 PATTERNS = canonical_training_set()
 
@@ -115,6 +121,40 @@ class TestExSitu:
     def test_single_layer_cannot_fit_canonical_set(self):
         _, best = train_single_layer(PATTERNS, TrainingConfig(epochs=4000, seed=6))
         assert best < 1.0
+
+
+class TestTrainingConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "init_scale", "target_level"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1e-6])
+    def test_validate_rejects_non_finite_or_non_positive(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainingConfig(**{field: value}).validate()
+
+
+class TestDivergenceGuard:
+    """A non-finite loss stops training at its epoch, in either loop."""
+
+    @pytest.mark.parametrize("aware, epochs, finetune, k, message", [
+        (False, 20, 0, 7, "non-finite loss at epoch 7"),
+        (True, 10, 20, 5, "non-finite loss in fine-tune epoch 5")], ids=["main", "fine-tune"])
+    def test_nan_loss_names_its_epoch(self, monkeypatch, aware, epochs, finetune, k, message):
+        calls = []
+        grads = training._grads
+
+        def nan_at_k(*args, **kwargs):
+            loss, Y, d1, d2 = grads(*args, **kwargs)
+            calls.append(loss)
+            return (math.nan if len(calls) == epochs * aware + k + 1 else loss), Y, d1, d2
+
+        monkeypatch.setattr(training, "_grads", nan_at_k)
+        defects = None
+        if aware:
+            defects = DefectMap.from_crossbars(*build_network_crossbars(0, DeviceVariationSpec()))
+        cfg = TrainingConfig(epochs=epochs, finetune_epochs=finetune)
+        with pytest.raises(DivergenceError) as info:
+            train_ex_situ(PATTERNS, cfg, defects=defects)
+        assert str(info.value) == message
+        assert len(calls) == epochs * aware + k + 1
 
 
 def _reference_forward(u1, u2, Xe, topo):
@@ -240,6 +280,36 @@ class TestManhattan:
         err = np.array(res.error_curve)
         assert err[-20:].mean() < err[:20].mean()
         assert 0.0 <= res.final_fidelity <= 1.0
+
+
+pair_grids = st.tuples(st.integers(1, 5), st.integers(1, 6)).map(lambda s: (2 * s[0], s[1]))
+
+
+class TestFlatManhattanMaps:
+    """The in-situ trainer's flat vector over both arrays against per-layer grids."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), shapes=st.tuples(pair_grids, pair_grids))
+    def test_flat_maps_equal_the_per_layer_expressions(self, data, shapes):
+        sizes = [rows * cols for rows, cols in shapes]
+        G = data.draw(hnp.arrays(float, sum(sizes), elements=st.floats(1e-7, 2e-4)))
+        grads = [data.draw(hnp.arrays(float, (rows // 2, cols),
+                                      elements=st.sampled_from([0.0, -0.0])
+                                      | st.floats(-1e3, 1e3, allow_subnormal=False)))
+                 for rows, cols in shapes]
+        plus, minus = _pair_cells(shapes)
+        W = _flat_weights(G, plus, minus)
+        direction = _directions(np.concatenate(grads, axis=None), plus, minus)
+        cells = weights = 0
+        for (rows, cols), grad in zip(shapes, grads):
+            grid = G[cells:cells + rows * cols].reshape(rows, cols)
+            expected = (grid[0::2] - grid[1::2]) / 1e-6
+            assert W[weights:weights + grad.size].tobytes() == expected.tobytes()
+            signs = np.repeat(-np.sign(grad), 2, axis=0)
+            signs[1::2] *= -1.0
+            assert direction[cells:cells + rows * cols].tobytes() == signs.tobytes()
+            cells, weights = cells + rows * cols, weights + grad.size
+        assert (cells, weights) == (W.size * 2, W.size) == (direction.size, W.size)
 
 
 def reference_manhattan(xb1, xb2, patterns, cfg):
@@ -388,7 +458,8 @@ class TestManhattanConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("bias_scheme", "V_quarter"), ("pulse_width", 0.0), ("pulse_width", -1e-6),
-        ("amplitude", 0.0), ("epochs", 0)])
+        ("amplitude", 0.0), ("epochs", 0), ("amplitude", math.inf), ("amplitude", math.nan),
+        ("pulse_width", math.inf)])
     def test_validate_rejects(self, field, value):
         with pytest.raises(ConfigurationError):
             ManhattanConfig(**{field: value}).validate()

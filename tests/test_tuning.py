@@ -82,7 +82,7 @@ class TestTuneDevice:
         original = tuning.switching_steps
 
         def recording(cells, amplitude, width):
-            seen.append(amplitude)
+            seen.extend(np.ravel(amplitude).tolist())
             return original(cells, amplitude, width)
 
         monkeypatch.setattr(tuning, "switching_steps", recording)
@@ -249,6 +249,49 @@ class TestLockstepOracle:
             cells, targets, TuningSpec(tolerance=0.01, set_amplitude_range=(0.8, 0.9)))
         assert (errors > 0.01).any()
 
+    # Compaction: once at most half of a round's cells still tune, the others
+    # are stored and the rounds go on over a flat copy of the tuning ones.
+
+    def test_rates_across_three_decades(self, verify_reads):
+        # Cells finish over hundreds of rounds, so the live set halves again
+        # and again in one pass; each halving reads a shorter flat copy.
+        cells = _three_decade_chip()[1]
+        targets = np.random.default_rng(27).uniform(10e-6, 100e-6, cells.shape)
+        assert_matches_reference(cells, targets, TuningSpec(tolerance=0.05))
+        assert len({shape for shape in verify_reads if len(shape) == 1}) >= 3
+
+    def test_one_by_one_view(self):
+        # A view of one cell inside a larger array: only that cell may change.
+        lockstep, reference = (Crossbar(_formed_chip(2)[0].copy()) for _ in range(2))
+        view = Crossbar(lockstep.cells[7:8, 4:5])
+        errors = import_conductance_map(view, [[85e-6]], TuningSpec(tolerance=0.01))
+        assert errors.shape == (1, 1)
+        assert errors[0, 0] == reference_tune(reference, 7, 4, 85e-6, TuningSpec(tolerance=0.01))
+        assert lockstep.cells.tobytes() == reference.cells.tobytes()
+
+    def test_all_stuck_array(self, verify_reads):
+        cells = build_crossbar(8, 11, DeviceVariationSpec(stuck_probability=1.0), seed=26).cells
+        targets = np.random.default_rng(26).uniform(10e-6, 100e-6, cells.shape)
+        errors = assert_matches_reference(cells, targets, TuningSpec(tolerance=0.05))
+        assert (errors > 0.05).any()
+        assert verify_reads == [cells.shape]
+
+    def test_pass_that_needs_no_round(self, verify_reads):
+        cells = _formed_chip(7)[1]
+        targets = Crossbar(cells).conductances()
+        assert_matches_reference(cells, targets, TuningSpec(tolerance=0.05))
+        assert verify_reads.count(cells.shape) == 2      # the read above and the pass's
+
+
+@functools.cache
+def _three_decade_chip():
+    """Seed 3's formed chip with kinetics rates log-uniform over 1e-8..1e-5 S."""
+    rng = np.random.default_rng(26)
+    chip = tuple(c.copy() for c in _formed_chip(3))
+    for cells in chip:
+        cells["kinetics_rate"] = 10.0 ** rng.uniform(-8, -5, cells.shape)
+    return chip
+
 
 @functools.cache
 def _trained_maps(seed, aware):
@@ -297,6 +340,35 @@ class TestNetworkImportOracle:
         merged = assert_network_import_matches(cells, _trained_maps(seed, aware),
                                                TuningSpec(tolerance=0.30), passes)
         assert all(xb.cells.tobytes() != c.tobytes() for xb, c in zip(merged, cells))
+
+    def test_rates_across_three_decades(self):
+        # The fastest cells step past the 5% band, so passes run out of
+        # pulse budget with only a few cells left in the round.
+        maps = tuple(ConductancePairMap.from_grid(
+            np.random.default_rng(33).uniform(10e-6, 100e-6, c.shape)) for c in _formed_chip(3))
+        assert_network_import_matches(_three_decade_chip(), maps,
+                                      TuningSpec(tolerance=0.05, max_pulses=1000), 3)
+
+    def test_all_stuck_arrays(self):
+        spec = DeviceVariationSpec(stuck_probability=1.0)
+        cells = tuple(build_crossbar(*shape, spec, seed=34 + k).cells
+                      for k, shape in enumerate(((20, 17), (8, 11))))
+        maps = tuple(ConductancePairMap.from_grid(
+            np.random.default_rng(34).uniform(10e-6, 100e-6, c.shape)) for c in cells)
+        merged = assert_network_import_matches(cells, maps, TuningSpec(tolerance=0.30), 3)
+        assert all(xb.cells.tobytes() == c.tobytes() for xb, c in zip(merged, cells))
+
+    def test_passes_that_need_no_round(self, verify_reads):
+        # Formed cells inside the retarget headroom, each on its own target.
+        rng = np.random.default_rng(35)
+        cells = tuple(build_crossbar(*shape, CLEAN, seed=35 + k).cells
+                      for k, shape in enumerate(((20, 17), (8, 11))))
+        for c in cells:
+            c["conductance"] = rng.uniform(20e-6, 100e-6, c.shape)
+        maps = tuple(ConductancePairMap.from_grid(c["conductance"].copy()) for c in cells)
+        merged = assert_network_import_matches(cells, maps, TuningSpec(tolerance=0.05), 3)
+        assert all(xb.cells.tobytes() == c.tobytes() for xb, c in zip(merged, cells))
+        assert verify_reads.count((1, 20 * 17 + 8 * 11)) == 2 * 3   # no round read
 
     def test_retargets_clip_to_the_headroom(self):
         # Targets across the whole device range push retargets past g_min and

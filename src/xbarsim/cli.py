@@ -215,8 +215,8 @@ def cmd_scale(cfg: ExperimentConfig, out: str) -> int:
             for transition, window in windows:
                 v_min, v_max = abs(window[0]), abs(window[1])
                 budget = write_drop_budget(v_min, v_max, scheme)
-                bias = BiasScheme(scheme, 2 * v_min if scheme == "V_half" else 3 * v_min)
-                n_max = max_crossbar_dimension(v_min, v_max, g_map[transition], r_w, bias)
+                n_max = max_crossbar_dimension(v_min, v_max, g_map[transition], r_w,
+                                               BiasScheme(scheme))
                 note = "" if budget > 0 else "no safe write window"
                 rows.append((name, scheme, transition, budget, n_max, note))
     with open(os.path.join(out, "max_dimensions.csv"), "w") as fh:

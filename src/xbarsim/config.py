@@ -192,17 +192,21 @@ def _convert(value, hint, unit, where: str):
         return origin(_convert(v, args[-1], unit, where) for v in value)
     if unit is not None:
         try:
-            return parse_quantity(value, unit)
+            number = parse_quantity(value, unit)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
-    if hint is float and type(value) in (int, float):
+    elif hint is float and type(value) in (int, float):
         try:
-            return float(value)
-        except OverflowError:
-            pass
+            number = float(value)
+        except OverflowError:               # an integer past the float range
+            number = math.inf
     elif type(value) is hint:
         return value
-    raise ConfigurationError(f"{where} must be {_KIND[hint]}, got {value!r}")
+    else:
+        raise ConfigurationError(f"{where} must be {_KIND[hint]}, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _encode(value, unit=None, where: str = ""):

@@ -69,8 +69,8 @@ class DeviceVariationSpec:
     preformed_resistance_range: tuple[float, float] = quantity((2e4, 8e4), "ohm")
 
     def validate(self):
-        if self.set_sigma < 0 or self.reset_sigma < 0:
-            raise ConfigurationError("threshold sigmas must be non-negative")
+        if not (0 <= self.set_sigma < math.inf and 0 <= self.reset_sigma < math.inf):
+            raise ConfigurationError("threshold sigmas must be non-negative and finite")
         if not 0.0 <= self.stuck_probability <= 1.0:
             raise ConfigurationError("stuck_probability must be in [0, 1]")
         if not 0.0 <= self.preformed_probability <= 1.0:
@@ -82,8 +82,8 @@ class DeviceVariationSpec:
                 raise ConfigurationError(f"{name} must be ordered (lo <= hi)")
         if not 0 < self.g_min <= self.g_max:
             raise ConfigurationError("need 0 < g_min <= g_max")
-        if self.kinetics_voltage_scale <= 0:
-            raise ConfigurationError("kinetics_voltage_scale must be positive")
+        if not 0 < self.kinetics_voltage_scale < math.inf:
+            raise ConfigurationError("kinetics_voltage_scale must be positive and finite")
         if not self.nonlinearity_alpha >= 0:
             raise ConfigurationError("nonlinearity_alpha must be non-negative")
         return self

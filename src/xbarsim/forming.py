@@ -11,6 +11,7 @@ recorded defective and flagged stuck.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +64,12 @@ class FormingSpec:
     def validate(self):
         if self.I_start > self.I_stop:
             raise ConfigurationError("need I_start <= I_stop")
-        if self.I_step <= 0:
-            raise ConfigurationError("I_step must be positive")
-        if self.R_min_ratio <= 1:
-            raise ConfigurationError("R_min_ratio must exceed 1")
-        if self.V_reset >= 0:
-            raise ConfigurationError("V_reset must be negative")
+        if not 0 < self.I_step < math.inf:
+            raise ConfigurationError("I_step must be positive and finite")
+        if not 1 < self.R_min_ratio < math.inf:
+            raise ConfigurationError("R_min_ratio must exceed 1 and be finite")
+        if not -math.inf < self.V_reset < 0:
+            raise ConfigurationError("V_reset must be negative and finite")
         if self.max_attempts < 1 or self.max_rounds < 1:
             raise ConfigurationError("max_attempts and max_rounds must be >= 1")
         return self

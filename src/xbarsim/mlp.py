@@ -18,7 +18,8 @@ layer is a ConductancePairMap, a Crossbar (read through ``vmm``, so its line
 model applies) or signed weights in gain-normalized units (gain * (G+ - G-),
 so their product with the input volts is the pre-activation in volts).
 ``fidelity``, the share of patterns whose largest output is their label's, is
-the one definition of classification fidelity.
+the one definition of classification fidelity.  Write loops run over a
+network's cell vector, ``MlpNetwork.cells``: both crossbars' cells, flat.
 """
 
 from __future__ import annotations
@@ -90,6 +91,24 @@ class ConductancePairMap:
         return cls(plus=grid[0::2].copy(), minus=grid[1::2].copy())
 
 
+def _split(vector, shape1, shape2):
+    """The two layers' grids as views of one flat vector, layer 1 first."""
+    n = shape1[0] * shape1[1]
+    return vector[:n].reshape(shape1), vector[n:].reshape(shape2)
+
+
+def pair_sides(grid1, grid2) -> tuple:
+    """Every weight's G+ (row 2j) and G- (row 2j+1) entry of two layers' pair
+    grids, as two flat vectors, layer 1 first, each grid row-major."""
+    return tuple(np.concatenate((grid1[k::2], grid2[k::2]), axis=None) for k in (0, 1))
+
+
+def _pair_cells(shapes) -> tuple:
+    """``pair_sides``' positions in a flat vector of pair grids of ``shapes``
+    laid end to end."""
+    return pair_sides(*_split(np.arange(sum(r * c for r, c in shapes)), *shapes))
+
+
 def _preactivation(layer, X, topology: NetworkTopology):
     """gain * (I+ - I-) of every neuron of ``layer`` for input rows X (..., n_in)."""
     if isinstance(layer, np.ndarray):
@@ -143,6 +162,20 @@ class MlpNetwork:
         wanted = self.topology.layer1_shape, self.topology.layer2_shape
         if shapes != wanted:
             raise ConfigurationError(f"layer grids {shapes} do not match the topology's {wanted}")
+
+    def cells(self) -> np.ndarray:
+        """A flat copy of both crossbars' cells, the network's cell vector:
+        layer 1 first, each grid row-major (``_pair_cells`` finds the pairs)."""
+        return np.concatenate((self.layer1.cells, self.layer2.cells), axis=None)
+
+    def grids(self, vector):
+        """The two layers' grids as views of a flat network vector."""
+        return _split(vector, self.topology.layer1_shape, self.topology.layer2_shape)
+
+    def store(self, cells):
+        """Write the ``conductance`` field of a ``cells()`` copy to the crossbars."""
+        for layer, grid in zip((self.layer1, self.layer2), self.grids(cells["conductance"])):
+            layer.cells["conductance"] = grid
 
 
 def encode_pixels(pixels, topology: NetworkTopology = DEFAULT_TOPOLOGY) -> np.ndarray:

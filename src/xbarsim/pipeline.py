@@ -64,17 +64,16 @@ def form_network(xb1: Crossbar, xb2: Crossbar, forming_spec: FormingSpec):
 def import_network(xb1: Crossbar, xb2: Crossbar, outcome: TrainingOutcome,
                    tuning_spec: TuningSpec, refine_passes: int = 2):
     """Tune both arrays to the trained pair maps in one write-and-verify
-    lockstep over their cells; returns the error grids."""
-    for layers in (outcome.pair_maps, (xb1, xb2)):
-        MlpNetwork(*layers)                     # raises unless they fit the topology
-    grids = [m.to_grid() for m in outcome.pair_maps]
-    cells = np.concatenate([xb1.cells, xb2.cells], axis=None)
-    errors = import_with_refinement(Crossbar(cells[None]), np.concatenate(grids, axis=None)[None],
+    lockstep over the network's cell vector (``MlpNetwork.cells``), stored
+    back once it ends; returns the two arrays' error grids."""
+    MlpNetwork(*outcome.pair_maps)              # raises unless it fits the topology
+    net = MlpNetwork(xb1, xb2)
+    cells = net.cells()
+    targets = np.concatenate([m.to_grid() for m in outcome.pair_maps], axis=None)
+    errors = import_with_refinement(Crossbar(cells[None]), targets[None],
                                     tuning_spec, refine_passes)
-    n1 = xb1.cells.size
-    xb1.cells["conductance"] = cells["conductance"][:n1].reshape(grids[0].shape)
-    xb2.cells["conductance"] = cells["conductance"][n1:].reshape(grids[1].shape)
-    return errors[0, :n1].reshape(grids[0].shape), errors[0, n1:].reshape(grids[1].shape)
+    net.store(cells)
+    return net.grids(errors[0])
 
 
 def read_back_network(xb1: Crossbar, xb2: Crossbar) -> MlpNetwork:

@@ -7,17 +7,19 @@ representable as a differential conductance pair inside the working range.
 The hardware-aware variant additionally freezes defective devices at their
 measured conductances and routes the remaining updates around them.
 ``_backward`` backpropagates through that one forward for both training
-paths.  Both layers' parameters live in one flat vector (one per pair side
-in the fine-tune), so an epoch's update is one clipped step over it.
+paths.  Both layers' parameters live in one flat vector, and so do the G+
+and G- sides of the pairs (``mlp.pair_sides``), so pinning stuck devices
+and every epoch's update are one step over flat vectors.
 
 In-situ training drives the simulated crossbars directly: inference on the
 hardware, update signs from backpropagation on read-back conductances, and
 one fixed-amplitude pulse per device.  The hardware applies the pulses one
 crossbar row at a time in two polarity steps; because ideal-line writes do
 not couple cells, the simulator applies each epoch's schedule as one masked
-increase and one masked decrease over a flat vector holding both arrays'
-cells, copied from the crossbars and stored back once training ends.  A
-wire-resistive write model would need the row loop back.
+increase and one masked decrease over the network's cell vector, a copy of
+both arrays' cells (``MlpNetwork.cells``) stored back once training ends
+(``MlpNetwork.store``).  A wire-resistive write model would need the row
+loop back.
 
 Weights at every interface are in siemens.  Learning rates are quoted in
 gain-normalized units (1 unit = 1 uS of differential conductance), which is
@@ -35,8 +37,8 @@ from .benchmark import label_vector, pixel_matrix
 from .crossbar import BiasScheme, Crossbar
 from .device import switching_steps
 from .errors import ConfigurationError, DivergenceError
-from .mlp import (DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, encode_batch,
-                  fidelity, forward)
+from .mlp import (DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, _pair_cells, _split,
+                  encode_batch, fidelity, forward, pair_sides)
 from .rng import stream
 from .units import quantity
 
@@ -121,12 +123,6 @@ def _grads(u1, u2, Xe, T, topology=DEFAULT_TOPOLOGY):
     return loss, Y, d1, d2
 
 
-def _split(vector, shape1, shape2):
-    """The two layers' grids as views of one flat vector, layer 1 first."""
-    n = shape1[0] * shape1[1]
-    return vector[:n].reshape(shape1), vector[n:].reshape(shape2)
-
-
 # Epochs whose output argmaxes are buffered before their fidelities are taken.
 _FIDELITY_CHUNK = 200
 
@@ -192,8 +188,9 @@ def train_ex_situ(patterns, cfg: TrainingConfig,
     init_u = cfg.init_scale / _U
     u1 = rng.uniform(-init_u, init_u, (topo.n_hidden, topo.n_inputs + 1))
     u2 = rng.uniform(-init_u, init_u, (topo.n_outputs, topo.n_hidden + 1))
+    shapes = u1.shape, u2.shape
     U = np.concatenate((u1, u2), axis=None)     # both layers; u1, u2 are its views
-    u1, u2 = _split(U, u1.shape, u2.shape)
+    u1, u2 = _split(U, *shapes)
 
     def step():
         loss, Y, d1, d2 = _grads(u1, u2, Xe, T, topo)
@@ -208,24 +205,18 @@ def train_ex_situ(patterns, cfg: TrainingConfig,
     # headroom against tuning error and stuck cells.  A third of the range is
     # kept in reserve so a single defective pair cannot dominate a neuron.
     beta = 1.0
-    peak = max(np.abs(u1).max(), np.abs(u2).max())
+    peak = np.abs(U).max()
     if cfg.fill_range and peak > 0:
         beta = cfg.fill_fraction * limit_u / peak
-        u1, u2 = u1 * beta, u2 * beta
+        U = U * beta
 
     g_bias_u = cfg.g_bias / _U
-    lo_u, hi_u = cfg.clip_interval[0] / _U, cfg.clip_interval[1] / _U
-    p1, m1 = g_bias_u + u1 / 2.0, g_bias_u - u1 / 2.0
-    p2, m2 = g_bias_u + u2 / 2.0, g_bias_u - u2 / 2.0
-
+    P, M = g_bias_u + U / 2.0, g_bias_u - U / 2.0
     if defects is not None:
-        p1, m1 = _pin_and_solve(p1, m1, u1, defects.layer1_stuck,
-                                defects.layer1_values, lo_u, hi_u)
-        p2, m2 = _pin_and_solve(p2, m2, u2, defects.layer2_stuck,
-                                defects.layer2_values, lo_u, hi_u)
-        p1, m1, p2, m2 = _finetune_pairs(
-            p1, m1, p2, m2, defects, Xe, y, cfg, beta, curve, topo)
+        free_p, free_m = _pin_and_solve(P, M, U, defects, cfg)
+        _finetune_pairs(P, M, free_p, free_m, shapes, Xe, y, cfg, beta, curve, topo)
 
+    (p1, p2), (m1, m2) = _split(P, *shapes), _split(M, *shapes)
     w1, w2 = (p1 - m1) * _U, (p2 - m2) * _U
     maps = (ConductancePairMap(p1 * _U, m1 * _U),
             ConductancePairMap(p2 * _U, m2 * _U))
@@ -234,32 +225,30 @@ def train_ex_situ(patterns, cfg: TrainingConfig,
                            train_fidelity=fid, range_scale=beta)
 
 
-def _pin_and_solve(p, m, u, stuck_grid, value_grid, lo_u, hi_u):
-    """Pin stuck devices (values in siemens) and re-solve free partners."""
-    sp, sm = stuck_grid[0::2], stuck_grid[1::2]
-    vp, vm = value_grid[0::2] / _U, value_grid[1::2] / _U
-    p, m = p.copy(), m.copy()
-    p[sp] = vp[sp]
-    m[sm] = vm[sm]
-    fix_m = sp & ~sm
-    m[fix_m] = np.clip(p[fix_m] - u[fix_m], lo_u, hi_u)
-    fix_p = sm & ~sp
-    p[fix_p] = np.clip(m[fix_p] + u[fix_p], lo_u, hi_u)
-    return p, m
-
-
-def _finetune_pairs(p1, m1, p2, m2, defects, Xe, y, cfg, beta, curve, topo):
-    """Constrained pair-space polish: stuck entries get exactly zero update."""
+def _pin_and_solve(P, M, U, defects, cfg):
+    """Pin the stuck devices of the flat pair vectors P, M at their measured
+    conductances and re-solve their free partners for the weights U, in
+    place; returns the (G+, G-) masks of the free devices."""
     lo_u, hi_u = cfg.clip_interval[0] / _U, cfg.clip_interval[1] / _U
-    stuck = defects.layer1_stuck, defects.layer2_stuck
-    free_p, free_m = (~np.concatenate([s[k::2] for s in stuck], axis=None) for k in (0, 1))
+    sp, sm = pair_sides(defects.layer1_stuck, defects.layer2_stuck)
+    vp, vm = pair_sides(defects.layer1_values, defects.layer2_values)
+    P[sp], M[sm] = vp[sp] / _U, vm[sm] / _U
+    fix_m, fix_p = sp & ~sm, sm & ~sp
+    M[fix_m] = np.clip(P[fix_m] - U[fix_m], lo_u, hi_u)
+    P[fix_p] = np.clip(M[fix_p] + U[fix_p], lo_u, hi_u)
+    return ~sp, ~sm
+
+
+def _finetune_pairs(P, M, free_p, free_m, shapes, Xe, y, cfg, beta, curve, topo):
+    """Constrained polish of the flat pair vectors P, M (weights of ``shapes``)
+    in place: stuck entries get exactly zero update."""
+    lo_u, hi_u = cfg.clip_interval[0] / _U, cfg.clip_interval[1] / _U
     # Targets and step size follow the range normalization so the polish
     # starts at equilibrium instead of undoing the scale.
     T = _targets(y, topo.n_outputs, cfg.target_level * beta)
     lr = cfg.learning_rate / beta ** 2 if beta > 0 else cfg.learning_rate
-    P, M = (np.concatenate(pair, axis=None) for pair in ((p1, p2), (m1, m2)))
     W = np.empty_like(P)                        # P - M; u1, u2 are its views
-    u1, u2 = _split(W, p1.shape, p2.shape)
+    u1, u2 = _split(W, *shapes)
 
     def step():
         np.subtract(P, M, out=W)
@@ -270,8 +259,6 @@ def _finetune_pairs(p1, m1, p2, m2, defects, Xe, y, cfg, beta, curve, topo):
         return loss, Y
 
     curve += _descend(cfg.finetune_epochs, step, y, len(curve), "in fine-tune epoch")
-    (p1, p2), (m1, m2) = _split(P, p1.shape, p2.shape), _split(M, m1.shape, m2.shape)
-    return p1, m1, p2, m2
 
 
 def train_single_layer(patterns, cfg: TrainingConfig) -> tuple:
@@ -335,32 +322,11 @@ class ManhattanResult:
     pulses_issued: int                 # non-zero update signs over all epochs
 
 
-def _half_select_risk(xbar: Crossbar, cfg: ManhattanConfig) -> int:
-    """Devices a half-selected write under ``cfg.bias_scheme`` could switch."""
+def _half_select_risk(cells, cfg: ManhattanConfig) -> int:
+    """Devices of ``cells`` a half-selected write under ``cfg.bias_scheme`` could switch."""
     v_half = BiasScheme(cfg.bias_scheme).half_select_fraction() * cfg.amplitude
-    cells = xbar.cells
     return int(np.count_nonzero(
         np.minimum(cells["set_threshold"], -cells["reset_threshold"]) < v_half))
-
-
-def _pulse_arrays(xbar: Crossbar, cfg: ManhattanConfig) -> tuple:
-    """What a crossbar's Manhattan pulses act on: G, the mask of live (formed,
-    non-stuck) devices, g_min, g_max, and how far the fixed pulse moves each
-    device up and down (``switching_steps``)."""
-    cells = xbar.cells
-    up, down = switching_steps(cells, [cfg.amplitude, -cfg.amplitude], cfg.pulse_width)
-    return (xbar.conductances(), cells["formed"] & ~cells["stuck"],
-            cells["g_min"], cells["g_max"], up, -down)
-
-
-def _pair_cells(shapes) -> tuple:
-    """Flat positions of every weight's G+ (row 2j) and G- (row 2j+1) cell, in
-    layer order, over pair grids of ``shapes`` laid end to end, row-major."""
-    grids, start = [], 0
-    for rows, cols in shapes:
-        grids.append(start + np.arange(rows * cols).reshape(rows, cols))
-        start += rows * cols
-    return tuple(np.concatenate([grid[k::2] for grid in grids], axis=None) for k in (0, 1))
 
 
 def _flat_weights(G, plus, minus) -> np.ndarray:
@@ -383,33 +349,26 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
 
     Each epoch: run inference for the whole batch on the simulated hardware,
     compute update signs by backpropagation on the read-back conductances,
-    then pulse every device once.  The hardware schedule pulses one crossbar
-    row at a time in two steps (positive polarity first, then negative) under
-    half-select biasing; each device takes at most one pulse per epoch and
-    ideal-line writes do not couple cells, so the simulator applies the whole
-    schedule as one masked increase and one masked decrease over one flat
-    conductance vector holding both arrays' cells, stored into the cells of
-    the live devices on exit.  A wire-resistive write model would need the
-    row loop back.  Classes are restricted to the labels present in the
-    dataset.
+    then pulse every device once, positive polarity first, under half-select
+    biasing (applied as the module docstring describes).  Classes are
+    restricted to the labels present in the dataset.
     """
     cfg.validate()
-    topo = MlpNetwork(xb1, xb2).topology        # raises unless the arrays fit it
+    net = MlpNetwork(xb1, xb2)                  # raises unless the arrays fit its topology
+    topo = net.topology
     Xe = encode_batch(pixel_matrix(patterns), topo)
     y = label_vector(patterns)
     class_idx = np.unique(y)                    # the labels in play, sorted
     y_local = np.searchsorted(class_idx, y)
     T = _targets(y_local, len(class_idx), MANHATTAN_TARGET_LEVEL)
 
-    disturb = _half_select_risk(xb1, cfg) + _half_select_risk(xb2, cfg)
-    G, live, g_min, g_max, up, down = (np.concatenate(parts, axis=None) for parts in
-                                       zip(_pulse_arrays(xb1, cfg), _pulse_arrays(xb2, cfg)))
-    shapes = xb1.cells.shape, xb2.cells.shape
-    plus, minus = _pair_cells(shapes)
-    layers = [(rows // 2, cols) for rows, cols in shapes]
-    errors = []
-    fids = []
-    pulses = 0
+    cells = net.cells()
+    disturb = _half_select_risk(cells, cfg)
+    G, live = Crossbar(cells).conductances(), cells["formed"] & ~cells["stuck"]
+    up, down = switching_steps(cells, [cfg.amplitude, -cfg.amplitude], cfg.pulse_width)
+    plus, minus = _pair_cells((topo.layer1_shape, topo.layer2_shape))
+    layers = (topo.n_hidden, topo.n_inputs + 1), (topo.n_outputs, topo.n_hidden + 1)
+    errors, fids, pulses = [], [], 0
 
     # Gradients run over the full 4-output head with error only on the
     # classes in play; unused outputs see zero error and get zero pulses.
@@ -426,15 +385,14 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
                                                axis=None), plus, minus)
         inc, dec = direction > 0, direction < 0
         pulses += np.count_nonzero(inc) + np.count_nonzero(dec)
-        np.copyto(G, np.minimum(G + up, g_max), where=inc & live)
-        np.copyto(G, np.maximum(G - down, g_min), where=dec & live)
+        np.copyto(G, np.minimum(G + up, cells["g_max"]), where=inc & live)
+        np.copyto(G, np.maximum(G + down, cells["g_min"]), where=dec & live)
 
     u1, u2 = _split(_flat_weights(G, plus, minus), *layers)
     fid = fidelity(forward(u1, u2, Xe, topo)[2][:, class_idx], y_local)
     fids.append(fid)
-    n1 = xb1.cells.size
-    for xbar, G_part, live_part in zip((xb1, xb2), np.split(G, [n1]), np.split(live, [n1])):
-        xbar.cells["conductance"][live_part.reshape(xbar.cells.shape)] = G_part[live_part]
+    cells["conductance"][live] = G[live]
+    net.store(cells)
     tail = max(1, int(round(TAIL_FRACTION * len(fids))))
     return ManhattanResult(error_curve=errors,
                            final_fidelity=float(np.mean(fids[-tail:])),

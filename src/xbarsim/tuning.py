@@ -14,6 +14,7 @@ tail of slow cells costs rounds over a few cells, not over the whole array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class TuningSpec:
     amplitude_step: float = quantity(0.02, "V")
 
     def validate(self):
-        if self.tolerance <= 0:
-            raise ConfigurationError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ConfigurationError("tolerance must be positive and finite")
         if not 0 < abs(self.v_read) <= SAFE_READ_VOLTAGE:
             raise ConfigurationError(f"need 0 < |v_read| <= {SAFE_READ_VOLTAGE} V")
         if not self.set_amplitude_range[0] <= self.set_amplitude_range[1]:
@@ -52,8 +53,10 @@ class TuningSpec:
             raise ConfigurationError("reset_amplitude_range must be ordered")
         if self.max_pulses < 1:
             raise ConfigurationError("max_pulses must be >= 1")
-        if self.amplitude_step <= 0:
-            raise ConfigurationError("amplitude_step must be positive")
+        if not 0 < self.amplitude_step < math.inf:
+            raise ConfigurationError("amplitude_step must be positive and finite")
+        if not 0 < self.pulse_width < math.inf:
+            raise ConfigurationError("pulse_width must be positive and finite")
         return self
 
 

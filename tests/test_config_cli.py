@@ -1,6 +1,9 @@
+import copy
 import json
+import math
 import os
-from dataclasses import fields
+import typing
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbarsim import config
 from xbarsim.cli import main
 from xbarsim.config import ExperimentConfig, load_config, write_default_config
 from xbarsim.crossbar import (build_crossbar, export_grid, import_grid, load_state,
@@ -157,6 +161,22 @@ class TestConfig:
             load_config(path)
 
 
+@pytest.mark.parametrize("spec, name, value", [
+    (TuningSpec, "tolerance", math.nan), (TuningSpec, "tolerance", math.inf),
+    (TuningSpec, "amplitude_step", math.nan), (TuningSpec, "pulse_width", 0.0),
+    (TuningSpec, "pulse_width", math.nan), (TuningSpec, "pulse_width", math.inf),
+    (FormingSpec, "I_step", math.nan), (FormingSpec, "I_step", math.inf),
+    (FormingSpec, "R_min_ratio", math.nan), (FormingSpec, "R_min_ratio", math.inf),
+    (FormingSpec, "V_reset", math.nan), (FormingSpec, "V_reset", -math.inf),
+    (DeviceVariationSpec, "set_sigma", math.nan), (DeviceVariationSpec, "reset_sigma", math.inf),
+    (DeviceVariationSpec, "kinetics_voltage_scale", math.nan),
+    (DeviceVariationSpec, "kinetics_voltage_scale", math.inf)])
+def test_spec_validate_rejects_nan_and_infinity(spec, name, value):
+    # Library callers build specs without load_config's finite-number check.
+    with pytest.raises(ConfigurationError):
+        spec(**{name: value}).validate()
+
+
 QUANTITY_TEXT = st.from_regex(
     r"-?[0-9.]{1,4}(e-?[0-9]{1,3})?[GMkmunp]?(V|A|S|ohm|s)", fullmatch=True)
 JSON_VALUES = st.recursive(
@@ -198,6 +218,36 @@ def test_fuzzed_config_raises_only_configuration_error(fuzz_path, raw):
         load_config(fuzz_path)
     except ConfigurationError:
         pass
+
+
+def _float_leaves():
+    """(section, key, entry index or None, unit) of every float of the schema,
+    walked through the sections' keys; list and dict entries are the defaults'."""
+    defaults = config._encode(ExperimentConfig())
+    for section, (hint, _) in config._keys(ExperimentConfig, "").items():
+        if not is_dataclass(hint):
+            continue
+        for key, (kind, unit) in config._keys(hint, section).items():
+            if kind is float:
+                yield section, key, None, unit
+            elif typing.get_args(kind)[-1:] == (float,):
+                entries = defaults[section][key]
+                for index in entries if isinstance(entries, dict) else range(len(entries)):
+                    yield section, key, index, unit
+
+
+def _non_finite_configs():
+    """One config per float leaf and non-finite value: NaN and Infinity as JSON
+    tokens for bare numbers, an overflowing "1e400<unit>" for quantities."""
+    defaults = config._encode(ExperimentConfig())
+    for section, key, index, unit in _float_leaves():
+        for bad in [f"1e400{unit}"] if unit else [math.nan, math.inf]:
+            value = bad
+            if index is not None:
+                value = copy.deepcopy(defaults[section][key])
+                value[index] = bad
+            where = f"{section}.{key}" + ("" if index is None else f".{index}")
+            yield pytest.param({section: {key: value}}, id=f"{where}={bad}")
 
 
 def _two_by_two_snapshot(path):
@@ -378,7 +428,8 @@ class TestCli:
         {"scale": {"conductance_v_third": {"set": "-30uS", "reset": "50uS"}}},
         {"scale": {"conductance_v_half": {"set": "20uS", "reset": "-33uS"}}},
         {"scale": {"wire_presets": {"copper": "-0.185ohm"}}},
-        {"scale": {"wire_presets": {"copper": "1e400ohm"}}}])
+        {"scale": {"wire_presets": {"copper": "1e400ohm"}}},
+        {"tuning": {"pulse_width": "0s"}}, *_non_finite_configs()])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))

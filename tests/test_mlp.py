@@ -14,7 +14,7 @@ from xbarsim.errors import ConfigurationError
 from xbarsim.mlp import (ConductancePairMap, MlpNetwork, NetworkTopology,
                          encode_batch, encode_pixels, fidelity, forward, infer,
                          layer_forward)
-from xbarsim.pipeline import hardware_fidelity, run_ex_situ_pipeline
+from xbarsim.pipeline import build_network_crossbars, hardware_fidelity, run_ex_situ_pipeline
 from xbarsim.rng import stream
 
 CLEAN = DeviceVariationSpec(stuck_probability=0.0)
@@ -232,6 +232,43 @@ class TestShapeContract:
             MlpNetwork(*layers(net))
         with pytest.raises(ConfigurationError):
             MlpNetwork(*layers(random_network(17)), topology=topo)
+
+
+class TestCellVector:
+    """``cells`` copies both crossbars' cells into one flat vector, layer 1
+    first, row-major; ``store`` writes back its conductance field and no other."""
+
+    def network(self):
+        return MlpNetwork(*build_network_crossbars(21, DeviceVariationSpec(), pristine=False))
+
+    def test_layout_is_layer_one_first_row_major(self):
+        net = self.network()
+        cells = net.cells()
+        n1 = net.layer1.cells.size
+        assert cells.shape == (n1 + net.layer2.cells.size,)
+        assert cells[:n1].reshape(20, 17).tobytes() == net.layer1.cells.tobytes()
+        assert cells[n1:].reshape(8, 11).tobytes() == net.layer2.cells.tobytes()
+
+    def test_storing_a_fresh_copy_leaves_the_crossbars_byte_equal(self):
+        net = self.network()
+        before = [layer.cells.tobytes() for layer in layers(net)]
+        net.store(net.cells())
+        assert [layer.cells.tobytes() for layer in layers(net)] == before
+
+    def test_only_the_conductance_field_is_stored(self):
+        net = self.network()
+        before = [layer.cells.copy() for layer in layers(net)]
+        cells = net.cells()
+        for name in cells.dtype.names:
+            cells[name] = ~cells[name] if cells.dtype[name] == bool else 2 * cells[name] + 1
+        G = cells["conductance"].copy()
+        net.store(cells)
+        for layer, old, grid in zip(layers(net), before, net.grids(G)):
+            assert layer.cells["conductance"].tobytes() == grid.tobytes()
+            for name in cells.dtype.names:
+                if name != "conductance":
+                    assert layer.cells[name].tobytes() == old[name].tobytes(), name
+        assert G[:340].reshape(20, 17).tobytes() == net.layer1.cells["conductance"].tobytes()
 
 
 LABELS = label_vector(canonical_training_set())

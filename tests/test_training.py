@@ -14,15 +14,15 @@ from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError, DivergenceError
 from xbarsim.forming import FormingSpec
-from xbarsim.mlp import DEFAULT_TOPOLOGY, ConductancePairMap, encode_pixels
+from xbarsim.mlp import DEFAULT_TOPOLOGY, ConductancePairMap, _pair_cells, encode_pixels
 from xbarsim.pipeline import (INSITU_DEVICE_SPEC, build_network_crossbars, derive_seed,
                               form_network)
 from xbarsim.rng import stream
 from xbarsim.training import (MANHATTAN_TARGET_LEVEL, TAIL_FRACTION, DefectMap,
                               ManhattanConfig, TrainingConfig, _directions, _flat_weights,
-                              _grads, _pair_cells, _pin_and_solve, _targets, encode_batch,
-                              forward_batch, pairs_to_weights, save_curve, train_ex_situ,
-                              train_in_situ_manhattan, train_single_layer)
+                              _grads, _targets, encode_batch, forward_batch, pairs_to_weights,
+                              save_curve, train_ex_situ, train_in_situ_manhattan,
+                              train_single_layer)
 
 PATTERNS = canonical_training_set()
 
@@ -174,6 +174,20 @@ def _reference_grads(u1, u2, Xe, T, topo):
     return float((err ** 2).mean()), Y, d1, d2
 
 
+def _reference_pin_and_solve(p, m, u, stuck_grid, value_grid, lo_u, hi_u):
+    """One layer's stuck devices pinned (values in siemens), free partners re-solved."""
+    sp, sm = stuck_grid[0::2], stuck_grid[1::2]
+    vp, vm = value_grid[0::2] / 1e-6, value_grid[1::2] / 1e-6
+    p, m = p.copy(), m.copy()
+    p[sp] = vp[sp]
+    m[sm] = vm[sm]
+    fix_m = sp & ~sm
+    m[fix_m] = np.clip(p[fix_m] - u[fix_m], lo_u, hi_u)
+    fix_p = sm & ~sp
+    p[fix_p] = np.clip(m[fix_p] + u[fix_p], lo_u, hi_u)
+    return p, m
+
+
 def reference_train(patterns, cfg, defects=None):
     """The ex-situ training loop written with ``np.clip``, ``.mean()`` and a
     concatenated bias input; returns (w1, w2, pair grids, curve, train
@@ -202,10 +216,10 @@ def reference_train(patterns, cfg, defects=None):
     p1, m1 = g_bias_u + u1 / 2.0, g_bias_u - u1 / 2.0
     p2, m2 = g_bias_u + u2 / 2.0, g_bias_u - u2 / 2.0
     if defects is not None:
-        p1, m1 = _pin_and_solve(p1, m1, u1, defects.layer1_stuck, defects.layer1_values,
-                                lo_u, hi_u)
-        p2, m2 = _pin_and_solve(p2, m2, u2, defects.layer2_stuck, defects.layer2_values,
-                                lo_u, hi_u)
+        p1, m1 = _reference_pin_and_solve(p1, m1, u1, defects.layer1_stuck,
+                                          defects.layer1_values, lo_u, hi_u)
+        p2, m2 = _reference_pin_and_solve(p2, m2, u2, defects.layer2_stuck,
+                                          defects.layer2_values, lo_u, hi_u)
         f1p, f1m = ~defects.layer1_stuck[0::2], ~defects.layer1_stuck[1::2]
         f2p, f2m = ~defects.layer2_stuck[0::2], ~defects.layer2_stuck[1::2]
         T = _targets(y, topo.n_outputs, cfg.target_level * beta)

@@ -18,8 +18,7 @@ from .mlp import (ConductancePairMap, MlpNetwork, NetworkTopology, infer,
                   layer_forward)
 from .training import (DefectMap, ManhattanConfig, ManhattanResult,
                        TrainingConfig, TrainingOutcome, forward_batch,
-                       pairs_to_weights, train_ex_situ, train_in_situ_manhattan,
-                       train_single_layer)
+                       train_ex_situ, train_in_situ_manhattan, train_single_layer)
 from .benchmark import (Pattern, SweepStats, canonical_training_set,
                         generate_test_set, linear_separability_check,
                         load_patterns, precision_sweep, save_patterns)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .crossbar import write_csv
 from .errors import ConfigurationError
 from .mlp import fidelity
 from .rng import stream
@@ -149,10 +150,7 @@ class SweepStats:
                         self.minimum, self.maximum))
 
     def save_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("sigma,median,p25,p75,min,max\n")
-            for row in self.rows():
-                fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        write_csv([("sigma", "median", "p25", "p75", "min", "max"), *self.rows()], path)
 
 
 def precision_sweep(weights, noise_sigmas, runs: int = 100, seed: int = 0,

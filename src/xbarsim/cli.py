@@ -9,7 +9,10 @@
 
 Exit codes: 0 success, 2 configuration/input error, 3 divergence or
 non-convergence.  Identical config and seed reproduce byte-identical
-artifacts; configuration is validated before anything is written.
+artifacts.  Each ``cmd_*`` returns (exit code, {file name: (writer, payload)},
+summary line); ``main`` writes the artifacts under --out only after the command
+returns, so a command that raises writes nothing, while ``tune``'s exit 3, a
+result rather than a failure, still writes its error grid, histogram and snapshot.
 """
 
 from __future__ import annotations
@@ -18,18 +21,18 @@ import argparse
 import os
 import sys
 
-from .benchmark import (canonical_training_set, generate_test_set, label_vector,
+from .benchmark import (SweepStats, canonical_training_set, generate_test_set, label_vector,
                         load_patterns, pixel_matrix, precision_sweep, save_patterns)
 from .config import ExperimentConfig, load_config, write_default_config
 from .crossbar import (BiasScheme, build_crossbar, export_grid, import_grid,
                        ladder_worst_case_drop, load_state, max_crossbar_dimension,
-                       save_state, write_drop_budget, write_json)
+                       save_state, write_csv, write_drop_budget, write_json)
 from .errors import ConfigurationError, DivergenceError
 from .forming import form_all
 from .mlp import ConductancePairMap, MlpNetwork, fidelity, infer
 from .pipeline import (build_network_crossbars, derive_seed, run_ex_situ_pipeline)
-from .training import (pairs_to_weights, save_curve,
-                       train_in_situ_manhattan, train_single_layer, forward_batch)
+from .training import (forward_batch, save_curve, train_in_situ_manhattan,
+                       train_single_layer)
 from .tuning import error_histogram, import_conductance_map
 
 EXIT_OK = 0
@@ -37,7 +40,7 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
 
 
-def cmd_form(cfg: ExperimentConfig, out: str) -> int:
+def cmd_form(cfg: ExperimentConfig, args):
     xc = cfg.crossbar
     xbar = build_crossbar(xc.rows, xc.cols, cfg.device,
                           R_w=xc.wire_segment_resistance,
@@ -45,38 +48,35 @@ def cmd_form(cfg: ExperimentConfig, out: str) -> int:
                           pristine=True, line_model=xc.line_model)
     targets = [(r, c) for r in range(xc.rows) for c in range(xc.cols)]
     report = form_all(xbar, targets, cfg.forming)
-    os.makedirs(out, exist_ok=True)
-    write_json(report, os.path.join(out, "forming_report.json"))
-    save_state(xbar, os.path.join(out, "crossbar_state.json"))
-    print(f"formed {len(targets)} cells: {report['defective_count']} defective "
-          f"({report['defective_fraction']:.3%})")
-    return EXIT_OK
+    return EXIT_OK, {"forming_report.json": (write_json, report),
+                     "crossbar_state.json": (save_state, xbar)}, (
+        f"formed {len(targets)} cells: {report['defective_count']} defective "
+        f"({report['defective_fraction']:.3%})")
 
 
-def cmd_tune(cfg: ExperimentConfig, out: str, targets_path: str) -> int:
-    state_path = os.path.join(out, "crossbar_state.json")
+def cmd_tune(cfg: ExperimentConfig, args):
+    state_path = os.path.join(args.out, "crossbar_state.json")
     if not os.path.exists(state_path):
         raise ConfigurationError(f"no crossbar snapshot at {state_path}; run 'form' first")
     xbar = load_state(state_path)
-    targets = import_grid(targets_path)
+    targets = import_grid(args.targets)
     errors = import_conductance_map(xbar, targets, cfg.tuning)
-    export_grid(errors, os.path.join(out, "error_grid.csv"))
-    write_json(error_histogram(errors), os.path.join(out, "error_histogram.json"))
-    save_state(xbar, state_path)
     not_stuck = ~xbar.stuck_map()
     failed = int((errors[not_stuck] > cfg.tuning.tolerance + 1e-12).sum())
-    print(f"tuned {int(not_stuck.sum())} cells; max error "
-          f"{errors[not_stuck].max():.4f}; {failed} above tolerance")
-    return EXIT_NONCONVERGED if failed else EXIT_OK
+    return EXIT_NONCONVERGED if failed else EXIT_OK, {
+        "error_grid.csv": (export_grid, errors),
+        "error_histogram.json": (write_json, error_histogram(errors)),
+        "crossbar_state.json": (save_state, xbar)}, (
+        f"tuned {int(not_stuck.sum())} cells; max error "
+        f"{errors[not_stuck].max(initial=0.0):.4f}; {failed} above tolerance")
 
 
-def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
-    lines = cfg.crossbar
+def cmd_train(cfg: ExperimentConfig, args):
+    mode, lines = args.mode, cfg.crossbar
     if (mode == "in-situ" and lines.line_model == "wire_resistive"
             and lines.wire_segment_resistance > 0):
         raise ConfigurationError("in-situ training models ideal lines only; set "
                                  "crossbar.line_model to 'ideal' or its resistance to 0")
-    os.makedirs(out, exist_ok=True)
     if mode in ("ex-situ-oblivious", "ex-situ-aware"):
         result = run_ex_situ_pipeline(
             cfg.seed, aware=(mode == "ex-situ-aware"),
@@ -84,15 +84,15 @@ def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
             training_cfg=cfg.training, tuning_spec=cfg.tuning,
             refine_passes=cfg.tuning.refine_passes,
             R_w=cfg.crossbar.wire_segment_resistance, line_model=cfg.crossbar.line_model)
-        save_curve(result.outcome.curve, os.path.join(out, "training_curve.csv"))
+        artifacts = {"training_curve.csv": (save_curve, result.outcome.curve)}
         layers = zip(result.outcome.pair_maps, result.crossbars, result.import_errors,
                      result.forming_reports)
         for k, (pair_map, xbar, errors, report) in enumerate(layers, 1):
-            export_grid(pair_map.to_grid(), os.path.join(out, f"layer{k}_pairs.csv"))
-            save_state(xbar, os.path.join(out, f"crossbar{k}_state.json"))
-            export_grid(errors, os.path.join(out, f"import_error_layer{k}.csv"))
-            write_json(report, os.path.join(out, f"forming_report_layer{k}.json"))
-        write_json({
+            artifacts[f"layer{k}_pairs.csv"] = (export_grid, pair_map.to_grid())
+            artifacts[f"crossbar{k}_state.json"] = (save_state, xbar)
+            artifacts[f"import_error_layer{k}.csv"] = (export_grid, errors)
+            artifacts[f"forming_report_layer{k}.json"] = (write_json, report)
+        artifacts["fidelity.json"] = (write_json, {
             "mode": mode,
             "software_train_fidelity": result.software_train_fidelity,
             "software_test_fidelity": result.software_test_fidelity,
@@ -100,36 +100,30 @@ def cmd_train(cfg: ExperimentConfig, out: str, mode: str) -> int:
             "hardware_test_fidelity": result.hardware_test_fidelity,
             "defective_fraction": result.defective_fraction,
             "import_error_max": result.import_error_max,
-        }, os.path.join(out, "fidelity.json"))
-        print(f"{mode}: software {result.software_train_fidelity:.3f}/"
-              f"{result.software_test_fidelity:.3f}  hardware "
-              f"{result.hardware_train_fidelity:.3f}/{result.hardware_test_fidelity:.3f}")
-        return EXIT_OK
+        })
+        return EXIT_OK, artifacts, (
+            f"{mode}: software {result.software_train_fidelity:.3f}/"
+            f"{result.software_test_fidelity:.3f}  hardware "
+            f"{result.hardware_train_fidelity:.3f}/{result.hardware_test_fidelity:.3f}")
 
-    if mode == "in-situ":
-        patterns = [p for p in canonical_training_set()
-                    if p.label in set(cfg.manhattan.classes)]
-        xb1, xb2 = build_network_crossbars(cfg.seed, cfg.insitu_device, pristine=False)
-        result = train_in_situ_manhattan(xb1, xb2, patterns, cfg.manhattan)
-        with open(os.path.join(out, "insitu_error_curve.csv"), "w") as fh:
-            fh.write("epoch,error\n")
-            for epoch, err in enumerate(result.error_curve):
-                fh.write(f"{epoch},{err:.9g}\n")
-        save_state(xb1, os.path.join(out, "crossbar1_state.json"))
-        save_state(xb2, os.path.join(out, "crossbar2_state.json"))
-        write_json({
+    patterns = [p for p in canonical_training_set()
+                if p.label in set(cfg.manhattan.classes)]
+    xb1, xb2 = build_network_crossbars(cfg.seed, cfg.insitu_device, pristine=False)
+    result = train_in_situ_manhattan(xb1, xb2, patterns, cfg.manhattan)
+    return EXIT_OK, {
+        "insitu_error_curve.csv": (write_csv, [("epoch", "error"),
+                                               *enumerate(result.error_curve)]),
+        "crossbar1_state.json": (save_state, xb1),
+        "crossbar2_state.json": (save_state, xb2),
+        "fidelity.json": (write_json, {
             "mode": mode,
             "classes": cfg.manhattan.classes,
             "final_fidelity": result.final_fidelity,
             "last_fidelity": result.last_fidelity,
             "disturb_risk_count": result.disturb_risk_count,
             "pulses_issued": result.pulses_issued,
-        }, os.path.join(out, "fidelity.json"))
-        print(f"in-situ: final fidelity {result.final_fidelity:.3f} "
+        })}, (f"in-situ: final fidelity {result.final_fidelity:.3f} "
               f"(last state {result.last_fidelity:.3f})")
-        return EXIT_OK
-
-    raise ConfigurationError(f"unknown training mode {mode!r}")
 
 
 def _load_pair_maps(artifact_dir: str) -> MlpNetwork:
@@ -151,60 +145,49 @@ def _load_network(artifact_dir: str) -> MlpNetwork:
     return _load_pair_maps(artifact_dir)
 
 
-def cmd_infer(cfg: ExperimentConfig, out: str, network_dir: str,
-              patterns_path: str) -> int:
-    net = _load_network(network_dir)
-    patterns = load_patterns(patterns_path)
-    os.makedirs(out, exist_ok=True)
+def cmd_infer(cfg: ExperimentConfig, args):
+    net = _load_network(args.network)
+    patterns = load_patterns(args.patterns)
+    rows = [("pattern", "v_out_0", "v_out_1", "v_out_2", "v_out_3", "predicted", "label")]
     correct = 0
-    with open(os.path.join(out, "outputs.csv"), "w") as fh:
-        fh.write("pattern,v_out_0,v_out_1,v_out_2,v_out_3,predicted,label\n")
-        for idx, pattern in enumerate(patterns):
-            cls, volts = infer(net, pattern.pixels)
-            correct += cls == pattern.label_index
-            volts_txt = ",".join(f"{v:.9g}" for v in volts)
-            fh.write(f"{idx},{volts_txt},{cls},{pattern.label_index}\n")
+    for idx, pattern in enumerate(patterns):
+        cls, volts = infer(net, pattern.pixels)
+        correct += cls == pattern.label_index
+        rows.append((idx, *volts, cls, pattern.label_index))
     fidelity = correct / len(patterns)
-    write_json({"patterns": len(patterns), "fidelity": fidelity},
-               os.path.join(out, "inference_summary.json"))
-    print(f"inference: {correct}/{len(patterns)} correct ({fidelity:.3%})")
-    return EXIT_OK
+    summary = {"patterns": len(patterns), "fidelity": fidelity}
+    return EXIT_OK, {"outputs.csv": (write_csv, rows),
+                     "inference_summary.json": (write_json, summary)}, (
+        f"inference: {correct}/{len(patterns)} correct ({fidelity:.3%})")
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: str, weights_dir: str) -> int:
-    net = _load_pair_maps(weights_dir)
-    w1, w2 = pairs_to_weights(net.layer1), pairs_to_weights(net.layer2)
+def cmd_sweep(cfg: ExperimentConfig, args):
+    net = _load_pair_maps(args.weights)
+    w1, w2 = net.layer1.plus - net.layer1.minus, net.layer2.plus - net.layer2.minus
     sweep = cfg.benchmark
     stats = precision_sweep((w1, w2), sweep.noise_sigmas, runs=sweep.runs,
                             seed=derive_seed(cfg.seed, "noise"),
                             weight_limit=cfg.training.weight_limit)
-    os.makedirs(out, exist_ok=True)
-    stats["train"].save_csv(os.path.join(out, "train_sweep.csv"))
-    stats["test"].save_csv(os.path.join(out, "test_sweep.csv"))
-
     patterns = canonical_training_set()
     _, single_best = train_single_layer(patterns, cfg.training)
     mlp_fid = fidelity(forward_batch(w1, w2, pixel_matrix(patterns)), label_vector(patterns))
-    with open(os.path.join(out, "model_comparison.csv"), "w") as fh:
-        fh.write("model,best_train_fidelity\n")
-        fh.write(f"single-layer,{single_best:.9g}\n")
-        fh.write(f"mlp-10-hidden,{mlp_fid:.9g}\n")
-    print(f"sweep done over {len(sweep.noise_sigmas)} noise levels x {sweep.runs} runs; "
-          f"single-layer best {single_best:.3f} vs MLP {mlp_fid:.3f}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "train_sweep.csv": (SweepStats.save_csv, stats["train"]),
+        "test_sweep.csv": (SweepStats.save_csv, stats["test"]),
+        "model_comparison.csv": (write_csv, [("model", "best_train_fidelity"),
+                                             ("single-layer", single_best),
+                                             ("mlp-10-hidden", mlp_fid)])}, (
+        f"sweep done over {len(sweep.noise_sigmas)} noise levels x {sweep.runs} runs; "
+        f"single-layer best {single_best:.3f} vs MLP {mlp_fid:.3f}")
 
 
-def cmd_scale(cfg: ExperimentConfig, out: str) -> int:
+def cmd_scale(cfg: ExperimentConfig, args):
     sc = cfg.scale
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "ladder_drops.csv"), "w") as fh:
-        fh.write("preset,conductance_S,n,relative_drop\n")
-        for name, r_w in sorted(sc.wire_presets.items()):
-            for g in sorted({*sc.conductance_v_third.values(),
-                             *sc.conductance_v_half.values()}):
-                for n in sc.ladder_lengths:
-                    drop = ladder_worst_case_drop(n, r_w, g)
-                    fh.write(f"{name},{g:.9g},{n},{drop:.9g}\n")
+    drops = [("preset", "conductance_S", "n", "relative_drop")]
+    for name, r_w in sorted(sc.wire_presets.items()):
+        for g in sorted({*sc.conductance_v_third.values(), *sc.conductance_v_half.values()}):
+            for n in sc.ladder_lengths:
+                drops.append((name, g, n, ladder_worst_case_drop(n, r_w, g)))
 
     windows = (("set", (sc.set_threshold_min, sc.set_threshold_max)),
                ("reset", (sc.reset_threshold_min, sc.reset_threshold_max)))
@@ -219,13 +202,19 @@ def cmd_scale(cfg: ExperimentConfig, out: str) -> int:
                                                BiasScheme(scheme))
                 note = "" if budget > 0 else "no safe write window"
                 rows.append((name, scheme, transition, budget, n_max, note))
-    with open(os.path.join(out, "max_dimensions.csv"), "w") as fh:
-        fh.write("preset,scheme,transition,drop_budget,n_max,note\n")
-        for name, scheme, transition, budget, n_max, note in rows:
-            fh.write(f"{name},{scheme},{transition},{budget:.9g},{n_max},{note}\n")
-    for name, scheme, transition, budget, n_max, note in rows:
-        print(f"{name:16s} {scheme:8s} {transition:6s} budget {budget:7.2%}  n_max {n_max}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "ladder_drops.csv": (write_csv, drops),
+        "max_dimensions.csv": (write_csv, [("preset", "scheme", "transition", "drop_budget",
+                                            "n_max", "note"), *rows])}, "\n".join(
+        f"{name:16s} {scheme:8s} {transition:6s} budget {budget:7.2%}  n_max {n_max}"
+        for name, scheme, transition, budget, n_max, _ in rows)
+
+
+def cmd_export_patterns(cfg: ExperimentConfig, args):
+    train = canonical_training_set()
+    return EXIT_OK, {"training_patterns.txt": (save_patterns, train),
+                     "test_patterns.txt": (save_patterns, generate_test_set(train))}, (
+        f"wrote pattern files to {args.out}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,25 +225,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="artifact directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("form", help="electroform a pristine crossbar")
+    sub.add_parser("form", help="electroform a pristine crossbar").set_defaults(run=cmd_form)
     tune = sub.add_parser("tune", help="write-and-verify a conductance map")
     tune.add_argument("--targets", required=True, help="target conductance grid CSV")
+    tune.set_defaults(run=cmd_tune)
     train = sub.add_parser("train", help="train the classifier")
     train.add_argument("--mode", default="ex-situ-oblivious",
                        choices=["ex-situ-oblivious", "ex-situ-aware", "in-situ"])
+    train.set_defaults(run=cmd_train)
     inf = sub.add_parser("infer", help="classify a pattern file")
     inf.add_argument("--network", required=True,
                      help="directory with crossbar snapshots or pair-map CSVs")
     inf.add_argument("--patterns", required=True, help="pattern file")
+    inf.set_defaults(run=cmd_infer)
     sweep = sub.add_parser("sweep", help="weight-precision Monte Carlo")
     sweep.add_argument("--weights", required=True, help="directory with trained pair maps")
-    sub.add_parser("scale", help="crossbar scaling analysis")
+    sweep.set_defaults(run=cmd_sweep)
+    sub.add_parser("scale", help="crossbar scaling analysis").set_defaults(run=cmd_scale)
     init = sub.add_parser(
         "init-config",
         help="write the default config: every key of every section at the "
              "default of its spec dataclass (the dataclasses are the schema)")
     init.add_argument("--path", default="xbarsim.json")
-    export = sub.add_parser("export-patterns", help="write the benchmark pattern files")
+    sub.add_parser("export-patterns", help="write the benchmark pattern files").set_defaults(
+        run=cmd_export_patterns)
     return parser
 
 
@@ -266,27 +260,12 @@ def main(argv=None) -> int:
             print(f"wrote {args.path}")
             return EXIT_OK
         cfg = load_config(args.config, seed_override=args.seed)
-        if args.command == "form":
-            return cmd_form(cfg, args.out)
-        if args.command == "tune":
-            return cmd_tune(cfg, args.out, args.targets)
-        if args.command == "train":
-            return cmd_train(cfg, args.out, args.mode)
-        if args.command == "infer":
-            return cmd_infer(cfg, args.out, args.network, args.patterns)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, args.weights)
-        if args.command == "scale":
-            return cmd_scale(cfg, args.out)
-        if args.command == "export-patterns":
-            train_set = canonical_training_set()
-            os.makedirs(args.out, exist_ok=True)
-            save_patterns(train_set, os.path.join(args.out, "training_patterns.txt"))
-            save_patterns(generate_test_set(train_set),
-                          os.path.join(args.out, "test_patterns.txt"))
-            print(f"wrote pattern files to {args.out}")
-            return EXIT_OK
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        code, artifacts, summary = args.run(cfg, args)
+        os.makedirs(args.out, exist_ok=True)
+        for name, (writer, payload) in artifacts.items():
+            writer(payload, os.path.join(args.out, name))
+        print(summary)
+        return code
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -90,6 +90,8 @@ class BenchmarkSection:
     def validate(self):
         if self.runs < 1:
             raise ConfigurationError("need at least one run")
+        if any(sigma < 0 for sigma in self.noise_sigmas):
+            raise ConfigurationError("benchmark.noise_sigmas must be >= 0")
         return self
 
 

@@ -31,6 +31,12 @@ LINE_MODELS = ("ideal", "wire_resistive")
 # ~35 MB, 256x256 1.3 s and ~170 MB.
 MAX_NODAL_DIM = 128
 
+# Largest wire segment resistance.  The nodal solve stays accurate to ~1e16
+# ohm on a 20x17 array; past ~1e18 ohm its currents drift, past ~1e24 ohm they
+# go negative and at 1e300 ohm the factor is singular.  Real lines are a few
+# ohm per segment (5.6 ohm in the source paper, 0.185 ohm for copper).
+MAX_WIRE_RESISTANCE = 1e6
+
 
 @dataclass
 class BiasScheme:
@@ -102,8 +108,9 @@ def check_geometry(rows: int, cols: int, R_w: float = 0.0, line_model: str = "id
     """Raise ConfigurationError unless an array of this shape and wiring can exist."""
     if rows < 1 or cols < 1:
         raise ConfigurationError("crossbar dimensions must be >= 1")
-    if not 0 <= R_w < math.inf:
-        raise ConfigurationError("wire segment resistance must be finite and >= 0")
+    if not 0 <= R_w <= MAX_WIRE_RESISTANCE:
+        raise ConfigurationError(f"wire segment resistance must lie in [0, "
+                                 f"{MAX_WIRE_RESISTANCE:g}] ohm")
     if line_model not in LINE_MODELS:
         raise ConfigurationError(f"unknown line model {line_model!r}")
 
@@ -312,13 +319,18 @@ def max_crossbar_dimension(v_th_min: float, v_th_max: float, G_at_third: float,
 
 # --- Grid and state file formats -------------------------------------------
 
-def export_grid(grid: np.ndarray, path):
-    """Write a float grid as CSV: one crossbar row per line, 9 significant
-    digits, '.' decimal separator, no header."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+def write_csv(rows, path):
+    """Write rows as CSV lines: a float to 9 significant digits with a '.'
+    decimal separator, any other value as str() (a header is a row of str)."""
     with open(path, "w") as fh:
-        for row in grid:
-            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.9g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def export_grid(grid: np.ndarray, path):
+    """Write a float grid as CSV: one crossbar row per line, no header."""
+    write_csv(np.atleast_2d(np.asarray(grid, dtype=float)).tolist(), path)
 
 
 def import_grid(path) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmark import label_vector, pixel_matrix
-from .crossbar import BiasScheme, Crossbar
+from .crossbar import BiasScheme, Crossbar, write_csv
 from .device import switching_steps
 from .errors import ConfigurationError, DivergenceError
 from .mlp import (DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, _pair_cells, _split,
@@ -92,11 +92,6 @@ class DefectMap:
     def from_crossbars(cls, xb1: Crossbar, xb2: Crossbar) -> "DefectMap":
         return cls(xb1.stuck_map(), xb1.conductances(),
                    xb2.stuck_map(), xb2.conductances())
-
-
-def pairs_to_weights(pair_map: ConductancePairMap) -> np.ndarray:
-    """Signed weights encoded by a pair map: W = G+ - G-."""
-    return pair_map.plus - pair_map.minus
 
 
 def forward_batch(w1, w2, pixels_matrix, topology=DEFAULT_TOPOLOGY) -> np.ndarray:
@@ -403,7 +398,4 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
 
 def save_curve(curve, path):
     """Training curve as CSV: epoch, mse, fidelity."""
-    with open(path, "w") as fh:
-        fh.write("epoch,mse,fidelity\n")
-        for epoch, mse, fid in curve:
-            fh.write(f"{epoch},{mse:.9g},{fid:.9g}\n")
+    write_csv([("epoch", "mse", "fidelity"), *curve], path)

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarsim import config
+from xbarsim import cli, config, training
 from xbarsim.cli import main
 from xbarsim.config import ExperimentConfig, load_config, write_default_config
 from xbarsim.crossbar import (build_crossbar, export_grid, import_grid, load_state,
-                              save_state)
+                              save_state, write_csv)
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec
@@ -429,7 +429,11 @@ class TestCli:
         {"scale": {"conductance_v_half": {"set": "20uS", "reset": "-33uS"}}},
         {"scale": {"wire_presets": {"copper": "-0.185ohm"}}},
         {"scale": {"wire_presets": {"copper": "1e400ohm"}}},
-        {"tuning": {"pulse_width": "0s"}}, *_non_finite_configs()])
+        {"tuning": {"pulse_width": "0s"}},
+        # Past ~1e18 ohm the nodal solve drifts; at 1e300 ohm its factor is singular.
+        {"crossbar": {"wire_segment_resistance": "1e24ohm"}},
+        {"crossbar": {"wire_segment_resistance": "1e300ohm"}},
+        {"benchmark": {"noise_sigmas": [-0.5, 0.1]}}, *_non_finite_configs()])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -545,12 +549,101 @@ class TestCli:
         assert main(["--out", str(out), *argv]) == 2
         assert not out.exists()
 
+    def test_divergence_writes_nothing(self, tmp_path, monkeypatch):
+        grads = training._grads
+
+        def nan_loss(*args, **kwargs):
+            _, *rest = grads(*args, **kwargs)
+            return (math.nan, *rest)
+
+        monkeypatch.setattr(training, "_grads", nan_loss)
+        out = tmp_path / "train"
+        assert main(["--out", str(out), "train", "--mode", "ex-situ-aware"]) == 3
+        assert not out.exists()
+
+    def test_infer_failing_at_its_second_pattern_writes_nothing(self, tmp_path,
+                                                                 monkeypatch):
+        calls, infer = [], cli.infer
+
+        def fail_second(net, pixels):
+            calls.append(pixels)
+            if len(calls) == 2:
+                raise ConfigurationError("unreadable second pattern")
+            return infer(net, pixels)
+
+        monkeypatch.setattr(cli, "infer", fail_second)
+        net = tmp_path / "net"
+        net.mkdir()
+        export_grid(np.full((20, 17), 50e-6), net / "layer1_pairs.csv")
+        export_grid(np.full((8, 11), 50e-6), net / "layer2_pairs.csv")
+        patterns = tmp_path / "two.txt"
+        patterns.write_text("0110100111111001 A\n0110100111111001 A\n")
+        out = tmp_path / "res"
+        assert main(["--out", str(out), "infer", "--network", str(net),
+                     "--patterns", str(patterns)]) == 2
+        assert len(calls) == 2
+        assert not out.exists()
+
+    def test_unconverged_tune_still_writes(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        _two_by_two_snapshot(out / "crossbar_state.json")
+        before = (out / "crossbar_state.json").read_text()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tuning": {"max_pulses": 30, "tolerance": 1e-6}}))
+        targets = str(tmp_path / "targets.csv")
+        export_grid(np.full((2, 2), 50e-6), targets)
+        assert main(["--config", str(cfg), "--out", str(out), "tune",
+                     "--targets", targets]) == 3
+        assert import_grid(out / "error_grid.csv").shape == (2, 2)
+        assert (out / "error_histogram.json").exists()
+        assert (out / "crossbar_state.json").read_text() != before
+
+    def test_tune_on_an_all_stuck_array(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"crossbar": {"rows": 2, "cols": 2},
+                                   "device": {"stuck_probability": 1.0}}))
+        out = str(tmp_path / "run")
+        assert main(["--config", str(cfg), "--out", out, "form"]) == 0
+        targets = str(tmp_path / "targets.csv")
+        export_grid(np.full((2, 2), 50e-6), targets)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--out", out, "tune", "--targets", targets]) == 0
+        assert capsys.readouterr().out == (
+            "tuned 0 cells; max error 0.0000; 0 above tolerance\n")
+
+    def test_infer_on_a_singular_wire_snapshot_is_config_error(self, tmp_path):
+        net = tmp_path / "net"
+        net.mkdir()
+        for k, shape in enumerate([(20, 17), (8, 11)], 1):
+            xb = build_crossbar(*shape, DeviceVariationSpec(), seed=k)
+            xb.line_model, xb.wire_segment_resistance = "wire_resistive", 1e300
+            save_state(xb, net / f"crossbar{k}_state.json")
+        patterns = tmp_path / "one.txt"
+        patterns.write_text("0110100111111001 A\n")
+        out = tmp_path / "res"
+        assert main(["--out", str(out), "infer", "--network", str(net),
+                     "--patterns", str(patterns)]) == 2
+        assert not out.exists()
+
     def test_export_patterns(self, tmp_path):
         out = str(tmp_path / "pats")
         assert main(["--out", out, "export-patterns"]) == 0
         train = open(os.path.join(out, "training_patterns.txt")).read().splitlines()
         test = open(os.path.join(out, "test_patterns.txt")).read().splitlines()
         assert len(train) == 40 and len(test) == 640
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "rows.csv"
+
+
+@given(st.lists(st.lists(st.floats(), max_size=6), max_size=6))
+def test_write_csv_of_floats_is_the_nine_digit_join(csv_path, rows):
+    write_csv(rows, csv_path)
+    assert csv_path.read_text() == "".join(
+        ",".join(f"{x:.9g}" for x in row) + "\n" for row in rows)
 
 
 def _reject_constant(token):

@@ -20,7 +20,7 @@ from xbarsim.pipeline import (INSITU_DEVICE_SPEC, build_network_crossbars, deriv
 from xbarsim.rng import stream
 from xbarsim.training import (MANHATTAN_TARGET_LEVEL, TAIL_FRACTION, DefectMap,
                               ManhattanConfig, TrainingConfig, _directions, _flat_weights,
-                              _grads, _targets, encode_batch, forward_batch, pairs_to_weights,
+                              _grads, _targets, encode_batch, forward_batch,
                               save_curve, train_ex_situ, train_in_situ_manhattan,
                               train_single_layer)
 
@@ -32,9 +32,8 @@ class TestPairMapping:
         rng = stream(1, "w")
         W = rng.uniform(-90e-6, 90e-6, (4, 6))
         g_bias = 55e-6
-        np.testing.assert_allclose(
-            pairs_to_weights(ConductancePairMap(g_bias + W / 2, g_bias - W / 2)), W,
-            rtol=1e-12, atol=1e-20)
+        pair_map = ConductancePairMap(g_bias + W / 2, g_bias - W / 2)
+        np.testing.assert_allclose(pair_map.plus - pair_map.minus, W, rtol=1e-12, atol=1e-20)
 
 
 class TestGradients:

@@ -30,7 +30,8 @@ from .crossbar import (BiasScheme, build_crossbar, export_grid, import_grid,
 from .errors import ConfigurationError, DivergenceError
 from .forming import form_all
 from .mlp import ConductancePairMap, MlpNetwork, fidelity, infer
-from .pipeline import (build_network_crossbars, derive_seed, run_ex_situ_pipeline)
+from .pipeline import (build_network_crossbars, derive_seed, run_ex_situ_pipeline,
+                       training_config)
 from .training import (forward_batch, save_curve, train_in_situ_manhattan,
                        train_single_layer)
 from .tuning import error_histogram, import_conductance_map
@@ -78,12 +79,7 @@ def cmd_train(cfg: ExperimentConfig, args):
         raise ConfigurationError("in-situ training models ideal lines only; set "
                                  "crossbar.line_model to 'ideal' or its resistance to 0")
     if mode in ("ex-situ-oblivious", "ex-situ-aware"):
-        result = run_ex_situ_pipeline(
-            cfg.seed, aware=(mode == "ex-situ-aware"),
-            device_spec=cfg.device, forming_spec=cfg.forming,
-            training_cfg=cfg.training, tuning_spec=cfg.tuning,
-            refine_passes=cfg.tuning.refine_passes,
-            R_w=cfg.crossbar.wire_segment_resistance, line_model=cfg.crossbar.line_model)
+        result = run_ex_situ_pipeline(cfg.seed, mode == "ex-situ-aware", cfg)
         artifacts = {"training_curve.csv": (save_curve, result.outcome.curve)}
         layers = zip(result.outcome.pair_maps, result.crossbars, result.import_errors,
                      result.forming_reports)
@@ -169,7 +165,7 @@ def cmd_sweep(cfg: ExperimentConfig, args):
                             seed=derive_seed(cfg.seed, "noise"),
                             weight_limit=cfg.training.weight_limit)
     patterns = canonical_training_set()
-    _, single_best = train_single_layer(patterns, cfg.training)
+    _, single_best = train_single_layer(patterns, training_config(cfg, cfg.seed))
     mlp_fid = fidelity(forward_batch(w1, w2, pixel_matrix(patterns)), label_vector(patterns))
     return EXIT_OK, {
         "train_sweep.csv": (SweepStats.save_csv, stats["train"]),
@@ -260,6 +256,8 @@ def main(argv=None) -> int:
             print(f"wrote {args.path}")
             return EXIT_OK
         cfg = load_config(args.config, seed_override=args.seed)
+        if os.path.lexists(args.out) and not os.path.isdir(args.out):
+            raise ConfigurationError(f"--out {args.out} exists and is not a directory")
         code, artifacts, summary = args.run(cfg, args)
         os.makedirs(args.out, exist_ok=True)
         for name, (writer, payload) in artifacts.items():

@@ -80,6 +80,10 @@ class DeviceVariationSpec:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ConfigurationError(f"{name} must be ordered (lo <= hi)")
+        if not self.kinetics_rate_range[0] >= 0:
+            raise ConfigurationError("kinetics_rate_range must be non-negative")
+        if not self.preformed_resistance_range[0] > 0:
+            raise ConfigurationError("preformed_resistance_range must be positive")
         if not 0 < self.g_min <= self.g_max:
             raise ConfigurationError("need 0 < g_min <= g_max")
         if not 0 < self.kinetics_voltage_scale < math.inf:
@@ -117,6 +121,12 @@ class MemristorDevice:
     def __post_init__(self):
         if self.set_threshold <= 0 or self.reset_threshold >= 0:
             raise ConfigurationError("need set_threshold > 0 and reset_threshold < 0")
+        if not 0 < self.g_min <= self.g_max:
+            raise ConfigurationError("need 0 < g_min <= g_max")
+        if not (self.pristine_resistance > 0 and 1.0 / self.pristine_resistance < math.inf):
+            raise ConfigurationError("pristine_resistance must be positive, its inverse finite")
+        if not (self.kinetics_rate >= 0 and self.kinetics_voltage_scale > 0):
+            raise ConfigurationError("need kinetics_rate >= 0 and kinetics_voltage_scale > 0")
         self.conductance = min(max(self.conductance, self.g_min), self.g_max)
 
     def effective_conductance(self) -> float:

@@ -2,18 +2,21 @@
 
 These helpers wire the per-module operations into the two ex-situ flows
 (hardware-oblivious and hardware-aware) and collect the artifacts the
-experiment runner writes out.  All randomness derives from one root seed
-through named sub-streams, so a seed fully determines every output.
+experiment runner writes out.  ``run_ex_situ_pipeline(seed, aware, cfg)`` is
+one run: ``cfg`` (an ``ExperimentConfig``, its defaults when omitted) sets
+every stage's spec, and ``seed`` alone sets the randomness, through named
+sub-streams, so (config, seed) fully determines every output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .benchmark import (canonical_training_set, generate_test_set,
                         label_vector, pixel_matrix)
+from .config import INSITU_DEVICE_SPEC, ExperimentConfig  # noqa: F401 (re-exported)
 from .crossbar import Crossbar, build_crossbar
 from .device import DeviceVariationSpec
 from .forming import FormingSpec, form_all
@@ -24,21 +27,15 @@ from .training import (DefectMap, TrainingConfig, TrainingOutcome,
                        forward_batch, train_ex_situ)
 from .tuning import TuningSpec, import_with_refinement
 
-# The in-situ experiment runs on freshly formed (low-conductance) arrays in
-# the coarse-update regime: fixed-amplitude pulses move a device by a large,
-# device-dependent step, which is what limits the achievable fidelity.
-INSITU_DEVICE_SPEC = DeviceVariationSpec(
-    g_init_range=(2e-6, 3.5e-6),
-    kinetics_rate_range=(0.04e-6, 0.28e-6),
-)
-
-# Write-and-verify tolerance of the ex-situ weight import.
-IMPORT_TOLERANCE = 0.30
-
 
 def derive_seed(root_seed: int, *labels) -> int:
     """A 32-bit child seed for the addressed sub-stream."""
     return int(seed_sequence(root_seed, *labels).generate_state(1)[0])
+
+
+def training_config(cfg: ExperimentConfig, seed: int) -> TrainingConfig:
+    """``cfg.training`` drawing its initial weights from the run ``seed``."""
+    return replace(cfg.training, seed=derive_seed(seed, "training-init"))
 
 
 def build_network_crossbars(seed: int, device_spec: DeviceVariationSpec,
@@ -104,40 +101,37 @@ class PipelineResult:
     forming_reports: tuple = field(repr=False, default=None)
 
 
-def run_ex_situ_pipeline(seed: int, aware: bool,
-                         device_spec: DeviceVariationSpec | None = None,
-                         forming_spec: FormingSpec | None = None,
-                         training_cfg: TrainingConfig | None = None,
-                         tuning_spec: TuningSpec | None = None,
-                         refine_passes: int = 2,
-                         patterns=None, test_patterns=None,
-                         R_w: float = 0.0, line_model: str = "ideal") -> PipelineResult:
-    """The full ex-situ experiment for one seed.
+def run_ex_situ_pipeline(seed: int, aware: bool, cfg: ExperimentConfig | None = None,
+                         patterns=None, test_patterns=None) -> PipelineResult:
+    """The full ex-situ experiment for one seed under ``cfg``, by default
+    ``ExperimentConfig()``.
 
-    Forms two pristine arrays, trains the software network (with the defect
-    map when ``aware``), imports the weights at the configured tolerance and
-    evaluates train/test fidelity on the resulting hardware state, read
-    through the arrays' lines (``R_w`` ohm per segment under ``line_model``).
+    Forms two pristine arrays of ``cfg.device`` under ``cfg.forming``, trains
+    the software network under ``cfg.training`` (with the defect map when
+    ``aware``), imports the weights under ``cfg.tuning`` in its
+    ``refine_passes`` passes and evaluates train/test fidelity on the
+    resulting hardware state, read through the line model and wire
+    resistance of ``cfg.crossbar``.  ``seed`` alone names the run: the arrays
+    and the initial weights (``training_config``) derive from it, and neither
+    ``cfg.seed`` nor ``cfg.training.seed`` is read, so a study passes one
+    config and many seeds.
     """
-    device_spec = device_spec or DeviceVariationSpec()
-    forming_spec = forming_spec or FormingSpec()
-    training_cfg = training_cfg or TrainingConfig(seed=derive_seed(seed, "training-init"))
-    tuning_spec = tuning_spec or TuningSpec(tolerance=IMPORT_TOLERANCE)
+    cfg = cfg or ExperimentConfig()
     patterns = patterns or canonical_training_set()
     test_patterns = test_patterns or generate_test_set(patterns)
 
-    xb1, xb2 = build_network_crossbars(seed, device_spec, R_w=R_w, pristine=True,
-                                       line_model=line_model)
-    rep1, rep2 = form_network(xb1, xb2, forming_spec)
+    xb1, xb2 = build_network_crossbars(seed, cfg.device, cfg.crossbar.wire_segment_resistance,
+                                       pristine=True, line_model=cfg.crossbar.line_model)
+    rep1, rep2 = form_network(xb1, xb2, cfg.forming)
     n_cells = xb1.rows * xb1.cols + xb2.rows * xb2.cols
     defective = (rep1["defective_count"] + rep2["defective_count"]) / n_cells
 
     defects = DefectMap.from_crossbars(xb1, xb2) if aware else None
-    outcome = train_ex_situ(patterns, training_cfg, defects=defects)
+    outcome = train_ex_situ(patterns, training_config(cfg, seed), defects=defects)
     Y = forward_batch(*outcome.weights, pixel_matrix(test_patterns))
     sw_test = fidelity(Y, label_vector(test_patterns))
 
-    e1, e2 = import_network(xb1, xb2, outcome, tuning_spec, refine_passes)
+    e1, e2 = import_network(xb1, xb2, outcome, cfg.tuning, cfg.tuning.refine_passes)
     err_max = max(e[~xb.stuck_map()].max(initial=0.0) for e, xb in ((e1, xb1), (e2, xb2)))
 
     return PipelineResult(

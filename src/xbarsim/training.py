@@ -346,7 +346,8 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     compute update signs by backpropagation on the read-back conductances,
     then pulse every device once, positive polarity first, under half-select
     biasing (applied as the module docstring describes).  Classes are
-    restricted to the labels present in the dataset.
+    restricted to the labels present in the dataset.  Every device must be
+    linear (``nonlinearity_alpha`` 0), since the updates read ``G`` linearly.
     """
     cfg.validate()
     net = MlpNetwork(xb1, xb2)                  # raises unless the arrays fit its topology
@@ -358,6 +359,9 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     T = _targets(y_local, len(class_idx), MANHATTAN_TARGET_LEVEL)
 
     cells = net.cells()
+    if (cells["nonlinearity_alpha"] > 0).any():
+        raise ConfigurationError("in-situ training reads conductances linearly; "
+                                 "set the devices' nonlinearity_alpha to 0")
     disturb = _half_select_risk(cells, cfg)
     G, live = Crossbar(cells).conductances(), cells["formed"] & ~cells["stuck"]
     up, down = switching_steps(cells, [cfg.amplitude, -cfg.amplitude], cfg.pulse_width)

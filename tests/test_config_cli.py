@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from xbarsim import cli, config, training
 from xbarsim.cli import main
-from xbarsim.config import ExperimentConfig, load_config, write_default_config
+from xbarsim.config import (IMPORT_TOLERANCE, INSITU_DEVICE_SPEC, ExperimentConfig,
+                            load_config, write_default_config)
 from xbarsim.crossbar import (build_crossbar, export_grid, import_grid, load_state,
                               save_state, write_csv)
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec
-from xbarsim.pipeline import IMPORT_TOLERANCE, INSITU_DEVICE_SPEC
+from xbarsim.pipeline import derive_seed, run_ex_situ_pipeline
 from xbarsim.training import ManhattanConfig, TrainingConfig
 from xbarsim.tuning import TuningSpec
 from xbarsim.units import format_quantity, parse_quantity
@@ -89,10 +90,11 @@ class TestConfig:
 
     def test_defaults_are_the_library_defaults(self):
         cfg = load_config(None)
+        assert cfg == ExperimentConfig()
         assert cfg.device == DeviceVariationSpec()
         assert cfg.insitu_device == INSITU_DEVICE_SPEC
         assert cfg.forming == FormingSpec()
-        assert cfg.training == TrainingConfig(seed=cfg.seed)
+        assert cfg.training == TrainingConfig()
         tuning = {f.name: getattr(cfg.tuning, f.name) for f in fields(TuningSpec)}
         assert TuningSpec(**tuning) == TuningSpec(tolerance=IMPORT_TOLERANCE)
         manhattan = {f.name: getattr(cfg.manhattan, f.name) for f in fields(ManhattanConfig)}
@@ -125,15 +127,6 @@ class TestConfig:
         earlier = keys(json.load(open(EARLIER_DEFAULTS)))
         assert keys(json.load(open(path))) == earlier
         assert len(earlier) == 69
-
-    def test_training_seed_follows_the_root_seed(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"seed": 7}))
-        assert load_config(path).training.seed == 7
-        assert load_config(path, seed_override=9).training.seed == 9
-        path.write_text(json.dumps({"training": {"seed": 7}}))
-        with pytest.raises(ConfigurationError):
-            load_config(path)
 
     def test_partial_override(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -272,6 +265,14 @@ def _set(path, value):
     return mangle
 
 
+def _impossible_devices(state):
+    devices = state["devices"]
+    devices[0][0].update(formed=False, pristine_resistance=0.0)
+    devices[1][0].update(formed=False, pristine_resistance=-5.0)
+    devices[0][1]["g_min"] = 200e-6
+    return state
+
+
 class TestCli:
     def test_form_then_tune_then_infer_flow(self, tmp_path):
         out = str(tmp_path / "run")
@@ -346,6 +347,47 @@ class TestCli:
         curve = open(os.path.join(out, "insitu_error_curve.csv")).read().splitlines()
         assert len(curve) == 21             # header + one row per epoch
 
+    def test_ex_situ_training_is_the_library_run_at_its_seed(self, tmp_path):
+        out = tmp_path / "aware"
+        assert main(["--seed", "3", "--out", str(out), "train", "--mode", "ex-situ-aware"]) == 0
+        result = run_ex_situ_pipeline(3, True)
+        written = json.loads((out / "fidelity.json").read_text())
+        assert written.pop("mode") == "ex-situ-aware"
+        assert written == {name: getattr(result, name) for name in written}
+        for k, xbar in enumerate(result.crossbars, 1):
+            save_state(xbar, tmp_path / "library.json")
+            assert ((out / f"crossbar{k}_state.json").read_bytes()
+                    == (tmp_path / "library.json").read_bytes())
+
+    def test_sweep_baseline_trains_from_the_run_seed(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def record_seed(patterns, cfg):
+            seeds.append(cfg.seed)
+            return None, 0.5
+
+        monkeypatch.setattr(cli, "train_single_layer", record_seed)
+        weights = tmp_path / "weights"
+        weights.mkdir()
+        export_grid(np.full((20, 17), 50e-6), weights / "layer1_pairs.csv")
+        export_grid(np.full((8, 11), 50e-6), weights / "layer2_pairs.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"benchmark": {"noise_sigmas": [0.0], "runs": 1}}))
+        assert main(["--config", str(cfg), "--seed", "8", "--out", str(tmp_path / "sweep"),
+                     "sweep", "--weights", str(weights)]) == 0
+        assert seeds == [derive_seed(8, "training-init")]
+
+    def test_out_that_is_a_file_is_config_error_before_any_work(self, tmp_path,
+                                                                monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "run_ex_situ_pipeline", no_run)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert main(["--out", str(out), "train", "--mode", "ex-situ-aware"]) == 2
+        assert out.read_text() == "not a directory\n"
+
     def test_ex_situ_training_reads_through_configured_lines(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"crossbar": {"line_model": "wire_resistive",
@@ -399,9 +441,12 @@ class TestCli:
         ("in-situ", {"manhattan": {"pulse_width": "1e400s"}}),
         ("ex-situ-oblivious", {"training": {"init_scale": "-4uS"}}),
         ("ex-situ-oblivious", {"training": {"target_level": "0V"}}),
-        ("ex-situ-oblivious", {"training": {"target_level": "-1V"}})],
+        ("ex-situ-oblivious", {"training": {"target_level": "-1V"}}),
+        # In-situ updates read G linearly, so a nonlinear device has no effect there.
+        ("in-situ", {"insitu_device": {"nonlinearity_alpha": 0.5}})],
         ids=["learning_rate", "init_scale", "target_level", "amplitude", "pulse_width",
-             "negative-init_scale", "zero-target_level", "negative-target_level"])
+             "negative-init_scale", "zero-target_level", "negative-target_level",
+             "insitu-nonlinearity_alpha"])
     def test_bad_training_knob_is_config_error(self, tmp_path, mode, raw):
         # json.dumps writes an infinite float as Infinity; 1e400 overflows to it.
         cfg = tmp_path / "cfg.json"
@@ -433,7 +478,9 @@ class TestCli:
         # Past ~1e18 ohm the nodal solve drifts; at 1e300 ohm its factor is singular.
         {"crossbar": {"wire_segment_resistance": "1e24ohm"}},
         {"crossbar": {"wire_segment_resistance": "1e300ohm"}},
-        {"benchmark": {"noise_sigmas": [-0.5, 0.1]}}, *_non_finite_configs()])
+        {"benchmark": {"noise_sigmas": [-0.5, 0.1]}},
+        {"device": {"kinetics_rate_range": ["-0.05uS", "-0.02uS"]}},
+        *_non_finite_configs()])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -450,7 +497,7 @@ class TestCli:
         lambda state: {}, lambda state: [1], _without_thresholds,
         _set(["rows"], 3), _set(["devices", 1], []), _set(["line_model"], "copper"),
         _set(["devices", 0, 0, "stuck"], 0), _set(["devices", 0, 0, "conductance"], "5uS"),
-        _set(["devices", 0, 0, "set_threshold"], -1.0)])
+        _set(["devices", 0, 0, "set_threshold"], -1.0), _impossible_devices])
     def test_malformed_snapshot_is_config_error(self, tmp_path, mangle):
         out = tmp_path / "run"
         out.mkdir()
@@ -462,6 +509,7 @@ class TestCli:
         targets = str(tmp_path / "targets.csv")
         export_grid(np.full((rows, 2), 50e-6), targets)
         assert main(["--out", str(out), "tune", "--targets", targets]) == 2
+        assert os.listdir(out) == ["crossbar_state.json"]
         assert (out / "crossbar_state.json").read_text() == state
 
     def test_well_formed_snapshot_tunes(self, tmp_path):
@@ -686,6 +734,7 @@ class TestArtifacts:
         targets = str(tmp_path / "targets.csv")
         export_grid(np.full((2, 2), 50e-6), targets)
         assert main(["--out", str(out), "tune", "--targets", targets]) == 2
+        assert os.listdir(out) == ["crossbar_state.json"]
         assert (out / "crossbar_state.json").read_text() == state
 
     def test_non_standard_constant_in_snapshot_is_config_error(self, tmp_path):

@@ -459,6 +459,25 @@ class TestGoldenSnapshot:
         assert load_state(GOLDEN_STATE).cells.tobytes() == golden_crossbar().cells.tobytes()
 
 
+@pytest.mark.parametrize("fields", [
+    {"g_min": 0.0}, {"g_min": -2e-6}, {"g_min": 200e-6},
+    {"formed": False, "pristine_resistance": 0.0},
+    {"formed": False, "pristine_resistance": -5.0},
+    {"pristine_resistance": 1e-320}, {"kinetics_rate": -0.04e-6},
+    {"kinetics_voltage_scale": 0.0}, {"kinetics_voltage_scale": -0.3}],
+    ids=["zero-g_min", "negative-g_min", "g_min-above-g_max", "zero-pristine_resistance",
+         "negative-pristine_resistance", "overflowing-pristine_conductance",
+         "negative-kinetics_rate", "zero-kinetics_voltage_scale",
+         "negative-kinetics_voltage_scale"])
+def test_snapshot_of_a_device_that_cannot_exist_is_config_error(tmp_path, fields):
+    state = json.loads(GOLDEN_STATE.read_text())
+    state["devices"][1][2].update(fields)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    with pytest.raises(ConfigurationError):
+        load_state(path)
+
+
 # --- load_state fuzz: mutations of a valid snapshot --------------------------
 
 _TOKEN = "\x00token\x00"
@@ -562,6 +581,8 @@ def fuzz_state_path(tmp_path_factory):
 @example(mutations=[_set_top("wire_segment_resistance", 10 ** 400)], token="NaN")
 @example(mutations=[_set_field((2, 3), "set_threshold", 10 ** 400)], token="NaN")
 @example(mutations=[_set_field((0, 1), "conductance", _TOKEN)], token="Infinity")
+@example(mutations=[_set_field((1, 2), "g_min", 0), _set_field((1, 2), "conductance", -1.5)],
+         token="NaN")
 @given(mutations=st.lists(MUTATIONS, min_size=1, max_size=3),
        token=st.sampled_from(["NaN", "Infinity", "-Infinity"]))
 def test_mutated_snapshot_raises_only_configuration_error(fuzz_state_path, mutations,
@@ -577,3 +598,5 @@ def test_mutated_snapshot_raises_only_configuration_error(fuzz_state_path, mutat
         return
     assert xb.cells.shape == (xb.rows, xb.cols) == (state["rows"], state["cols"])
     assert math.isfinite(xb.wire_segment_resistance)
+    conductances = xb.conductances()
+    assert np.isfinite(conductances).all() and (conductances > 0).all()

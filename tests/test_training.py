@@ -466,6 +466,14 @@ class TestManhattanConfig:
         with pytest.raises(ConfigurationError):
             train_in_situ_manhattan(xb2, xb1, PATTERNS[:12], ManhattanConfig(epochs=1))
 
+    def test_nonlinear_devices_are_rejected_before_any_pulse(self):
+        spec = dataclasses.replace(INSITU_DEVICE_SPEC, nonlinearity_alpha=0.5)
+        xb1, xb2 = build_network_crossbars(8, spec, pristine=False)
+        before = [xb.cells.tobytes() for xb in (xb1, xb2)]
+        with pytest.raises(ConfigurationError, match="nonlinearity_alpha"):
+            train_in_situ_manhattan(xb1, xb2, PATTERNS[:12], ManhattanConfig(epochs=1))
+        assert [xb.cells.tobytes() for xb in (xb1, xb2)] == before
+
     def test_schemes_differ_where_half_select_can_switch(self):
         assert self._risk("V_third", 2.4) < self._risk("V_half", 2.4)
 

@@ -5,6 +5,7 @@ import pytest
 
 from xbarsim import tuning
 from xbarsim.benchmark import canonical_training_set
+from xbarsim.config import ExperimentConfig, TuningSection
 from xbarsim.crossbar import Crossbar, build_crossbar
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
@@ -436,9 +437,10 @@ class TestPassCount:
         assert [xb.cells.tobytes() for xb in (xb1, xb2)] == [c.tobytes() for c in _formed_chip(0)]
 
     def test_pipeline(self):
-        cfg = TrainingConfig(epochs=5, finetune_epochs=5)
+        cfg = ExperimentConfig(training=TrainingConfig(epochs=5, finetune_epochs=5),
+                               tuning=TuningSection(refine_passes=0))
         with pytest.raises(ConfigurationError, match="pass"):
-            run_ex_situ_pipeline(0, aware=False, training_cfg=cfg, refine_passes=0)
+            run_ex_situ_pipeline(0, aware=False, cfg=cfg)
 
 
 class TestImportMap:

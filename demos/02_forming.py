@@ -24,7 +24,7 @@ pristine = xbar.conductances()
 print(f"pristine read conductances: {pristine.min()*1e6:.2f}..{pristine.max()*1e6:.2f} uS")
 
 spec = FormingSpec()
-report = form_all(xbar, [(r, c) for r in range(20) for c in range(20)], spec)
+report = form_all(xbar, spec)
 write_json(report, os.path.join(OUT, "forming_report.json"))
 
 statuses = Counter(e["status"] for e in report["devices"])

@@ -154,7 +154,6 @@ class SweepStats:
 
 
 def precision_sweep(weights, noise_sigmas, runs: int = 100, seed: int = 0,
-                    patterns=None, test_patterns=None,
                     weight_limit: float | None = None) -> dict:
     """Monte Carlo of classification fidelity vs weight-import noise.
 
@@ -163,7 +162,7 @@ def precision_sweep(weights, noise_sigmas, runs: int = 100, seed: int = 0,
     range +/- ``weight_limit`` (default: ``TrainingConfig().weight_limit``).
     Common random numbers across sigma levels: run r uses the same
     normalized draw at every noise level, so medians trend monotonically.
-    Returns {"train": SweepStats, "test": SweepStats}.
+    Returns {"train": SweepStats, "test": SweepStats} on the canonical sets.
     """
     from .training import TrainingConfig, forward_batch     # cycle-free import
 
@@ -172,10 +171,8 @@ def precision_sweep(weights, noise_sigmas, runs: int = 100, seed: int = 0,
     limit = TrainingConfig().weight_limit if weight_limit is None else weight_limit
     w1, w2 = weights
     scale = max(np.abs(w1).max(), np.abs(w2).max())
-    if patterns is None:
-        patterns = canonical_training_set()
-    if test_patterns is None:
-        test_patterns = generate_test_set(patterns)
+    patterns = canonical_training_set()
+    test_patterns = generate_test_set(patterns)
     Xtr, ytr = pixel_matrix(patterns), label_vector(patterns)
     Xte, yte = pixel_matrix(test_patterns), label_vector(test_patterns)
     draws = []

@@ -47,11 +47,10 @@ def cmd_form(cfg: ExperimentConfig, args):
                           R_w=xc.wire_segment_resistance,
                           seed=derive_seed(cfg.seed, "device", "form"),
                           pristine=True, line_model=xc.line_model)
-    targets = [(r, c) for r in range(xc.rows) for c in range(xc.cols)]
-    report = form_all(xbar, targets, cfg.forming)
+    report = form_all(xbar, cfg.forming)
     return EXIT_OK, {"forming_report.json": (write_json, report),
                      "crossbar_state.json": (save_state, xbar)}, (
-        f"formed {len(targets)} cells: {report['defective_count']} defective "
+        f"formed {xbar.cells.size} cells: {report['defective_count']} defective "
         f"({report['defective_fraction']:.3%})")
 
 
@@ -73,11 +72,7 @@ def cmd_tune(cfg: ExperimentConfig, args):
 
 
 def cmd_train(cfg: ExperimentConfig, args):
-    mode, lines = args.mode, cfg.crossbar
-    if (mode == "in-situ" and lines.line_model == "wire_resistive"
-            and lines.wire_segment_resistance > 0):
-        raise ConfigurationError("in-situ training models ideal lines only; set "
-                                 "crossbar.line_model to 'ideal' or its resistance to 0")
+    mode = args.mode
     if mode in ("ex-situ-oblivious", "ex-situ-aware"):
         result = run_ex_situ_pipeline(cfg.seed, mode == "ex-situ-aware", cfg)
         artifacts = {"training_curve.csv": (save_curve, result.outcome.curve)}
@@ -104,7 +99,9 @@ def cmd_train(cfg: ExperimentConfig, args):
 
     patterns = [p for p in canonical_training_set()
                 if p.label in set(cfg.manhattan.classes)]
-    xb1, xb2 = build_network_crossbars(cfg.seed, cfg.insitu_device, pristine=False)
+    xc = cfg.crossbar
+    xb1, xb2 = build_network_crossbars(cfg.seed, cfg.insitu_device, xc.wire_segment_resistance,
+                                       pristine=False, line_model=xc.line_model)
     result = train_in_situ_manhattan(xb1, xb2, patterns, cfg.manhattan)
     return EXIT_OK, {
         "insitu_error_curve.csv": (write_csv, [("epoch", "error"),
@@ -127,10 +124,7 @@ def _load_pair_maps(artifact_dir: str) -> MlpNetwork:
     paths = [os.path.join(artifact_dir, f"layer{k}_pairs.csv") for k in (1, 2)]
     if not all(map(os.path.exists, paths)):
         raise ConfigurationError(f"no pair-map CSVs under {artifact_dir}; run 'train' first")
-    grids = [import_grid(p) for p in paths]
-    if not all((grid > 0).all() for grid in grids):
-        raise ConfigurationError(f"pair maps under {artifact_dir} hold conductances <= 0 S")
-    return MlpNetwork(*map(ConductancePairMap.from_grid, grids))
+    return MlpNetwork(*(ConductancePairMap.from_grid(import_grid(p)) for p in paths))
 
 
 def _load_network(artifact_dir: str) -> MlpNetwork:

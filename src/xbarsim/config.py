@@ -37,13 +37,9 @@ INSITU_DEVICE_SPEC = DeviceVariationSpec(
 # Write-and-verify tolerance of the ex-situ weight import.
 IMPORT_TOLERANCE = 0.30
 
-# Fields that are not keys.  Training draws its initial weights from a
-# sub-stream of the run's seed.  The pre-formed share of a pristine population
-# is a library knob that no command needs, so it stays out of the file.
-_NOT_KEYS = ("training.seed",
-             "device.preformed_probability", "device.preformed_resistance_range",
-             "insitu_device.preformed_probability",
-             "insitu_device.preformed_resistance_range")
+# Fields that are not keys: training draws its initial weights from a
+# sub-stream of the run's seed.
+_NOT_KEYS = ("training.seed",)
 
 _KIND = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
@@ -51,7 +47,7 @@ _KIND = {float: "a number", int: "an integer", bool: "true or false", str: "a st
 @dataclass
 class CrossbarSection:
     """The single array that ``form`` and ``tune`` work on.  Its line model
-    and wire resistance also apply to the two arrays of ex-situ ``train``."""
+    and wire resistance also apply to the two arrays of every ``train`` mode."""
 
     rows: int = 20
     cols: int = 20

@@ -37,6 +37,9 @@ MAX_NODAL_DIM = 128
 # ohm per segment (5.6 ohm in the source paper, 0.185 ohm for copper).
 MAX_WIRE_RESISTANCE = 1e6
 
+# Largest square dimension max_crossbar_dimension searches up to.
+MAX_SEARCH_DIM = 100000
+
 
 @dataclass
 class BiasScheme:
@@ -79,6 +82,11 @@ class Crossbar:
     @property
     def cols(self) -> int:
         return self.cells.shape[1]
+
+    @property
+    def reads_through_wires(self) -> bool:
+        """Whether reads go through the nodal solve: resistive lines, R_w > 0."""
+        return self.line_model == "wire_resistive" and self.wire_segment_resistance > 0
 
     def device(self, row: int, col: int) -> MemristorDevice:
         """A copy of one cell; edits reach the array only through put_device."""
@@ -146,7 +154,7 @@ def vmm_ideal(xbar: Crossbar, column_voltages) -> np.ndarray:
 
 def vmm(xbar: Crossbar, column_voltages) -> np.ndarray:
     """Row currents under the crossbar's configured line model."""
-    if xbar.line_model == "wire_resistive" and xbar.wire_segment_resistance > 0:
+    if xbar.reads_through_wires:
         return vmm_wire_resistive(xbar, column_voltages)
     return vmm_ideal(xbar, column_voltages)
 
@@ -294,8 +302,9 @@ def write_drop_budget(v_th_min: float, v_th_max: float, scheme: str) -> float:
 
 
 def max_crossbar_dimension(v_th_min: float, v_th_max: float, G_at_third: float,
-                           R_w: float, bias: BiasScheme, n_cap: int = 100000) -> int:
-    """Largest square dimension whose worst-case write drop stays in budget.
+                           R_w: float, bias: BiasScheme) -> int:
+    """Largest square dimension, at most MAX_SEARCH_DIM, whose worst-case write
+    drop stays in budget.
 
     Returns 0 when no safe write window exists (budget <= 0).
     """
@@ -305,9 +314,9 @@ def max_crossbar_dimension(v_th_min: float, v_th_max: float, G_at_third: float,
     if ladder_worst_case_drop(1, R_w, G_at_third) > budget:
         return 0
     lo, hi = 1, 2
-    while hi <= n_cap and ladder_worst_case_drop(hi, R_w, G_at_third) <= budget:
+    while hi <= MAX_SEARCH_DIM and ladder_worst_case_drop(hi, R_w, G_at_third) <= budget:
         lo, hi = hi, hi * 2
-    hi = min(hi, n_cap)
+    hi = min(hi, MAX_SEARCH_DIM)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ladder_worst_case_drop(mid, R_w, G_at_third) <= budget:

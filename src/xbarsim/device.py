@@ -32,8 +32,11 @@ _MIN_THRESHOLD = 0.05
 
 _MIN_FORMING_CURRENT = 1e-6
 
-# Pristine population: an unformed device's resistance, the current that
-# forms it (normal, in amperes) and its conductance once formed.
+# Pristine population, set by the fabricated chip: the share that needs no
+# forming and its resistance, the others' resistance, the forming current
+# (normal, in amperes) and the conductance once formed.
+PREFORMED_PROBABILITY = 0.05
+PREFORMED_RESISTANCE_RANGE = (2e4, 8e4)
 PRISTINE_RESISTANCE_RANGE = (1e6, 1e7)
 FORMING_CURRENT_MU = 400e-6
 FORMING_CURRENT_SIGMA = 80e-6
@@ -45,11 +48,11 @@ class DeviceVariationSpec:
     """Population statistics for sampling devices.
 
     Threshold voltages are normal; initial/stuck conductances and switching
-    rates are uniform over the given ranges.  The pre-formed fields describe
-    the share of a pristine population that needs no forming and its
-    resistance; the rest of that population is set by the module constants.
-    A pristine device conducts only through its pristine resistance until a
-    current sweep with ceiling >= its sampled forming current activates it.
+    rates are uniform over the given ranges.  The pristine population, its
+    pre-formed share included, is a property of the chip, set by the module
+    constants.  A pristine device conducts only through its pristine
+    resistance until a current sweep with ceiling >= its sampled forming
+    current activates it.
     """
 
     set_mu: float = quantity(1.0, "V")
@@ -64,26 +67,18 @@ class DeviceVariationSpec:
     nonlinearity_alpha: float = 0.0
     kinetics_rate_range: tuple[float, float] = quantity((0.02e-6, 0.06e-6), "S")
     kinetics_voltage_scale: float = quantity(0.3, "V")
-    # Latent pristine/forming population (used when sampling pristine=True).
-    preformed_probability: float = 0.05
-    preformed_resistance_range: tuple[float, float] = quantity((2e4, 8e4), "ohm")
 
     def validate(self):
         if not (0 <= self.set_sigma < math.inf and 0 <= self.reset_sigma < math.inf):
             raise ConfigurationError("threshold sigmas must be non-negative and finite")
         if not 0.0 <= self.stuck_probability <= 1.0:
             raise ConfigurationError("stuck_probability must be in [0, 1]")
-        if not 0.0 <= self.preformed_probability <= 1.0:
-            raise ConfigurationError("preformed_probability must be in [0, 1]")
-        for name in ("stuck_conductance_range", "g_init_range", "kinetics_rate_range",
-                     "preformed_resistance_range"):
+        for name in ("stuck_conductance_range", "g_init_range", "kinetics_rate_range"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ConfigurationError(f"{name} must be ordered (lo <= hi)")
         if not self.kinetics_rate_range[0] >= 0:
             raise ConfigurationError("kinetics_rate_range must be non-negative")
-        if not self.preformed_resistance_range[0] > 0:
-            raise ConfigurationError("preformed_resistance_range must be positive")
         if not 0 < self.g_min <= self.g_max:
             raise ConfigurationError("need 0 < g_min <= g_max")
         if not 0 < self.kinetics_voltage_scale < math.inf:
@@ -235,9 +230,9 @@ def draw_cell(spec: DeviceVariationSpec, rng: np.random.Generator,
     stuck_value = _uniform(rng, spec.stuck_conductance_range)
     g_init = _uniform(rng, spec.g_init_range)
     rate = _uniform(rng, spec.kinetics_rate_range)
-    preformed = bool(rng.uniform() < spec.preformed_probability) and not stuck
+    preformed = bool(rng.uniform() < PREFORMED_PROBABILITY) and not stuck
     if preformed:
-        pristine_r = _uniform(rng, spec.preformed_resistance_range)
+        pristine_r = _uniform(rng, PREFORMED_RESISTANCE_RANGE)
     else:
         pristine_r = _uniform(rng, PRISTINE_RESISTANCE_RANGE)
     if stuck:

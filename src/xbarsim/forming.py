@@ -172,22 +172,18 @@ def form_device(xbar: Crossbar, row: int, col: int, spec: FormingSpec) -> Formin
         xbar.put_device(row, col, device)
 
 
-def form_all(xbar: Crossbar, targets, spec: FormingSpec) -> dict:
-    """Form the listed (row, col) cells in order; returns the report dict.
+def form_all(xbar: Crossbar, spec: FormingSpec) -> dict:
+    """Form every cell, one at a time in row-major order; returns the report dict.
 
     The report maps directly onto the JSON artifact: per-device outcomes in
-    input order plus the aggregate defective fraction.
+    forming order plus the aggregate defective fraction.
     """
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise ConfigurationError("duplicate forming targets")
     entries = []
-    for row, col in targets:
+    for row, col in np.ndindex(xbar.cells.shape):
         outcome = form_device(xbar, row, col, spec)
         entries.append({"row": row, "col": col, "status": outcome.status,
                         "attempts": outcome.attempts_used,
                         "trace": [[c, r] for c, r in outcome.trace]})
     n_defective = sum(entry["status"] == STATUS_DEFECTIVE for entry in entries)
-    fraction = n_defective / len(targets) if targets else 0.0
     return {"devices": entries, "defective_count": n_defective,
-            "defective_fraction": fraction}
+            "defective_fraction": n_defective / len(entries)}

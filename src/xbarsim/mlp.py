@@ -150,7 +150,7 @@ def layer_forward(layer, inputs, kind: str, topology: NetworkTopology = DEFAULT_
 
 @dataclass
 class MlpNetwork:
-    """Two layers (pair maps or crossbars) whose pair grids fit the topology."""
+    """Two layers whose pair grids fit the topology: crossbars, or pair maps > 0 S."""
 
     layer1: object
     layer2: object
@@ -162,6 +162,9 @@ class MlpNetwork:
         wanted = self.topology.layer1_shape, self.topology.layer2_shape
         if shapes != wanted:
             raise ConfigurationError(f"layer grids {shapes} do not match the topology's {wanted}")
+        if not all((layer.to_grid() > 0).all() for layer in (self.layer1, self.layer2)
+                   if isinstance(layer, ConductancePairMap)):
+            raise ConfigurationError("pair maps must hold conductances > 0 S")
 
     def cells(self) -> np.ndarray:
         """A flat copy of both crossbars' cells, the network's cell vector:

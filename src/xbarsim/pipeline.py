@@ -54,8 +54,7 @@ def build_network_crossbars(seed: int, device_spec: DeviceVariationSpec,
 
 def form_network(xb1: Crossbar, xb2: Crossbar, forming_spec: FormingSpec):
     """Form every cell of both arrays; returns the two forming reports."""
-    return tuple(form_all(xb, list(np.ndindex(xb.cells.shape)), forming_spec)
-                 for xb in (xb1, xb2))
+    return tuple(form_all(xb, forming_spec) for xb in (xb1, xb2))
 
 
 def import_network(xb1: Crossbar, xb2: Crossbar, outcome: TrainingOutcome,

@@ -347,7 +347,9 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     then pulse every device once, positive polarity first, under half-select
     biasing (applied as the module docstring describes).  Classes are
     restricted to the labels present in the dataset.  Every device must be
-    linear (``nonlinearity_alpha`` 0), since the updates read ``G`` linearly.
+    linear (``nonlinearity_alpha`` 0) and no array may read through its wires
+    (``Crossbar.reads_through_wires``), since the updates read ``G`` linearly
+    as ideal lines see it.
     """
     cfg.validate()
     net = MlpNetwork(xb1, xb2)                  # raises unless the arrays fit its topology
@@ -362,6 +364,9 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     if (cells["nonlinearity_alpha"] > 0).any():
         raise ConfigurationError("in-situ training reads conductances linearly; "
                                  "set the devices' nonlinearity_alpha to 0")
+    if xb1.reads_through_wires or xb2.reads_through_wires:
+        raise ConfigurationError("in-situ training models ideal lines only; set the "
+                                 "line model to 'ideal' or the wire resistance to 0")
     disturb = _half_select_risk(cells, cfg)
     G, live = Crossbar(cells).conductances(), cells["formed"] & ~cells["stuck"]
     up, down = switching_steps(cells, [cfg.amplitude, -cfg.amplitude], cfg.pulse_width)

@@ -438,7 +438,7 @@ def golden_crossbar():
     """The formed 4x5 array snapshotted in data/crossbar_state_v1.json."""
     xb = build_crossbar(4, 5, DeviceVariationSpec(stuck_probability=0.3), seed=1,
                         pristine=True)
-    form_all(xb, [(r, c) for r in range(4) for c in range(5)], FormingSpec())
+    form_all(xb, FormingSpec())
     return xb
 
 

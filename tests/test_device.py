@@ -57,12 +57,9 @@ class TestSampling:
             DeviceVariationSpec(set_sigma=-0.1).validate()
         with pytest.raises(ConfigurationError):
             DeviceVariationSpec(g_init_range=(5e-6, 1e-6)).validate()
-        # Specs whose devices could not exist: negative rates, pristine paths
-        # of zero or negative resistance.
+        # A spec whose devices could not exist: negative rates.
         with pytest.raises(ConfigurationError):
             DeviceVariationSpec(kinetics_rate_range=(-0.05e-6, -0.02e-6)).validate()
-        with pytest.raises(ConfigurationError):
-            DeviceVariationSpec(preformed_resistance_range=(-5.0, 0.0)).validate()
 
 
 class TestStaticIV:

@@ -5,7 +5,6 @@ import pytest
 
 from xbarsim.crossbar import build_crossbar
 from xbarsim.device import CELL_DTYPE, DeviceVariationSpec, device_fields
-from xbarsim.errors import ConfigurationError
 from xbarsim.forming import (ESCALATION, LOW_CONDUCTANCE_TARGET, PRISTINE_READ_V,
                              FormingSpec, _reset_to_low, _sweep, form_all, form_device,
                              STATUS_DEFECTIVE, STATUS_FORMED, STATUS_PREFORMED)
@@ -67,40 +66,28 @@ class TestFormDevice:
 
 
 class TestFormAll:
-    def all_cells(self, xb):
-        return [(r, c) for r in range(xb.rows) for c in range(xb.cols)]
-
     def test_two_percent_stuck_population(self):
         spec = DeviceVariationSpec(stuck_probability=0.02)
         fractions = []
         for seed in range(12):
             xb = build_crossbar(20, 20, spec, seed=seed, pristine=True)
-            report = form_all(xb, self.all_cells(xb), FormingSpec())
+            report = form_all(xb, FormingSpec())
             fractions.append(report["defective_fraction"])
         assert abs(np.mean(fractions) - 0.02) < 0.01
 
-    def test_empty_targets(self):
-        xb = pristine_crossbar()
-        report = form_all(xb, [], FormingSpec())
-        assert report["devices"] == []
-        assert report["defective_fraction"] == 0.0
-
-    def test_report_order_matches_input(self):
-        xb = pristine_crossbar()
-        targets = [(1, 2), (0, 0), (3, 3)]
-        report = form_all(xb, targets, FormingSpec())
-        assert [(e["row"], e["col"]) for e in report["devices"]] == targets
-
-    def test_duplicate_targets_rejected(self):
-        xb = pristine_crossbar()
-        with pytest.raises(ConfigurationError):
-            form_all(xb, [(0, 0), (0, 0)], FormingSpec())
+    def test_report_lists_every_cell_in_row_major_order(self):
+        xb = pristine_crossbar(3, 5)
+        report = form_all(xb, FormingSpec())
+        assert [(e["row"], e["col"]) for e in report["devices"]] == [
+            (r, c) for r in range(3) for c in range(5)]
+        assert all(type(e["row"]) is int and type(e["col"]) is int
+                   for e in report["devices"])
 
     def test_formed_devices_end_low_and_defective_are_stuck(self):
         spec = DeviceVariationSpec(stuck_probability=0.05)
         xb = build_crossbar(10, 10, spec, seed=3, pristine=True)
         fspec = FormingSpec()
-        report = form_all(xb, self.all_cells(xb), fspec)
+        report = form_all(xb, fspec)
         for entry in report["devices"]:
             d = xb.device(entry["row"], entry["col"])
             if entry["status"] == STATUS_DEFECTIVE:
@@ -112,9 +99,9 @@ class TestFormAll:
     def test_rerun_is_idempotent(self):
         xb = pristine_crossbar(6, 6, seed=4)
         fspec = FormingSpec()
-        form_all(xb, self.all_cells(xb), fspec)
+        form_all(xb, fspec)
         state = xb.cells.copy()
-        report = form_all(xb, self.all_cells(xb), fspec)
+        report = form_all(xb, fspec)
         assert all(e["status"] == STATUS_PREFORMED for e in report["devices"])
         assert xb.cells.tobytes() == state.tobytes()
 
@@ -182,14 +169,23 @@ def _mid_sweep_former(seed):
     return xb
 
 
+def _preformed_heavy(seed):
+    # Every other non-stuck cell already conducts, well below the pristine
+    # threshold R_TH, so it is pre-formed rather than swept.
+    xb = build_crossbar(8, 11, DeviceVariationSpec(stuck_probability=0.1), seed=seed,
+                        pristine=True)
+    r, c = np.indices(xb.cells.shape)
+    preformed = ((r + c) % 2 == 0) & ~xb.cells["stuck"]
+    xb.cells["pristine_resistance"][preformed] = np.linspace(2e4, 8e4, preformed.sum())
+    return xb
+
+
 class TestFormingOracle:
     @pytest.mark.parametrize("make", [
         lambda: build_crossbar(20, 17, DeviceVariationSpec(), seed=11, pristine=True),
         lambda: build_crossbar(6, 7, DeviceVariationSpec(stuck_probability=0.3), seed=12,
                                pristine=True),
-        lambda: build_crossbar(8, 11, DeviceVariationSpec(preformed_probability=0.4,
-                                                          stuck_probability=0.1),
-                               seed=13, pristine=True),
+        lambda: _preformed_heavy(13),
         lambda: _mid_sweep_former(14),
     ], ids=["20x17", "stuck-heavy", "preformed-heavy", "formed-mid-sweep"])
     def test_form_all_matches_full_reset_pass(self, make):
@@ -197,10 +193,15 @@ class TestFormingOracle:
         targets = [(r, c) for r in range(xb.rows) for c in range(xb.cols)]
         spec = FormingSpec()
         want_report, want_cells = reference_form_all(xb, targets, spec)
-        report = form_all(xb, targets, spec)
+        report = form_all(xb, spec)
         assert any(e["attempts"] > spec.max_attempts for e in report["devices"])
         assert json.dumps(report) == json.dumps(want_report)
         assert xb.cells.tobytes() == want_cells.tobytes()
+
+    def test_preformed_heavy_array_is_mostly_preformed(self):
+        report = form_all(_preformed_heavy(13), FormingSpec())
+        statuses = [e["status"] for e in report["devices"]]
+        assert statuses.count(STATUS_PREFORMED) >= 0.3 * len(statuses)
 
     def test_mid_sweep_former_is_reset_by_round_two(self):
         xb = _mid_sweep_former(14)

@@ -223,6 +223,16 @@ class TestShapeContract:
         with pytest.raises(ConfigurationError, match=r"\(20, 17\), \(8, 11\)\)$"):
             MlpNetwork(*misfit(net, xbars))
 
+    @pytest.mark.parametrize("cells, siemens", [
+        (np.s_[:], 0.0), (np.s_[3, 7], -5e-6), (np.s_[3, 7], math.nan)],
+        ids=["zero map", "negative cell", "nan cell"])
+    def test_pair_map_of_conductances_not_above_zero_is_rejected(self, cells, siemens):
+        net = random_network(18)
+        minus = net.layer2.minus.copy()
+        minus[cells] = siemens
+        with pytest.raises(ConfigurationError, match="> 0 S"):
+            MlpNetwork(net.layer1, ConductancePairMap(net.layer2.plus, minus))
+
     def test_custom_topology(self):
         topo = NetworkTopology(n_inputs=5, n_hidden=3, n_outputs=2)
         net = small_network(17, topo)

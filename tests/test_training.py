@@ -398,12 +398,15 @@ ATV = [p for p in PATTERNS if p.label in ("A", "T", "V")]
 def _pristine_partly_formed(seed):
     # Low-resistance pre-formed cells put the pristine read-out above g_max,
     # the rest sit below g_min: a pulse must clamp neither.
-    spec = dataclasses.replace(INSITU_DEVICE_SPEC, preformed_probability=0.5,
-                               preformed_resistance_range=(2e3, 5e3))
-    xbars = build_network_crossbars(seed, spec, pristine=True)
+    xbars = build_network_crossbars(seed, INSITU_DEVICE_SPEC, pristine=True)
     for xb in xbars:
         r, c = np.indices(xb.cells.shape)
+        preformed = ((r + c) % 2 == 0) & ~xb.cells["stuck"]
+        xb.cells["pristine_resistance"][preformed] = np.linspace(2e3, 5e3, preformed.sum())
         xb.cells["formed"] = (r + c) % 3 != 0
+        pristine = xb.conductances()[~xb.cells["formed"]]
+        assert (pristine > INSITU_DEVICE_SPEC.g_max).any()
+        assert (pristine < INSITU_DEVICE_SPEC.g_min).any()
     return xbars
 
 
@@ -473,6 +476,16 @@ class TestManhattanConfig:
         with pytest.raises(ConfigurationError, match="nonlinearity_alpha"):
             train_in_situ_manhattan(xb1, xb2, PATTERNS[:12], ManhattanConfig(epochs=1))
         assert [xb.cells.tobytes() for xb in (xb1, xb2)] == before
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["hidden", "output"])
+    def test_resistive_lines_are_rejected_before_any_pulse(self, which):
+        xbars = build_network_crossbars(5, INSITU_DEVICE_SPEC, pristine=False)
+        xbars[which].line_model, xbars[which].wire_segment_resistance = "wire_resistive", 200.0
+        assert [xb.reads_through_wires for xb in xbars] == [k == which for k in (0, 1)]
+        before = [xb.cells.tobytes() for xb in xbars]
+        with pytest.raises(ConfigurationError, match="ideal lines"):
+            train_in_situ_manhattan(*xbars, ATV, ManhattanConfig(epochs=20))
+        assert [xb.cells.tobytes() for xb in xbars] == before
 
     def test_schemes_differ_where_half_select_can_switch(self):
         assert self._risk("V_third", 2.4) < self._risk("V_half", 2.4)

@@ -19,7 +19,7 @@ import numpy as np
 from .crossbar import write_csv
 from .errors import ConfigurationError
 from .mlp import fidelity
-from .rng import stream
+from .rng import streams
 
 CLASS_NAMES = ("A", "T", "V", "X")
 
@@ -175,10 +175,8 @@ def precision_sweep(weights, noise_sigmas, runs: int = 100, seed: int = 0,
     test_patterns = generate_test_set(patterns)
     Xtr, ytr = pixel_matrix(patterns), label_vector(patterns)
     Xte, yte = pixel_matrix(test_patterns), label_vector(test_patterns)
-    draws = []
-    for r in range(runs):
-        gen = stream(seed, "sweep", r)
-        draws.append((gen.normal(size=w1.shape), gen.normal(size=w2.shape)))
+    draws = [(gen.normal(size=w1.shape), gen.normal(size=w2.shape))
+             for gen in streams(seed, [("sweep", r) for r in range(runs)])]
     stats = {"train": SweepStats(), "test": SweepStats()}
     for sigma in noise_sigmas:
         train_f, test_f = [], []

@@ -21,7 +21,7 @@ import scipy.sparse.linalg
 from .device import (CELL_DTYPE, DEVICE_FIELDS, DeviceVariationSpec, MemristorDevice,
                      device_fields, draw_cell)
 from .errors import ConfigurationError
-from .rng import stream
+from .rng import streams
 
 LINE_MODELS = ("ideal", "wire_resistive")
 
@@ -128,13 +128,15 @@ def build_crossbar(rows: int, cols: int, spec: DeviceVariationSpec, R_w: float =
                    line_model: str = "ideal") -> Crossbar:
     """Populate a rows x cols grid with independently sampled devices.
 
-    Every cell gets its own derived seed, so the grid is reproducible and
-    insensitive to sampling order.
+    Every cell draws from its own stream, ``stream(seed, "cell", r, c)``, so
+    the grid is reproducible and insensitive to sampling order.  The streams
+    are seeded in one batch (``rng.streams``), and each cell's Generator is
+    built only as its turn comes.
     """
     check_geometry(rows, cols, R_w, line_model)
     spec.validate()
-    cells = np.array([draw_cell(spec, stream(seed, "cell", r, c), pristine)
-                      for r in range(rows) for c in range(cols)], dtype=CELL_DTYPE)
+    gens = streams(seed, [("cell", r, c) for r in range(rows) for c in range(cols)])
+    cells = np.array([draw_cell(spec, gen, pristine) for gen in gens], dtype=CELL_DTYPE)
     return Crossbar(cells.reshape(rows, cols), wire_segment_resistance=R_w,
                     line_model=line_model)
 

@@ -75,8 +75,8 @@ class DeviceVariationSpec:
             raise ConfigurationError("stuck_probability must be in [0, 1]")
         for name in ("stuck_conductance_range", "g_init_range", "kinetics_rate_range"):
             lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ConfigurationError(f"{name} must be ordered (lo <= hi)")
+            if not 0 <= hi - lo < math.inf:
+                raise ConfigurationError(f"{name} must be ordered (lo <= hi) and finite")
         if not self.kinetics_rate_range[0] >= 0:
             raise ConfigurationError("kinetics_rate_range must be non-negative")
         if not 0 < self.g_min <= self.g_max:
@@ -213,10 +213,13 @@ def switching_steps(cells: np.ndarray, amplitude: float | np.ndarray,
 
 
 def _uniform(rng: np.random.Generator, bounds) -> float:
-    lo, hi = bounds
+    """``float(rng.uniform(lo, hi))`` bit for bit: the expression numpy's
+    ``random_uniform`` evaluates, without the cost of ``Generator.uniform``.
+    A degenerate range makes no draw."""
+    lo, hi = map(float, bounds)
     if lo == hi:
-        return float(lo)
-    return float(rng.uniform(lo, hi))
+        return lo
+    return lo + (hi - lo) * rng.random()
 
 
 def draw_cell(spec: DeviceVariationSpec, rng: np.random.Generator,
@@ -226,11 +229,11 @@ def draw_cell(spec: DeviceVariationSpec, rng: np.random.Generator,
     yields the same device, whether or not the pristine fields are used."""
     set_th = max(_MIN_THRESHOLD, float(rng.normal(spec.set_mu, spec.set_sigma)))
     reset_th = min(-_MIN_THRESHOLD, float(rng.normal(spec.reset_mu, spec.reset_sigma)))
-    stuck = bool(rng.uniform() < spec.stuck_probability)
+    stuck = rng.random() < spec.stuck_probability
     stuck_value = _uniform(rng, spec.stuck_conductance_range)
     g_init = _uniform(rng, spec.g_init_range)
     rate = _uniform(rng, spec.kinetics_rate_range)
-    preformed = bool(rng.uniform() < PREFORMED_PROBABILITY) and not stuck
+    preformed = rng.random() < PREFORMED_PROBABILITY and not stuck
     if preformed:
         pristine_r = _uniform(rng, PREFORMED_RESISTANCE_RANGE)
     else:

@@ -15,9 +15,11 @@ from xbarsim.crossbar import (MAX_NODAL_DIM, BiasScheme, _FACTOR_CACHE_SIZE,
                               ladder_worst_case_drop, load_state,
                               max_crossbar_dimension, save_state, vmm, vmm_ideal,
                               vmm_wire_resistive, write_drop_budget)
-from xbarsim.device import DEVICE_FIELDS, DeviceVariationSpec
+from xbarsim.config import INSITU_DEVICE_SPEC
+from xbarsim.device import CELL_DTYPE, DEVICE_FIELDS, DeviceVariationSpec, draw_cell
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec, form_all
+from xbarsim.rng import stream
 
 SPEC = DeviceVariationSpec(stuck_probability=0.0)
 
@@ -188,7 +190,33 @@ class TestNodalOracle:
                 assert_same_bytes(vmm_wire_resistive(xb, v), expected)
 
 
+def reference_cells(rows, cols, spec, seed, pristine):
+    """The cells drawn one stream at a time, each seeded by numpy's SeedSequence."""
+    return np.array([draw_cell(spec, stream(seed, "cell", r, c), pristine)
+                     for r in range(rows) for c in range(cols)],
+                    dtype=CELL_DTYPE).reshape(rows, cols)
+
+
+DEGENERATE_SPEC = DeviceVariationSpec(stuck_conductance_range=(40e-6, 40e-6),
+                                      g_init_range=(60e-6, 60e-6),
+                                      kinetics_rate_range=(0.03e-6, 0.03e-6))
+
+
 class TestBuild:
+    @pytest.mark.parametrize("spec, pristine", [
+        (DeviceVariationSpec(), False),
+        (DeviceVariationSpec(), True),
+        (INSITU_DEVICE_SPEC, True),
+        (DEGENERATE_SPEC, True),
+        (DeviceVariationSpec(stuck_probability=0.0), True),
+        (DeviceVariationSpec(stuck_probability=1.0), False),
+    ], ids=["default", "default-pristine", "insitu", "degenerate-ranges",
+            "never-stuck", "always-stuck"])
+    @pytest.mark.parametrize("seed", [0, 3, 2**33 + 1])
+    def test_cells_equal_per_stream_reference(self, spec, pristine, seed):
+        got = build_crossbar(8, 11, spec, seed=seed, pristine=pristine).cells
+        assert_same_bytes(got, reference_cells(8, 11, spec, seed, pristine))
+
     def test_20x20_all_functional(self):
         xb = build_crossbar(20, 20, SPEC, seed=1)
         assert xb.rows == xb.cols == 20

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from xbarsim.device import (CELL_DTYPE, DeviceVariationSpec, MemristorDevice,
                             device_fields, sample_device, switching_steps,
-                            PULSE_WIDTH_REF)
+                            PULSE_WIDTH_REF, _uniform)
 from xbarsim.errors import ConfigurationError
-from xbarsim.rng import stream
+from xbarsim.rng import stream, streams
 
 
 def make_device(**kw):
@@ -39,8 +39,8 @@ class TestSampling:
         spec = DeviceVariationSpec(stuck_probability=0.025)
         counts = []
         for seed in range(300):
-            count = sum(sample_device(spec, stream(seed, "stuck", i)).stuck
-                        for i in range(400))
+            gens = streams(seed, [("stuck", i) for i in range(400)])
+            count = sum(sample_device(spec, gen).stuck for gen in gens)
             counts.append(count)
         assert abs(np.mean(counts) - 10.0) < 0.8
 
@@ -60,6 +60,24 @@ class TestSampling:
         # A spec whose devices could not exist: negative rates.
         with pytest.raises(ConfigurationError):
             DeviceVariationSpec(kinetics_rate_range=(-0.05e-6, -0.02e-6)).validate()
+
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0)])
+    def test_range_of_unbounded_width_rejected(self, bounds):
+        with pytest.raises(ConfigurationError):
+            DeviceVariationSpec(g_init_range=bounds).validate()
+
+    @pytest.mark.parametrize("bounds", [(10e-6, 100e-6), (-2.5, 7), (0.0, 1.0)])
+    def test_uniform_draw_equals_generator_uniform(self, bounds):
+        ours, numpys = stream(9, "uniform"), stream(9, "uniform")
+        for _ in range(2000):
+            assert _uniform(ours, bounds) == float(numpys.uniform(*bounds))
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_degenerate_range_makes_no_draw(self):
+        rng = stream(9, "uniform")
+        before = rng.bit_generator.state
+        assert _uniform(rng, (3e-6, 3e-6)) == 3e-6
+        assert rng.bit_generator.state == before
 
 
 class TestStaticIV:

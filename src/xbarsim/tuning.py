@@ -5,8 +5,11 @@ start gentle, escalate while pulses are ineffective (sub-threshold or
 negligible progress), and restart the ladder on every polarity flip so
 overshoots are corrected with the smallest available steps.  Error is always
 the normalized absolute difference |actual - target| / target.  Cells climb
-in lockstep, one pulse and one read-back per round, over an array or both of
-``pipeline.import_network``; cells do not couple, so each tunes as if alone.
+in lockstep over an array or both of ``pipeline.import_network``; cells do
+not couple, so each tunes as if alone.  A round takes every cell through a
+block of pulses at its present amplitude, up to the first pulse that changes
+more than its state (an escalation, a stall, a read inside the tolerance, an
+overshoot or the last of its ``max_pulses``), and ends with one read-back.
 Whenever at most half of a round's cells still tune, the finished ones are
 stored and the rounds go on over a flat copy of the rest, so a pass's long
 tail of slow cells costs rounds over a few cells, not over the whole array.
@@ -30,6 +33,10 @@ _EFFECT_EPS = 1e-12
 # Escalate when a pulse moves the state by less than this fraction of the
 # remaining gap; keeps large excursions from crawling at the threshold rate.
 PROGRESS_FRACTION = 0.02
+
+# Cells times pulses of one round's block, before its length is clipped to
+# 8..512 pulses.
+_BLOCK_CELLS = 2048
 
 
 @dataclass
@@ -126,16 +133,18 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
     for n in range(passes):
         goal = targets if n == 0 else np.clip(targets * targets / np.maximum(
             xbar.conductances(), 1e-12), g_min + headroom, g_max - headroom)
-        g = xbar.conductances() * v * gain / v      # read_conductance, elementwise
-        err, gap = tuning_error(goal, g), abs(g - goal)
+        raw = xbar.conductances()
+        g = raw * v * gain / v                      # read_conductance, elementwise
+        err = tuning_error(goal, g)
         level = np.where(goal > g, 0, n_set)        # index into the ladders, set first
         stalls = np.zeros(goal.shape, dtype=int)
+        left = np.full(goal.shape, spec.max_pulses)  # each cell's pulse budget
         tuning = ~cells["stuck"] & (err > spec.tolerance)
         # The round's cells: all of them in the grid's shape, then, whenever at
         # most half of them still tune, a flat copy of those that do, with
         # their flat positions ``at`` and their columns of the step table.
         live, at, steps, col, lo, hi, gn = xbar, offsets, table, offsets, g_min, g_max, gain
-        for _ in range(spec.max_pulses):
+        while True:
             count = np.count_nonzero(tuning)
             if 2 * count <= tuning.size:
                 conductance.flat[at] = live.cells["conductance"]
@@ -143,27 +152,53 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
                 if not count:
                     break
                 live = Crossbar(live.cells[tuning])
-                at, goal, g, gap, level, stalls, err, lo, hi, gn = (
-                    a[tuning] for a in (at, goal, g, gap, level, stalls, err, lo, hi, gn))
+                at, goal, raw, g, level, stalls, left, err, lo, hi, gn = (
+                    a[tuning] for a in (at, goal, raw, g, level, stalls, left, err, lo, hi, gn))
                 steps, col, tuning = steps[:, tuning], np.arange(count), np.ones(count, bool)
             up = goal > g                           # a polarity flip restarts the ladder
             level = np.where(up == (level < n_set), level, np.where(up, 0, n_set))
-            step = np.where(tuning, steps.take(level * goal.size + col), 0.0)
-            cond = live.cells["conductance"]
-            np.minimum(np.maximum(cond + step, lo), hi, out=cond)
-            before, g = g, live.conductances() * v * gn / v
-            moved = abs(g - before)                 # gap: |goal - before|, from last round
-            weak = tuning & (moved < np.maximum(_EFFECT_EPS, PROGRESS_FRACTION * gap))
             capped = at_cap[level]
-            stalls += weak & capped & (moved < _EFFECT_EPS)  # a stall repeats: no reset
+            step = np.where(tuning, steps.take(level * goal.size + col), 0.0)
+            # A round pulses each cell through a block at its level: row j of
+            # ``run`` is its raw read after j pulses.  The sums run left to
+            # right, so each row is j pulses added one by one, and the clip is
+            # ``apply_pulse``'s, on the side the step moves to; unformed and
+            # idle cells take a zero step.  Rounds over many cells take short
+            # blocks, the tail of a few slow cells long ones.
+            run = np.empty((min(max(_BLOCK_CELLS // count, 8), 512) + 1,) + goal.shape)
+            run[0], run[1:] = raw, step
+            np.add.accumulate(run, out=run)
+            np.clip(run[1:], np.where(step < 0, lo, -np.inf), np.where(step > 0, hi, np.inf),
+                    out=run[1:])
+            reads = run * v
+            reads *= gn
+            reads /= v
+            gaps = abs(reads - goal)                # before the first pulse, then after each
+            errs = gaps / goal                      # tuning_error
+            # A weak pulse escalates below the cap; at the cap only one that
+            # moves less than _EFFECT_EPS counts, as a stall.  A cell's block
+            # ends at its first weak pulse, read inside the tolerance or
+            # overshoot (the ladder restarts), or at its block's or budget's
+            # last pulse; the pulses before it change only its conductance
+            # and error.  The round's read-back follows its last pulse.
+            weak = abs(reads[1:] - reads[:-1]) < np.maximum(
+                np.where(capped, 0.0, PROGRESS_FRACTION) * gaps[:-1], _EFFECT_EPS)
+            event = weak | (errs[1:] <= spec.tolerance) | ((goal > reads[1:]) != up)
+            event[-1] = True
+            last = event.argmax(axis=0)
+            np.minimum(last, left - 1, out=last, where=tuning)
+            left -= last + 1
+            pulse = last * goal.size + col          # the last pulse's flat index
+            np.copyto(live.cells["conductance"], run.take(pulse + goal.size),
+                      where=live.cells["formed"])
+            raw, g = live.conductances(), reads.take(pulse + goal.size)
+            weak = tuning & weak.take(pulse)
+            err = np.where(tuning, errs.take(pulse), err)   # what a third stall keeps
+            stalls += weak & capped                 # a stall repeats: no reset
             level += weak & ~capped
             tuning &= stalls < 3                    # untunable direction or rail
-            gap = abs(g - goal)
-            err = np.where(tuning, gap / goal, err)  # tuning_error
-            tuning &= err > spec.tolerance
-        else:                                       # the pulse budget ran out
-            conductance.flat[at] = live.cells["conductance"]
-            errors.flat[at] = err
+            err = np.where(tuning, errs.take(pulse + goal.size), err)
+            tuning &= (err > spec.tolerance) & (left > 0)
     return errors
 
 

@@ -2,12 +2,13 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xbarsim import tuning
 from xbarsim.benchmark import canonical_training_set
 from xbarsim.config import ExperimentConfig, TuningSection
 from xbarsim.crossbar import Crossbar, build_crossbar
-from xbarsim.device import DeviceVariationSpec
+from xbarsim.device import DeviceVariationSpec, MemristorDevice
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec
 from xbarsim.mlp import ConductancePairMap
@@ -48,7 +49,7 @@ def tune_cell(xb, row, col, target, spec):
 
 @pytest.fixture
 def verify_reads(monkeypatch):
-    """Counts array read-backs: one before tuning, then one per pulse round."""
+    """Counts array read-backs: one before tuning, then one per round."""
     calls = []
     original = Crossbar.conductances
 
@@ -282,6 +283,123 @@ class TestLockstepOracle:
         targets = Crossbar(cells).conductances()
         assert_matches_reference(cells, targets, TuningSpec(tolerance=0.05))
         assert verify_reads.count(cells.shape) == 2      # the read above and the pass's
+
+    # Blocks: a round takes each cell through a run of pulses at its level,
+    # up to its first event; these pin the edges of a block.
+
+    def test_conductance_outside_its_range(self, monkeypatch):
+        # Cells above g_max or below g_min, pulsed further out or back toward
+        # their range: each pulse is apply_pulse's from the state the array
+        # holds, as for a device that skips the constructor's clamp.
+        monkeypatch.setattr(Crossbar, "device", unclamped_device)
+        cells = _formed_chip(1)[1].copy()
+        rng = np.random.default_rng(41)
+        high = rng.random(cells.shape) < 0.5
+        cells["conductance"] = np.where(
+            high, cells["g_max"] + rng.uniform(0.01e-6, 20e-6, cells.shape),
+            cells["g_min"] * rng.uniform(0.2, 0.99, cells.shape))
+        targets = np.where(rng.random(cells.shape) < 0.5, rng.uniform(10e-6, 100e-6, cells.shape),
+                           np.where(high, 200e-6, 1e-6))
+        lockstep = Crossbar(cells.copy())
+        assert_matches_reference(cells, targets, TuningSpec(tolerance=0.05))
+        import_conductance_map(lockstep, targets, TuningSpec(tolerance=0.05))
+        moved = lockstep.cells["conductance"] != cells["conductance"]
+        for side in (cells["conductance"] > cells["g_max"], cells["conductance"] < cells["g_min"]):
+            assert (side & moved & (lockstep.cells["conductance"] != cells["g_max"])
+                    & (lockstep.cells["conductance"] != cells["g_min"])).any()
+
+    def test_cells_reach_a_rail_mid_block(self):
+        # Fast cells with targets beyond g_max or below g_min climb in long
+        # quiet runs, and the clip binds on a pulse inside a block.
+        fast = DeviceVariationSpec(stuck_probability=0.0, kinetics_rate_range=(0.5e-6, 2e-6))
+        cells = build_crossbar(8, 11, fast, seed=42).cells
+        rng = np.random.default_rng(42)
+        targets = np.where(rng.random(cells.shape) < 0.5, 160e-6, 1.5e-6)
+        lockstep = Crossbar(cells.copy())
+        assert_matches_reference(cells, targets, TuningSpec(tolerance=0.01))
+        import_conductance_map(lockstep, targets, TuningSpec(tolerance=0.01))
+        g = lockstep.cells["conductance"]
+        assert (g == cells["g_max"]).any() and (g == cells["g_min"]).any()
+
+    @pytest.mark.parametrize("max_pulses", [1, 37, 513])
+    def test_budgets_that_end_mid_block(self, max_pulses):
+        cells = _formed_chip(2)[1]
+        targets = np.random.default_rng(43).uniform(10e-6, 100e-6, cells.shape)
+        errors = assert_matches_reference(cells, targets,
+                                          TuningSpec(tolerance=0.005, max_pulses=max_pulses))
+        assert (errors > 0.005).any()
+
+    def test_weak_pulses_at_the_cap_that_still_move(self, verify_reads):
+        # Slow cells reach the cap of a short ladder within a few pulses, then
+        # crawl: each pulse moves them by more than _EFFECT_EPS but by less
+        # than PROGRESS_FRACTION of the gap.  Such pulses change nothing but
+        # the state, so the crawl takes long blocks, not one round a pulse.
+        slow = DeviceVariationSpec(stuck_probability=0.0, set_mu=1.0, set_sigma=0.05,
+                                   kinetics_rate_range=(1e-10, 2e-10))
+        cells = build_crossbar(3, 4, slow, seed=44).cells
+        targets = np.full(cells.shape, 140e-6)
+        spec = TuningSpec(tolerance=0.01, set_amplitude_range=(1.3, 1.4), max_pulses=600)
+        lockstep = Crossbar(cells.copy())
+        errors = import_conductance_map(lockstep, targets, spec)
+        rounds = len(verify_reads) - 1
+        assert (errors > 0.01).all()
+        assert (lockstep.cells["conductance"] - cells["conductance"] > 100 * _EFFECT_EPS).all()
+        assert rounds < 30
+        assert_matches_reference(cells, targets, spec)
+
+    def test_stalls_between_moving_pulses(self):
+        # A cap pulse that asks for exactly _EFFECT_EPS moves a cell by a hair
+        # more or less than that, so stalls and moving pulses come in turn; a
+        # third stall after moving pulses keeps the error they left.
+        cells = build_crossbar(4, 5, CLEAN, seed=46).cells
+        cells["set_threshold"] = 1.4
+        cells["kinetics_rate"] = _EFFECT_EPS
+        spec = TuningSpec(tolerance=0.01, set_amplitude_range=(1.3, 1.4), max_pulses=2000)
+        errors = assert_matches_reference(cells, np.full(cells.shape, 140e-6), spec)
+        assert (errors > 0.01).all()
+
+    def test_slow_cell_takes_a_round_per_block(self, monkeypatch, verify_reads):
+        # One slow cell at 1% tolerance: the reference pulses it hundreds of
+        # times; the lockstep reads it back at most once per four pulses.
+        pulses = []
+        original = MemristorDevice.apply_pulse
+
+        def counting(self, amplitude, width):
+            pulses.append(amplitude)
+            return original(self, amplitude, width)
+
+        xb = build_crossbar(1, 1, CLEAN, seed=45)
+        xb.cells["conductance"] = 10e-6
+        spec = TuningSpec(tolerance=0.01)
+        lockstep, reference = Crossbar(xb.cells.copy()), Crossbar(xb.cells.copy())
+        error = import_conductance_map(lockstep, [[120e-6]], spec)[0, 0]
+        rounds = len(verify_reads) - 1
+        monkeypatch.setattr(MemristorDevice, "apply_pulse", counting)
+        assert error == reference_tune(reference, 0, 0, 120e-6, spec) <= 0.01
+        assert lockstep.cells.tobytes() == reference.cells.tobytes()
+        assert len(pulses) >= 100
+        assert 4 * rounds <= len(pulses)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 3), cols=st.integers(1, 4),
+           log_rate=st.floats(-11, -5.5), tolerance=st.floats(0.002, 0.5),
+           amplitude_step=st.floats(0.005, 0.3), max_pulses=st.integers(1, 400))
+    def test_any_small_array(self, seed, rows, cols, log_rate, tolerance, amplitude_step,
+                             max_pulses):
+        spec = DeviceVariationSpec(stuck_probability=0.1,
+                                   kinetics_rate_range=(10.0 ** log_rate, 10.0 ** (log_rate + 1)))
+        cells = build_crossbar(rows, cols, spec, seed=seed).cells
+        targets = np.random.default_rng(seed).uniform(1e-6, 160e-6, cells.shape)
+        assert_matches_reference(cells, targets, TuningSpec(
+            tolerance=tolerance, amplitude_step=amplitude_step, max_pulses=max_pulses))
+
+
+def unclamped_device(xbar, row, col):
+    """``Crossbar.device`` that keeps the cell's conductance as the array
+    holds it, inside its range or not."""
+    device = MemristorDevice(*xbar.cells.item(row, col))
+    device.conductance = float(xbar.cells["conductance"][row, col])
+    return device
 
 
 @functools.cache

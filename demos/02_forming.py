@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Electroform a pristine 20x20 array, one device at a time.
+"""Electroform a pristine 20x20 array, one device at a time in row-major order.
 
 Pristine cells conduct only through their megohm-scale virgin resistance.
 The automated procedure sweeps an increasing current ceiling until the
 low-voltage read current jumps by the required ratio, resets each fresh
 device to its low-conductance state, and records anything unformable after
-two escalation rounds as defective.
+two escalation rounds as defective.  Between a device's rounds every formed
+device of the array is reset again.  The simulator computes this flow for
+all cells at once, on the cell array.
 """
 
 import os

@@ -11,7 +11,7 @@ from .crossbar import (BiasScheme, Crossbar, build_crossbar, device_voltage_map,
                        export_grid, import_grid, ladder_worst_case_drop,
                        load_state, max_crossbar_dimension, save_state, vmm,
                        vmm_ideal, vmm_wire_resistive, write_drop_budget)
-from .forming import FormingOutcome, FormingSpec, form_all, form_device
+from .forming import FormingSpec, form_all
 from .tuning import (TuningSpec, error_histogram, import_conductance_map,
                      import_with_refinement, tuning_error)
 from .mlp import (ConductancePairMap, MlpNetwork, NetworkTopology, infer,

@@ -66,9 +66,8 @@ class Crossbar:
     """A crossbar's device state and line wiring.
 
     ``cells`` is a (rows, cols) record array with one ``CELL_DTYPE`` field per
-    ``MemristorDevice`` field, so reads, tuning and in-situ pulses are field
-    expressions.  Forming runs per cell: ``device`` copies one cell out as a
-    ``MemristorDevice`` and ``put_device`` writes it back.
+    ``MemristorDevice`` field, so reads, forming, tuning and in-situ pulses
+    are field expressions.
     """
 
     cells: np.ndarray
@@ -87,19 +86,6 @@ class Crossbar:
     def reads_through_wires(self) -> bool:
         """Whether reads go through the nodal solve: resistive lines, R_w > 0."""
         return self.line_model == "wire_resistive" and self.wire_segment_resistance > 0
-
-    def device(self, row: int, col: int) -> MemristorDevice:
-        """A copy of one cell; edits reach the array only through put_device."""
-        self._check_index(row, col)
-        return MemristorDevice(*self.cells.item(row, col))
-
-    def put_device(self, row: int, col: int, device: MemristorDevice):
-        self._check_index(row, col)
-        self.cells[row, col] = device_fields(device)
-
-    def _check_index(self, row: int, col: int):
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise IndexError(f"({row}, {col}) outside {self.rows}x{self.cols} crossbar")
 
     def conductances(self) -> np.ndarray:
         """Effective low-voltage conductance of every cell, shape (rows, cols):
@@ -251,7 +237,8 @@ def device_voltage_map(xbar: Crossbar, sel_row: int, sel_col: int,
     column) see V_w/2 or V_w/3 per scheme; unselected cells see 0 (V_half)
     or the worst-case V_w/3 (V_third).
     """
-    xbar._check_index(sel_row, sel_col)
+    if not (0 <= sel_row < xbar.rows and 0 <= sel_col < xbar.cols):
+        raise IndexError(f"({sel_row}, {sel_col}) outside {xbar.rows}x{xbar.cols} crossbar")
     v_w = bias.write_voltage
     half = v_w * bias.half_select_fraction()
     unsel = 0.0 if bias.scheme == "V_half" else v_w / 3.0

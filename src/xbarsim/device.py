@@ -94,7 +94,9 @@ class MemristorDevice:
 
     ``conductance`` is the live analog state, always inside [g_min, g_max].
     A stuck device never changes state.  An unformed device conducts through
-    ``pristine_resistance`` and ignores voltage pulses until formed.
+    ``pristine_resistance`` and ignores voltage pulses until formed.  The
+    simulator keeps a crossbar's devices as a ``CELL_DTYPE`` array; these
+    scalar methods are the reference its array paths are tested against.
     """
 
     conductance: float
@@ -204,8 +206,15 @@ def switching_steps(cells: np.ndarray, amplitude: float | np.ndarray,
     move = up | down
     steps = np.where(up, cells["set_threshold"], cells["reset_threshold"])
     over = np.abs(np.subtract(amplitude, steps, out=steps), out=steps)[move]
-    over /= np.broadcast_to(cells["kinetics_voltage_scale"], move.shape)[move]
-    exps = np.fromiter(map(math.exp, memoryview(over)), float, over.size)
+    scale = np.broadcast_to(cells["kinetics_voltage_scale"], move.shape)[move]
+    over /= scale
+    try:
+        exps = np.fromiter(map(math.exp, memoryview(over)), float, over.size)
+    except OverflowError:
+        i = over.argmax()
+        raise ConfigurationError(f"a {np.broadcast_to(amplitude, move.shape)[move][i]:g} V pulse "
+                                 f"overflows exp(overvoltage / kinetics_voltage_scale) at "
+                                 f"kinetics_voltage_scale {scale[i]:g} V") from None
     steps.fill(0.0)
     steps[move] = np.broadcast_to(cells["kinetics_rate"], move.shape)[move] * (
         width / PULSE_WIDTH_REF) * exps

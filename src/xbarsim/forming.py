@@ -1,23 +1,29 @@
 """Automated one-device-at-a-time electroforming over a pristine crossbar.
 
-The procedure per device: read the pristine resistance at 0.1 V; devices
-already conducting below the pristine threshold are counted as pre-formed.
-Otherwise current sweeps with increasing ceilings are applied until the
-low-voltage current ratio confirms forming.  Devices that exhaust the
-attempt budget get a second round (after resetting every formed device in
-the array, with an escalated ceiling); devices failing both rounds are
-recorded defective and flagged stuck.
+Devices form one after another in row-major order.  Per device: read the
+pristine resistance at 0.1 V; devices already conducting below the pristine
+threshold are counted as pre-formed.  Otherwise current sweeps with
+increasing ceilings are applied until the low-voltage current ratio confirms
+forming.  Devices that exhaust the attempt budget get a second round (after
+resetting every formed device in the array, with an escalated ceiling);
+devices failing both rounds are recorded defective and flagged stuck.
+
+Devices do not couple and a pristine one ignores resets, so on a pristine
+array, the only kind ``form_all`` accepts, each outcome follows from the
+device alone and the array resets only add reset runs: a formed, non-stuck
+device takes one of its own plus one per round a later device fails, and one
+that forms below the required ratio takes one before each of its later rounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .crossbar import Crossbar
-from .device import MemristorDevice
+from .device import switching_steps
 from .errors import ConfigurationError
 from .units import quantity
 
@@ -75,115 +81,111 @@ class FormingSpec:
         return self
 
 
-@dataclass
-class FormingOutcome:
-    status: str
-    attempts_used: int
-    trace: list = field(default_factory=list)   # (sweep ceiling A, current ratio)
-
-
-def _reset_to_low(device: MemristorDevice, spec: FormingSpec):
-    """Drive a formed device into a low-conductance state with reset pulses.
-
-    The flow uses a fixed V_reset, but a device whose reset threshold lies
-    below |V_reset| would never move, so the amplitude escalates whenever a
-    pulse has no effect.
-    """
-    if device.stuck or not device.formed:
-        return
-    amplitude = spec.V_reset
-    for _ in range(RESET_PULSE_BUDGET):
-        if device.conductance <= LOW_CONDUCTANCE_TARGET:
-            return
-        before = device.conductance
-        device.apply_pulse(amplitude, RESET_PULSE_WIDTH)
-        if device.conductance >= before:            # ineffective: escalate
-            if amplitude <= RESET_AMPLITUDE_FLOOR:
-                return
-            amplitude = max(amplitude - RESET_AMPLITUDE_STEP,
-                            RESET_AMPLITUDE_FLOOR)
-
-
-def _reset_array(xbar: Crossbar, spec: FormingSpec):
-    """``_reset_to_low`` on every cell in row-major order, skipping the cells
-    it would leave at once (resets do not couple cells)."""
-    cells = xbar.cells
-    for r, c in np.argwhere(cells["formed"] & ~cells["stuck"]
-                            & (cells["conductance"] > LOW_CONDUCTANCE_TARGET)):
-        device = xbar.device(r, c)
-        _reset_to_low(device, spec)
-        xbar.put_device(r, c, device)
-
-
-def _sweep(device: MemristorDevice, ceiling: float):
-    """One current-controlled forming sweep up to ``ceiling``.
-
-    In this model a pristine device forms as soon as the ceiling reaches its
-    latent forming current; formed and stuck devices are unaffected.
-    """
-    if device.formed or device.stuck:
-        return
-    if ceiling >= device.forming_current:
-        device.formed = True
-        device.conductance = min(max(device.post_forming_conductance, device.g_min),
-                                 device.g_max)
-
-
-def form_device(xbar: Crossbar, row: int, col: int, spec: FormingSpec) -> FormingOutcome:
-    """Run the forming flow on a copy of one cell, written back when it ends;
-    never raises on failure."""
-    spec.validate()
-    device = xbar.device(row, col)
-    try:
-        i_before = device.current(PRISTINE_READ_V)
-        if PRISTINE_READ_V / i_before < spec.R_TH:
-            # Already conducting: effectively pre-formed (e.g. by annealing).
-            device.formed = True
-            _reset_to_low(device, spec)
-            return FormingOutcome(STATUS_PREFORMED, attempts_used=0)
-
-        trace, attempts = [], 0
-        for round_idx in range(spec.max_rounds):
-            scale = ESCALATION ** round_idx
-            ceiling = spec.I_start * scale
-            stop = spec.I_stop * scale
-            for _ in range(spec.max_attempts):
-                attempts += 1
-                _sweep(device, ceiling)
-                ratio = device.current(PRISTINE_READ_V) / i_before
-                trace.append((ceiling, ratio))
-                if ratio >= spec.R_min_ratio:
-                    _reset_to_low(device, spec)
-                    return FormingOutcome(STATUS_FORMED, attempts, trace)
-                ceiling = min(ceiling + spec.I_step * scale, stop)
-            if round_idx + 1 < spec.max_rounds:
-                # Leakage through already-on neighbours can mask forming; retry
-                # after pulling every formed device back to its low state.
-                xbar.put_device(row, col, device)
-                _reset_array(xbar, spec)
-                device = xbar.device(row, col)
-
-        # Give up: the cell is stuck at some mid-range conductance.
-        device.stuck = True
-        device.formed = True
-        device.conductance = min(max(device.stuck_value, device.g_min), device.g_max)
-        return FormingOutcome(STATUS_DEFECTIVE, attempts, trace)
-    finally:
-        xbar.put_device(row, col, device)
+def _reset_to_low(cells: np.ndarray, runs: np.ndarray, spec: FormingSpec):
+    """``runs[i]`` reset runs on cell i of a flat ``CELL_DTYPE`` array, one after
+    another, all cells in lockstep.  A run pulses until the cell reads at or
+    below the target or the budget runs out; since a cell whose reset threshold
+    lies below |V_reset| would never move, the amplitude escalates on each
+    ineffective pulse, down to the floor, where such a pulse ends the run."""
+    amplitudes = [spec.V_reset]
+    while amplitudes[-1] > RESET_AMPLITUDE_FLOOR:
+        amplitudes.append(max(amplitudes[-1] - RESET_AMPLITUDE_STEP, RESET_AMPLITUDE_FLOOR))
+    at = np.flatnonzero(runs)
+    live = cells[at]
+    table = switching_steps(live, np.array(amplitudes), RESET_PULSE_WIDTH)
+    g, lo, hi = live["conductance"], live["g_min"], live["g_max"]
+    runs = runs[at].astype(int)
+    level, pulses, col = np.zeros_like(runs), np.zeros_like(runs), np.arange(at.size)
+    while True:
+        on = (runs > 0) & (g > LOW_CONDUCTANCE_TARGET)
+        if not on.any():
+            break
+        before = g.copy()
+        step = np.where(on, table[level, col], 0.0)
+        np.clip(g + step, np.where(step < 0, lo, -np.inf), np.where(step > 0, hi, np.inf),
+                out=g)                              # apply_pulse's clamp
+        pulses += on
+        stalled = on & (g >= before)
+        floor = level == len(amplitudes) - 1
+        level += stalled & ~floor
+        ended = on & ((stalled & floor) | (pulses == RESET_PULSE_BUDGET))
+        runs -= ended
+        level[ended] = pulses[ended] = 0
+    cells["conductance"][at] = g
 
 
 def form_all(xbar: Crossbar, spec: FormingSpec) -> dict:
-    """Form every cell, one at a time in row-major order; returns the report dict.
+    """Form every cell of a pristine array; returns the report dict, which maps
+    directly onto the JSON artifact: per-device outcomes in forming order plus
+    the aggregate defective fraction.
 
-    The report maps directly onto the JSON artifact: per-device outcomes in
-    forming order plus the aggregate defective fraction.
+    The flow runs on a flat copy of the cells, written back at the end.  A
+    round's ceilings never fall, so a cell forms on the first sweep whose
+    ceiling reaches its forming current; its current ratio reads 1.0 before.
+    Raises ConfigurationError, changing nothing, on an array with a formed cell.
     """
-    entries = []
-    for row, col in np.ndindex(xbar.cells.shape):
-        outcome = form_device(xbar, row, col, spec)
-        entries.append({"row": row, "col": col, "status": outcome.status,
-                        "attempts": outcome.attempts_used,
-                        "trace": [[c, r] for c, r in outcome.trace]})
-    n_defective = sum(entry["status"] == STATUS_DEFECTIVE for entry in entries)
+    spec.validate()
+    if xbar.cells["formed"].any():
+        raise ConfigurationError("forming needs a pristine array; this one holds formed cells")
+    cells = xbar.cells.flatten()
+    formed, g_min, g_max = cells["formed"], cells["g_min"], cells["g_max"]
+    # A read current is G * PRISTINE_READ_V * gain, in MemristorDevice.current's order.
+    gain = 1.0 + cells["nonlinearity_alpha"] * PRISTINE_READ_V * PRISTINE_READ_V
+    i_before = 1.0 / cells["pristine_resistance"] * PRISTINE_READ_V * gain
+    # Already conducting: effectively pre-formed (e.g. by annealing).
+    preformed = PRISTINE_READ_V / i_before < spec.R_TH
+    formed |= preformed
+    forming_current = np.where(cells["stuck"], np.inf, cells["forming_current"])
+
+    sweeping, passed = ~preformed, np.zeros(cells.size, bool)
+    attempts = np.zeros(cells.size, int)
+    traces = [[] for _ in range(cells.size)]
+    for round_idx in range(spec.max_rounds):
+        if not sweeping.any():
+            break
+        # Leakage through already-on neighbours can mask forming, so a cell's
+        # next round follows a reset of every formed device in the array: its
+        # own run is here, the runs it gives earlier cells are counted below.
+        redo = sweeping & formed
+        if redo.any():
+            _reset_to_low(cells, redo, spec)
+        scale = ESCALATION ** round_idx
+        ladder, stop = [spec.I_start * scale], spec.I_stop * scale
+        while len(ladder) < spec.max_attempts:
+            ladder.append(min(ladder[-1] + spec.I_step * scale, stop))
+        first = np.searchsorted(ladder, forming_current)
+        new = sweeping & ~formed & (first < spec.max_attempts)
+        formed |= new
+        cells["conductance"][new] = np.clip(cells["post_forming_conductance"][new],
+                                            g_min[new], g_max[new])
+        ratio = cells["conductance"] * PRISTINE_READ_V * gain / i_before
+        ok = sweeping & formed & (ratio >= spec.R_min_ratio)
+        split = np.where(new, first, np.where(formed, 0, spec.max_attempts))
+        end = np.where(ok, split + 1, spec.max_attempts)
+        ratios = ratio.tolist()
+        for i in np.flatnonzero(sweeping):
+            traces[i] += [[c, 1.0] for c in ladder[:split[i]]]
+            traces[i] += [[c, ratios[i]] for c in ladder[split[i]:end[i]]]
+        attempts[sweeping] += end[sweeping]
+        passed |= ok
+        sweeping &= ~ok
+
+    # Every round of a cell's but its last ends in an array reset.
+    resets = np.maximum(attempts - 1, 0) // spec.max_attempts
+    later = np.cumsum(resets[::-1])[::-1] - resets
+    _reset_to_low(cells, np.where((passed | preformed) & ~cells["stuck"], 1 + later, 0), spec)
+    # Give up: the cell is stuck at some mid-range conductance.
+    cells["stuck"] |= sweeping
+    formed |= sweeping
+    cells["conductance"][sweeping] = np.clip(cells["stuck_value"][sweeping],
+                                             g_min[sweeping], g_max[sweeping])
+    xbar.cells[...] = cells.reshape(xbar.cells.shape)
+
+    status = np.where(preformed, STATUS_PREFORMED,
+                      np.where(passed, STATUS_FORMED, STATUS_DEFECTIVE)).tolist()
+    entries = [{"row": row, "col": col, "status": s, "attempts": a, "trace": t}
+               for (row, col), s, a, t in zip(np.ndindex(xbar.cells.shape), status,
+                                             attempts.tolist(), traces)]
+    n_defective = int(sweeping.sum())
     return {"devices": entries, "defective_count": n_defective,
             "defective_fraction": n_defective / len(entries)}

@@ -454,6 +454,22 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(out), "train", "--mode", mode]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw, command", [
+        ({"manhattan": {"amplitude": "300V"}}, ["train", "--mode", "in-situ"]),
+        ({"insitu_device": {"kinetics_voltage_scale": "1e-6V"}}, ["train", "--mode", "in-situ"]),
+        ({"forming": {"V_reset": "-1e4V"}}, ["form"]),
+        ({"tuning": {"set_amplitude_range": ["0.8V", "1e4V"], "amplitude_step": "100V"}},
+         ["train", "--mode", "ex-situ-oblivious"])],
+        ids=["manhattan-amplitude", "kinetics_voltage_scale", "V_reset", "set_amplitude"])
+    def test_overdriven_pulse_is_config_error(self, tmp_path, capsys, raw, command):
+        # exp(overvoltage / kinetics_voltage_scale) overflows a float.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), *command]) == 2
+        assert "kinetics_voltage_scale" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", [
         {"device": 5}, [], {"scale": {"wire_presets": 5}},
         {"benchmark": {"noise_sigmas": 5}}, {"seed": -1},

@@ -16,7 +16,8 @@ from xbarsim.crossbar import (MAX_NODAL_DIM, BiasScheme, _FACTOR_CACHE_SIZE,
                               max_crossbar_dimension, save_state, vmm, vmm_ideal,
                               vmm_wire_resistive, write_drop_budget)
 from xbarsim.config import INSITU_DEVICE_SPEC
-from xbarsim.device import CELL_DTYPE, DEVICE_FIELDS, DeviceVariationSpec, draw_cell
+from xbarsim.device import (CELL_DTYPE, DEVICE_FIELDS, DeviceVariationSpec, MemristorDevice,
+                            device_fields, draw_cell)
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec, form_all
 from xbarsim.rng import stream
@@ -156,9 +157,9 @@ class TestNodalOracle:
         xb = wired_crossbar(8, 11, seed=23)
         v = np.random.default_rng(23).uniform(-0.2, 0.2, 11)
         first = vmm_wire_resistive(xb, v)
-        dev = xb.device(3, 4)
+        dev = MemristorDevice(*xb.cells.item(3, 4))
         dev.conductance *= 1.5
-        xb.put_device(3, 4, dev)
+        xb.cells[3, 4] = device_fields(dev)
         second = vmm_wire_resistive(xb, v)
         assert not np.array_equal(first, second)
         assert_same_bytes(second, reference_nodal(xb, v)[1])
@@ -231,30 +232,17 @@ class TestBuild:
         b = build_crossbar(6, 5, SPEC, seed=3)
         assert np.array_equal(a.conductances(), b.conductances())
         assert a.cells.tobytes() == b.cells.tobytes()
-        assert a.device(2, 3) == b.device(2, 3)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ConfigurationError):
             build_crossbar(0, 4, SPEC, seed=0)
 
-    def test_device_is_a_copy(self):
-        xb = build_crossbar(3, 4, SPEC, seed=3)
-        before = xb.cells.copy()
-        dev = xb.device(1, 2)
-        dev.conductance, dev.stuck = dev.g_max, True
-        dev.apply_pulse(1.5)
-        assert xb.cells.tobytes() == before.tobytes()
-        xb.put_device(1, 2, dev)
-        assert xb.device(1, 2) == dev
-        changed = xb.cells != before
-        assert changed[1, 2] and changed.sum() == 1
-
     def test_cell_index_checked(self):
         xb = build_crossbar(3, 4, SPEC, seed=3)
         with pytest.raises(IndexError):
-            xb.device(3, 0)
+            device_voltage_map(xb, 3, 0, BiasScheme())
         with pytest.raises(IndexError):
-            xb.put_device(0, -1, xb.device(0, 0))
+            device_voltage_map(xb, 0, -1, BiasScheme())
 
 
 class TestVoltageMap:

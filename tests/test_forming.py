@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from xbarsim.crossbar import build_crossbar
-from xbarsim.device import CELL_DTYPE, DeviceVariationSpec, device_fields
+from xbarsim.device import CELL_DTYPE, DeviceVariationSpec, MemristorDevice, device_fields
+from xbarsim.errors import ConfigurationError
 from xbarsim.forming import (ESCALATION, LOW_CONDUCTANCE_TARGET, PRISTINE_READ_V,
-                             FormingSpec, _reset_to_low, _sweep, form_all, form_device,
+                             RESET_AMPLITUDE_FLOOR, RESET_AMPLITUDE_STEP, RESET_PULSE_BUDGET,
+                             RESET_PULSE_WIDTH, FormingSpec, form_all,
                              STATUS_DEFECTIVE, STATUS_FORMED, STATUS_PREFORMED)
 
 CLEAN = DeviceVariationSpec(stuck_probability=0.0)
@@ -16,14 +18,23 @@ def pristine_crossbar(rows=4, cols=4, spec=CLEAN, seed=0):
     return build_crossbar(rows, cols, spec, seed=seed, pristine=True)
 
 
+def cell(xb, row, col):
+    return MemristorDevice(*xb.cells.item(row, col))
+
+
+def form_cell(xb, row, col, spec):
+    """Form the whole array; returns the cell's report entry and device."""
+    report = form_all(xb, spec)
+    return report["devices"][row * xb.cols + col], cell(xb, row, col)
+
+
 class TestFormDevice:
     def test_preformed_device_skips_sweeps(self):
         xb = pristine_crossbar()
         xb.cells["pristine_resistance"][0, 0] = 4e4   # below the pristine threshold
-        out = form_device(xb, 0, 0, FormingSpec())
-        d = xb.device(0, 0)
-        assert out.status == STATUS_PREFORMED
-        assert out.attempts_used == 0
+        out, d = form_cell(xb, 0, 0, FormingSpec())
+        assert out["status"] == STATUS_PREFORMED
+        assert out["attempts"] == 0
         assert d.formed
         assert d.conductance <= LOW_CONDUCTANCE_TARGET
 
@@ -31,10 +42,9 @@ class TestFormDevice:
         xb = pristine_crossbar()
         xb.cells["pristine_resistance"][0, 1] = 5e6
         xb.cells["forming_current"][0, 1] = 100e-6    # below I_start
-        out = form_device(xb, 0, 1, FormingSpec())
-        d = xb.device(0, 1)
-        assert out.status == STATUS_FORMED
-        assert out.attempts_used == 1
+        out, d = form_cell(xb, 0, 1, FormingSpec())
+        assert out["status"] == STATUS_FORMED
+        assert out["attempts"] == 1
         assert d.formed
         assert d.conductance <= LOW_CONDUCTANCE_TARGET
 
@@ -42,27 +52,26 @@ class TestFormDevice:
         xb = pristine_crossbar()
         xb.cells["forming_current"][1, 1] = float("inf")
         spec = FormingSpec(max_attempts=5, max_rounds=2)
-        out = form_device(xb, 1, 1, spec)
-        d = xb.device(1, 1)
-        assert out.status == STATUS_DEFECTIVE
-        assert out.attempts_used == 10       # max_attempts * max_rounds
-        assert len(out.trace) == 10
+        out, d = form_cell(xb, 1, 1, spec)
+        assert out["status"] == STATUS_DEFECTIVE
+        assert out["attempts"] == 10         # max_attempts * max_rounds
+        assert len(out["trace"]) == 10
         assert d.stuck
 
     def test_sweep_ceilings_escalate_between_rounds(self):
         xb = pristine_crossbar()
         # Formable only with the round-2 escalated ceiling.
         xb.cells["forming_current"][2, 2] = FormingSpec().I_stop * 1.1
-        out = form_device(xb, 2, 2, FormingSpec())
-        assert out.status == STATUS_FORMED
-        assert out.attempts_used > FormingSpec().max_attempts
+        out, _ = form_cell(xb, 2, 2, FormingSpec())
+        assert out["status"] == STATUS_FORMED
+        assert out["attempts"] > FormingSpec().max_attempts
 
     def test_attempts_never_exceed_budget(self):
         spec = FormingSpec(max_attempts=7, max_rounds=3)
         for seed in range(10):
-            xb = pristine_crossbar(seed=seed)
-            out = form_device(xb, 0, 0, spec)
-            assert out.attempts_used <= spec.max_attempts * spec.max_rounds
+            report = form_all(pristine_crossbar(seed=seed), spec)
+            assert all(e["attempts"] <= spec.max_attempts * spec.max_rounds
+                       for e in report["devices"])
 
 
 class TestFormAll:
@@ -89,21 +98,57 @@ class TestFormAll:
         fspec = FormingSpec()
         report = form_all(xb, fspec)
         for entry in report["devices"]:
-            d = xb.device(entry["row"], entry["col"])
+            d = cell(xb, entry["row"], entry["col"])
             if entry["status"] == STATUS_DEFECTIVE:
                 assert d.stuck
             else:
                 assert d.formed and not d.stuck
                 assert d.conductance <= LOW_CONDUCTANCE_TARGET * 1.001
 
-    def test_rerun_is_idempotent(self):
+    def test_rerun_is_rejected(self):
         xb = pristine_crossbar(6, 6, seed=4)
         fspec = FormingSpec()
         form_all(xb, fspec)
         state = xb.cells.copy()
-        report = form_all(xb, fspec)
-        assert all(e["status"] == STATUS_PREFORMED for e in report["devices"])
+        with pytest.raises(ConfigurationError, match="pristine"):
+            form_all(xb, fspec)
         assert xb.cells.tobytes() == state.tobytes()
+
+
+def _reset_to_low(device: MemristorDevice, spec: FormingSpec):
+    """Drive a formed device into a low-conductance state with reset pulses.
+
+    The flow uses a fixed V_reset, but a device whose reset threshold lies
+    below |V_reset| would never move, so the amplitude escalates whenever a
+    pulse has no effect.
+    """
+    if device.stuck or not device.formed:
+        return
+    amplitude = spec.V_reset
+    for _ in range(RESET_PULSE_BUDGET):
+        if device.conductance <= LOW_CONDUCTANCE_TARGET:
+            return
+        before = device.conductance
+        device.apply_pulse(amplitude, RESET_PULSE_WIDTH)
+        if device.conductance >= before:            # ineffective: escalate
+            if amplitude <= RESET_AMPLITUDE_FLOOR:
+                return
+            amplitude = max(amplitude - RESET_AMPLITUDE_STEP,
+                            RESET_AMPLITUDE_FLOOR)
+
+
+def _sweep(device: MemristorDevice, ceiling: float):
+    """One current-controlled forming sweep up to ``ceiling``.
+
+    In this model a pristine device forms as soon as the ceiling reaches its
+    latent forming current; formed and stuck devices are unaffected.
+    """
+    if device.formed or device.stuck:
+        return
+    if ceiling >= device.forming_current:
+        device.formed = True
+        device.conductance = min(max(device.post_forming_conductance, device.g_min),
+                                 device.g_max)
 
 
 def reference_form_all(xb, targets, spec):
@@ -113,7 +158,7 @@ def reference_form_all(xb, targets, spec):
     Returns (report, cells) for comparison with form_all on ``xb``, which it
     leaves unchanged.
     """
-    grid = [[xb.device(r, c) for c in range(xb.cols)] for r in range(xb.rows)]
+    grid = [[cell(xb, r, c) for c in range(xb.cols)] for r in range(xb.rows)]
     entries, n_defective = [], 0
     for row, col in targets:
         device = grid[row][col]
@@ -180,23 +225,51 @@ def _preformed_heavy(seed):
     return xb
 
 
+SLOW_RESET = DeviceVariationSpec(kinetics_rate_range=(1e-10, 5e-9))
+
+
 class TestFormingOracle:
-    @pytest.mark.parametrize("make", [
-        lambda: build_crossbar(20, 17, DeviceVariationSpec(), seed=11, pristine=True),
-        lambda: build_crossbar(6, 7, DeviceVariationSpec(stuck_probability=0.3), seed=12,
-                               pristine=True),
-        lambda: _preformed_heavy(13),
-        lambda: _mid_sweep_former(14),
-    ], ids=["20x17", "stuck-heavy", "preformed-heavy", "formed-mid-sweep"])
-    def test_form_all_matches_full_reset_pass(self, make):
+    @pytest.mark.parametrize("make, spec", [
+        (lambda: build_crossbar(20, 17, DeviceVariationSpec(), seed=11, pristine=True),
+         FormingSpec()),
+        (lambda: build_crossbar(6, 7, DeviceVariationSpec(stuck_probability=0.3), seed=12,
+                                pristine=True), FormingSpec()),
+        (lambda: _preformed_heavy(13), FormingSpec()),
+        (lambda: _mid_sweep_former(14), FormingSpec()),
+        (lambda: build_crossbar(10, 10, SLOW_RESET, seed=15, pristine=True), FormingSpec()),
+        (lambda: build_crossbar(10, 10, SLOW_RESET, seed=16, pristine=True),
+         FormingSpec(max_rounds=3, max_attempts=4)),
+        (lambda: build_crossbar(20, 17, DeviceVariationSpec(), seed=11, pristine=True),
+         FormingSpec(max_rounds=1)),
+        (lambda: build_crossbar(8, 9, DeviceVariationSpec(reset_mu=-1.8, reset_sigma=0.3,
+                                                           g_min=4e-6), seed=17, pristine=True),
+         FormingSpec()),
+    ], ids=["20x17", "stuck-heavy", "preformed-heavy", "formed-mid-sweep", "slow-reset",
+            "slow-reset-3-rounds", "one-round", "floor-stopped"])
+    def test_form_all_matches_full_reset_pass(self, make, spec):
         xb = make()
         targets = [(r, c) for r in range(xb.rows) for c in range(xb.cols)]
-        spec = FormingSpec()
         want_report, want_cells = reference_form_all(xb, targets, spec)
         report = form_all(xb, spec)
-        assert any(e["attempts"] > spec.max_attempts for e in report["devices"])
+        # Some cell reaches the last round.
+        assert any(e["attempts"] > spec.max_attempts * (spec.max_rounds - 1)
+                   for e in report["devices"])
         assert json.dumps(report) == json.dumps(want_report)
         assert xb.cells.tobytes() == want_cells.tobytes()
+
+    def test_slow_reset_leaves_formed_cells_above_target(self):
+        # One reset run leaves some formed cell above the target, so the
+        # runs that later cells' failed rounds add still move it.
+        xb = build_crossbar(10, 10, SLOW_RESET, seed=15, pristine=True)
+        pristine = [cell(xb, r, c) for r in range(xb.rows) for c in range(xb.cols)]
+        report = form_all(xb, FormingSpec())
+        above = 0
+        for entry, device in zip(report["devices"], pristine):
+            if entry["status"] == STATUS_FORMED:
+                _sweep(device, float("inf"))
+                _reset_to_low(device, FormingSpec())
+                above += device.conductance > LOW_CONDUCTANCE_TARGET
+        assert above
 
     def test_preformed_heavy_array_is_mostly_preformed(self):
         report = form_all(_preformed_heavy(13), FormingSpec())
@@ -205,6 +278,6 @@ class TestFormingOracle:
 
     def test_mid_sweep_former_is_reset_by_round_two(self):
         xb = _mid_sweep_former(14)
-        out = form_device(xb, 1, 2, FormingSpec())
-        assert out.status == STATUS_DEFECTIVE
-        assert out.trace[FormingSpec().max_attempts][1] < out.trace[0][1]
+        out, _ = form_cell(xb, 1, 2, FormingSpec())
+        assert out["status"] == STATUS_DEFECTIVE
+        assert out["trace"][FormingSpec().max_attempts][1] < out["trace"][0][1]

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from xbarsim import training
 from xbarsim.benchmark import canonical_training_set, label_vector, pixel_matrix
 from xbarsim.crossbar import build_crossbar
-from xbarsim.device import DeviceVariationSpec
+from xbarsim.device import DeviceVariationSpec, MemristorDevice, device_fields
 from xbarsim.errors import ConfigurationError, DivergenceError
 from xbarsim.forming import FormingSpec
 from xbarsim.mlp import DEFAULT_TOPOLOGY, ConductancePairMap, _pair_cells, encode_pixels
@@ -379,13 +379,14 @@ def reference_manhattan(xb1, xb2, patterns, cfg):
 
 
 def _devices(xb):
-    return [xb.device(r, c) for r in range(xb.rows) for c in range(xb.cols)]
+    return [MemristorDevice(*xb.cells.item(r, c))
+            for r in range(xb.rows) for c in range(xb.cols)]
 
 
 def _pulse_cell(xb, r, c, amplitude, width):
-    dev = xb.device(r, c)
+    dev = MemristorDevice(*xb.cells.item(r, c))
     dev.apply_pulse(amplitude, width)
-    xb.put_device(r, c, dev)
+    xb.cells[r, c] = device_fields(dev)
 
 
 def _device_fields(xb, name):

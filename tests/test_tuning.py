@@ -8,7 +8,7 @@ from xbarsim import tuning
 from xbarsim.benchmark import canonical_training_set
 from xbarsim.config import ExperimentConfig, TuningSection
 from xbarsim.crossbar import Crossbar, build_crossbar
-from xbarsim.device import DeviceVariationSpec, MemristorDevice
+from xbarsim.device import DeviceVariationSpec, MemristorDevice, device_fields
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec
 from xbarsim.mlp import ConductancePairMap
@@ -139,7 +139,7 @@ def reference_tune(xbar, row, col, target, spec):
     """One cell's staircase, pulse by pulse, on a ``MemristorDevice`` copy of
     the cell; returns its error.  The lockstep import must match it."""
     spec.validate()
-    device = xbar.device(row, col)
+    device = MemristorDevice(*xbar.cells.item(row, col))
     g = device.read_conductance(spec.v_read)
     err = tuning_error(target, g)
     if device.stuck:
@@ -176,7 +176,7 @@ def reference_tune(xbar, row, col, target, spec):
         else:
             stalls = 0
         err = tuning_error(target, g)
-    xbar.put_device(row, col, device)
+    xbar.cells[row, col] = device_fields(device)
     return err
 
 
@@ -291,7 +291,7 @@ class TestLockstepOracle:
         # Cells above g_max or below g_min, pulsed further out or back toward
         # their range: each pulse is apply_pulse's from the state the array
         # holds, as for a device that skips the constructor's clamp.
-        monkeypatch.setattr(Crossbar, "device", unclamped_device)
+        monkeypatch.setattr(MemristorDevice, "__post_init__", lambda device: None)
         cells = _formed_chip(1)[1].copy()
         rng = np.random.default_rng(41)
         high = rng.random(cells.shape) < 0.5
@@ -392,14 +392,6 @@ class TestLockstepOracle:
         targets = np.random.default_rng(seed).uniform(1e-6, 160e-6, cells.shape)
         assert_matches_reference(cells, targets, TuningSpec(
             tolerance=tolerance, amplitude_step=amplitude_step, max_pulses=max_pulses))
-
-
-def unclamped_device(xbar, row, col):
-    """``Crossbar.device`` that keeps the cell's conductance as the array
-    holds it, inside its range or not."""
-    device = MemristorDevice(*xbar.cells.item(row, col))
-    device.conductance = float(xbar.cells["conductance"][row, col])
-    return device
 
 
 @functools.cache

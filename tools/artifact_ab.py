@@ -7,8 +7,10 @@ revision and on one of the staged tree (after a commit, HEAD's tree), the
 same extraction `tools/bench_ab.py` uses, so unstaged edits and untracked
 files are not run.  Each side runs in its own work directory with its own
 `src` first on PYTHONPATH, and every --out is relative to that directory, so
-echoed paths read the same on both sides.  The commands: form (seed 6), tune
-of a 20x20 target grid on a copy of that array, train (ex-situ-aware seed 3,
+echoed paths read the same on both sides.  The commands: form (seed 6), form
+with slow reset kinetics and three rounds (seed 7, so that cells run out of
+reset budget and later cells' failed rounds reset them again), tune of a
+20x20 target grid on a copy of the seed-6 array, train (ex-situ-aware seed 3,
 ex-situ-oblivious seed 4, in-situ seed 5), export-patterns, infer on the
 aware run's snapshots and on a copy of its pair maps alone, sweep (10 runs),
 scale and init-config.  Every command's exit code and stdout and every file
@@ -30,6 +32,8 @@ from bench_ab import SIDES, extract, git
 # (label, files to copy into place first as (source, destination), argv)
 COMMANDS = [
     ("form", [], ["--seed", "6", "--out", "form", "form"]),
+    ("form-slow-reset", [],
+     ["--config", "slow_reset.json", "--seed", "7", "--out", "form-slow", "form"]),
     ("tune", [("form", "tune")],
      ["--seed", "6", "--out", "tune", "tune", "--targets", "targets.csv"]),
     ("train-aware", [],
@@ -59,6 +63,9 @@ def write_inputs(work: Path):
         ",".join(f"{rng.uniform(15e-6, 95e-6):.9g}" for _ in range(20)) + "\n"
         for _ in range(20)))
     (work / "sweep.json").write_text('{"benchmark": {"runs": 10}}\n')
+    (work / "slow_reset.json").write_text(
+        '{"device": {"kinetics_rate_range": ["0.0001uS", "0.005uS"]}, '
+        '"forming": {"max_rounds": 3}}\n')
 
 
 def run_side(checkout: Path, work: Path) -> dict:

@@ -126,6 +126,12 @@ class ScaleSection:
                 raise ConfigurationError(f"scale.{name} must be finite and non-negative")
         if not all(n >= 1 for n in self.ladder_lengths):
             raise ConfigurationError("scale.ladder_lengths must be >= 1")
+        # The write budget divides by |max|; only magnitudes are used.
+        for name, lo, hi in (("set", self.set_threshold_min, self.set_threshold_max),
+                             ("reset", self.reset_threshold_min, self.reset_threshold_max)):
+            if not 0 < abs(lo) <= abs(hi):
+                raise ConfigurationError(f"scale.{name}_threshold_min and _max need "
+                                         f"0 < |min| <= |max|, got {lo:g} V and {hi:g} V")
         return self
 
 

@@ -96,7 +96,8 @@ class MemristorDevice:
     A stuck device never changes state.  An unformed device conducts through
     ``pristine_resistance`` and ignores voltage pulses until formed.  The
     simulator keeps a crossbar's devices as a ``CELL_DTYPE`` array; these
-    scalar methods are the reference its array paths are tested against.
+    scalar methods are the reference its array paths are tested against:
+    ``currents`` for ``current`` and ``switching_steps`` for ``switching_step``.
     """
 
     conductance: float
@@ -187,6 +188,12 @@ class MemristorDevice:
 DEVICE_FIELDS = typing.get_type_hints(MemristorDevice)
 CELL_DTYPE = np.dtype(list(DEVICE_FIELDS.items()))
 device_fields = operator.attrgetter(*CELL_DTYPE.names)
+
+
+def currents(g, alpha, v):
+    """``MemristorDevice.current`` for arrays, bit for bit and without its bound
+    check: G*V*(1 + alpha*V^2) over broadcast conductances, alphas and voltages."""
+    return g * v * (1.0 + alpha * v * v)
 
 
 def switching_steps(cells: np.ndarray, amplitude: float | np.ndarray,

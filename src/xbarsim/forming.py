@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import Crossbar
-from .device import switching_steps
+from .device import currents, switching_steps
 from .errors import ConfigurationError
 from .units import quantity
 
@@ -129,9 +129,8 @@ def form_all(xbar: Crossbar, spec: FormingSpec) -> dict:
         raise ConfigurationError("forming needs a pristine array; this one holds formed cells")
     cells = xbar.cells.flatten()
     formed, g_min, g_max = cells["formed"], cells["g_min"], cells["g_max"]
-    # A read current is G * PRISTINE_READ_V * gain, in MemristorDevice.current's order.
-    gain = 1.0 + cells["nonlinearity_alpha"] * PRISTINE_READ_V * PRISTINE_READ_V
-    i_before = 1.0 / cells["pristine_resistance"] * PRISTINE_READ_V * gain
+    alpha = cells["nonlinearity_alpha"]
+    i_before = currents(1.0 / cells["pristine_resistance"], alpha, PRISTINE_READ_V)
     # Already conducting: effectively pre-formed (e.g. by annealing).
     preformed = PRISTINE_READ_V / i_before < spec.R_TH
     formed |= preformed
@@ -158,7 +157,7 @@ def form_all(xbar: Crossbar, spec: FormingSpec) -> dict:
         formed |= new
         cells["conductance"][new] = np.clip(cells["post_forming_conductance"][new],
                                             g_min[new], g_max[new])
-        ratio = cells["conductance"] * PRISTINE_READ_V * gain / i_before
+        ratio = currents(cells["conductance"], alpha, PRISTINE_READ_V) / i_before
         ok = sweeping & formed & (ratio >= spec.R_min_ratio)
         split = np.where(new, first, np.where(formed, 0, spec.max_attempts))
         end = np.where(ok, split + 1, spec.max_attempts)

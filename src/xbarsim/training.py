@@ -42,7 +42,7 @@ from .mlp import (DEFAULT_TOPOLOGY, ConductancePairMap, MlpNetwork, _pair_cells,
 from .rng import stream
 from .units import quantity
 
-_U = 1e-6          # gain-normalized weight unit (siemens)
+_U = 1.0 / DEFAULT_TOPOLOGY.transimpedance_gain   # gain-normalized weight unit (siemens)
 
 
 @dataclass
@@ -241,7 +241,7 @@ def _finetune_pairs(P, M, free_p, free_m, shapes, Xe, y, cfg, beta, curve, topo)
     # Targets and step size follow the range normalization so the polish
     # starts at equilibrium instead of undoing the scale.
     T = _targets(y, topo.n_outputs, cfg.target_level * beta)
-    lr = cfg.learning_rate / beta ** 2 if beta > 0 else cfg.learning_rate
+    lr = cfg.learning_rate / beta ** 2
     W = np.empty_like(P)                        # P - M; u1, u2 are its views
     u1, u2 = _split(W, *shapes)
 
@@ -271,14 +271,16 @@ def train_single_layer(patterns, cfg: TrainingConfig) -> tuple:
     rng = stream(cfg.seed, "training-init", "single-layer")
     w = rng.uniform(-cfg.init_scale / _U, cfg.init_scale / _U,
                     (topo.n_outputs, topo.n_inputs + 1))
-    best = 0.0
-    for _ in range(cfg.epochs):
+
+    def step():
         Y = Xe @ w.T
-        best = max(best, fidelity(Y, y))
-        dY = 2.0 * (Y - T) / T.size
-        w = np.clip(w - cfg.learning_rate * (dY.T @ Xe), -limit_u, limit_u)
-    best = max(best, fidelity(Xe @ w.T, y))
-    return w * _U, best
+        err = Y - T
+        np.clip(w - cfg.learning_rate * ((err / (T.size / 2.0)).T @ Xe), -limit_u, limit_u,
+                out=w)
+        return float(np.add.reduce(err * err, axis=None)) / err.size, Y
+
+    curve = _descend(cfg.epochs, step, y, 0, "at single-layer epoch")
+    return w * _U, max([fid for _, _, fid in curve] + [fidelity(Xe @ w.T, y)])
 
 
 # --- In-situ Manhattan-rule training ----------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import Crossbar
-from .device import SAFE_READ_VOLTAGE, switching_steps
+from .device import SAFE_READ_VOLTAGE, currents, switching_steps
 from .errors import ConfigurationError
 from .units import quantity
 
@@ -112,7 +112,6 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
     if np.any(cells["formed"] & (abs(v) > np.minimum(cells["set_threshold"],
                                                      -cells["reset_threshold"]))):
         raise ConfigurationError(f"read at {v} V would disturb a formed device")
-    gain = 1.0 + cells["nonlinearity_alpha"] * v * v
 
     # The set ladder climbs from its low end, the reset ladder from its gentle
     # (high) end, to their caps; no cell climbs more than one level per pulse.
@@ -128,13 +127,14 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
     table = switching_steps(cells, np.array(ladders[0] + ladders[1]), spec.pulse_width)
     offsets = np.arange(targets.size).reshape(targets.shape)
     conductance, g_min, g_max = cells["conductance"], cells["g_min"], cells["g_max"]
+    alpha = cells["nonlinearity_alpha"]
     headroom = 0.05 * (g_max - g_min)
     errors = np.empty(targets.shape)
     for n in range(passes):
         goal = targets if n == 0 else np.clip(targets * targets / np.maximum(
             xbar.conductances(), 1e-12), g_min + headroom, g_max - headroom)
         raw = xbar.conductances()
-        g = raw * v * gain / v                      # read_conductance, elementwise
+        g = currents(raw, alpha, v) / v             # read_conductance, elementwise
         err = tuning_error(goal, g)
         level = np.where(goal > g, 0, n_set)        # index into the ladders, set first
         stalls = np.zeros(goal.shape, dtype=int)
@@ -143,7 +143,7 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
         # The round's cells: all of them in the grid's shape, then, whenever at
         # most half of them still tune, a flat copy of those that do, with
         # their flat positions ``at`` and their columns of the step table.
-        live, at, steps, col, lo, hi, gn = xbar, offsets, table, offsets, g_min, g_max, gain
+        live, at, steps, col, lo, hi, an = xbar, offsets, table, offsets, g_min, g_max, alpha
         while True:
             count = np.count_nonzero(tuning)
             if 2 * count <= tuning.size:
@@ -152,8 +152,8 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
                 if not count:
                     break
                 live = Crossbar(live.cells[tuning])
-                at, goal, raw, g, level, stalls, left, err, lo, hi, gn = (
-                    a[tuning] for a in (at, goal, raw, g, level, stalls, left, err, lo, hi, gn))
+                at, goal, raw, g, level, stalls, left, err, lo, hi, an = (
+                    a[tuning] for a in (at, goal, raw, g, level, stalls, left, err, lo, hi, an))
                 steps, col, tuning = steps[:, tuning], np.arange(count), np.ones(count, bool)
             up = goal > g                           # a polarity flip restarts the ladder
             level = np.where(up == (level < n_set), level, np.where(up, 0, n_set))
@@ -170,9 +170,7 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
             np.add.accumulate(run, out=run)
             np.clip(run[1:], np.where(step < 0, lo, -np.inf), np.where(step > 0, hi, np.inf),
                     out=run[1:])
-            reads = run * v
-            reads *= gn
-            reads /= v
+            reads = currents(run, an, v) / v
             gaps = abs(reads - goal)                # before the first pulse, then after each
             errs = gaps / goal                      # tuning_error
             # A weak pulse escalates below the cap; at the cap only one that

@@ -495,6 +495,9 @@ class TestCli:
         {"crossbar": {"wire_segment_resistance": "1e300ohm"}},
         {"benchmark": {"noise_sigmas": [-0.5, 0.1]}},
         {"device": {"kinetics_rate_range": ["-0.05uS", "-0.02uS"]}},
+        # The write budget divides by |max| and needs |min| <= |max|.
+        {"scale": {"set_threshold_max": "0V"}}, {"scale": {"reset_threshold_max": "0V"}},
+        {"scale": {"set_threshold_min": "-5V"}},
         *_non_finite_configs()])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"

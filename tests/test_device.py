@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xbarsim.device import (CELL_DTYPE, DeviceVariationSpec, MemristorDevice,
-                            device_fields, sample_device, switching_steps,
-                            PULSE_WIDTH_REF, _uniform)
+                            currents, device_fields, sample_device, switching_steps,
+                            PULSE_WIDTH_REF, SAFE_READ_VOLTAGE, _uniform)
 from xbarsim.errors import ConfigurationError
 from xbarsim.rng import stream, streams
 
@@ -118,6 +118,30 @@ class TestStaticIV:
         d = make_device(conductance=42e-6)
         values = {d.read_conductance(0.2) for _ in range(10)}
         assert len(values) == 1
+
+
+class TestCurrents:
+    """``currents`` is ``MemristorDevice.current`` of a grid of formed devices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4),
+           v=st.sampled_from([0.1, 0.2, -0.2, SAFE_READ_VOLTAGE])
+           | st.floats(-SAFE_READ_VOLTAGE, SAFE_READ_VOLTAGE).filter(bool),
+           set_threshold=st.floats(0.05, 2.0), reset_threshold=st.floats(-2.0, -0.05))
+    def test_equals_current_bit_for_bit(self, data, rows, cols, v, set_threshold,
+                                        reset_threshold):
+        cells = st.lists(st.tuples(st.floats(2e-6, 150e-6), st.floats(0.0, 5.0)),
+                         min_size=rows * cols, max_size=rows * cols)
+        g, alpha = np.array(data.draw(cells)).reshape(rows, cols, 2).transpose(2, 0, 1)
+        devs = [make_device(conductance=gi, nonlinearity_alpha=ai, set_threshold=set_threshold,
+                            reset_threshold=reset_threshold)
+                for gi, ai in zip(g.ravel().tolist(), alpha.ravel().tolist())]
+        i = currents(g, alpha, v)
+        assert i.shape == (rows, cols)
+        assert i.tobytes() == np.array([d.current(v) for d in devs]).tobytes()
+        if abs(v) <= min(set_threshold, -reset_threshold):
+            read = np.array([d.read_conductance(v) for d in devs])
+            assert (i / v).tobytes() == read.tobytes()
 
 
 class TestPulses:

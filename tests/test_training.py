@@ -14,7 +14,8 @@ from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec, MemristorDevice, device_fields
 from xbarsim.errors import ConfigurationError, DivergenceError
 from xbarsim.forming import FormingSpec
-from xbarsim.mlp import DEFAULT_TOPOLOGY, ConductancePairMap, _pair_cells, encode_pixels
+from xbarsim.mlp import (DEFAULT_TOPOLOGY, ConductancePairMap, _pair_cells, encode_pixels,
+                         fidelity)
 from xbarsim.pipeline import (INSITU_DEVICE_SPEC, build_network_crossbars, derive_seed,
                               form_network)
 from xbarsim.rng import stream
@@ -120,6 +121,47 @@ class TestExSitu:
     def test_single_layer_cannot_fit_canonical_set(self):
         _, best = train_single_layer(PATTERNS, TrainingConfig(epochs=4000, seed=6))
         assert best < 1.0
+
+
+def reference_single_layer(patterns, cfg):
+    """The single-layer baseline as its own loop: the oracle ``train_single_layer``
+    keeps to now that it runs through ``training._descend``."""
+    _U = training._U
+    topo = DEFAULT_TOPOLOGY
+    Xe = encode_batch(pixel_matrix(patterns), topo)
+    y = label_vector(patterns)
+    T = _targets(y, topo.n_outputs, cfg.target_level)
+    limit_u = cfg.weight_limit / _U
+    rng = stream(cfg.seed, "training-init", "single-layer")
+    w = rng.uniform(-cfg.init_scale / _U, cfg.init_scale / _U,
+                    (topo.n_outputs, topo.n_inputs + 1))
+    best = 0.0
+    for _ in range(cfg.epochs):
+        Y = Xe @ w.T
+        best = max(best, fidelity(Y, y))
+        dY = 2.0 * (Y - T) / T.size
+        w = np.clip(w - cfg.learning_rate * (dY.T @ Xe), -limit_u, limit_u)
+    best = max(best, fidelity(Xe @ w.T, y))
+    return w * _U, best
+
+
+class TestSingleLayerOracle:
+    @pytest.mark.parametrize("cfg", [
+        TrainingConfig(seed=0), TrainingConfig(seed=6), TrainingConfig(seed=11),
+        TrainingConfig(epochs=0, seed=2),
+        # Steps far past the weight limit: the clip binds on every epoch.
+        TrainingConfig(learning_rate=1e4, epochs=300, seed=3)],
+        ids=["seed-0", "seed-6", "seed-11", "zero-epochs", "clip-binds"])
+    def test_weights_and_best_fidelity_match_reference(self, cfg):
+        w, best = train_single_layer(PATTERNS, cfg)
+        w_ref, best_ref = reference_single_layer(PATTERNS, cfg)
+        assert w.tobytes() == w_ref.tobytes()
+        assert best == best_ref
+
+    def test_large_step_drives_weights_onto_the_clip(self):
+        cfg = TrainingConfig(learning_rate=1e4, epochs=300, seed=3)
+        w, _ = train_single_layer(PATTERNS, cfg)
+        assert np.abs(w).max() == pytest.approx(cfg.weight_limit, rel=1e-12)
 
 
 class TestTrainingConfig:

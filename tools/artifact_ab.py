@@ -9,13 +9,15 @@ files are not run.  Each side runs in its own work directory with its own
 `src` first on PYTHONPATH, and every --out is relative to that directory, so
 echoed paths read the same on both sides.  The commands: form (seed 6), form
 with slow reset kinetics and three rounds (seed 7, so that cells run out of
-reset budget and later cells' failed rounds reset them again), tune of a
-20x20 target grid on a copy of the seed-6 array, train (ex-situ-aware seed 3,
-ex-situ-oblivious seed 4, in-situ seed 5), export-patterns, infer on the
-aware run's snapshots and on a copy of its pair maps alone, sweep (10 runs),
-scale and init-config.  Every command's exit code and stdout and every file
-left in the work directory are compared byte for byte; each difference is
-named, and the exit code is 1 if there is any.
+reset budget and later cells' failed rounds reset them again), tune of a 20x20
+target grid on a copy of the seed-6 array, train (ex-situ-aware seed 3,
+ex-situ-oblivious seed 4, in-situ seed 5, and ex-situ-aware seed 8 on devices
+of nonlinearity_alpha 0.5, so that forming's and the tuner's reads carry a
+gain other than 1), export-patterns, infer on the aware run's snapshots and on
+a copy of its pair maps alone, sweep (10 runs), scale and init-config.  Every
+command's exit code and stdout and every file left in the work directory are
+compared byte for byte; each difference is named, and the exit code is 1 if
+there is any.
 """
 
 import argparse
@@ -41,6 +43,9 @@ COMMANDS = [
     ("train-oblivious", [],
      ["--seed", "4", "--out", "oblivious", "train", "--mode", "ex-situ-oblivious"]),
     ("train-in-situ", [], ["--seed", "5", "--out", "insitu", "train", "--mode", "in-situ"]),
+    ("train-nonlinear", [],
+     ["--config", "nonlinear.json", "--seed", "8", "--out", "nonlinear", "train",
+      "--mode", "ex-situ-aware"]),
     ("export-patterns", [], ["--out", "patterns", "export-patterns"]),
     ("infer-snapshots", [], ["--out", "infer-snapshots", "infer", "--network", "aware",
                              "--patterns", "patterns/test_patterns.txt"]),
@@ -66,6 +71,7 @@ def write_inputs(work: Path):
     (work / "slow_reset.json").write_text(
         '{"device": {"kinetics_rate_range": ["0.0001uS", "0.005uS"]}, '
         '"forming": {"max_rounds": 3}}\n')
+    (work / "nonlinear.json").write_text('{"device": {"nonlinearity_alpha": 0.5}}\n')
 
 
 def run_side(checkout: Path, work: Path) -> dict:

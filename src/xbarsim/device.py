@@ -95,9 +95,9 @@ class MemristorDevice:
     ``conductance`` is the live analog state, always inside [g_min, g_max].
     A stuck device never changes state.  An unformed device conducts through
     ``pristine_resistance`` and ignores voltage pulses until formed.  The
-    simulator keeps a crossbar's devices as a ``CELL_DTYPE`` array; these
-    scalar methods are the reference its array paths are tested against:
-    ``currents`` for ``current`` and ``switching_steps`` for ``switching_step``.
+    simulator keeps a crossbar's devices as a ``CELL_DTYPE`` array; its array
+    forms are tested against these scalar methods: ``currents``, ``switching_steps``
+    and ``pulse_runs`` against ``current``, ``switching_step`` and ``apply_pulse``.
     """
 
     conductance: float
@@ -226,6 +226,21 @@ def switching_steps(cells: np.ndarray, amplitude: float | np.ndarray,
     steps[move] = np.broadcast_to(cells["kinetics_rate"], move.shape)[move] * (
         width / PULSE_WIDTH_REF) * exps
     return np.negative(steps, out=steps, where=down)
+
+
+def pulse_runs(g, step, lo, hi, longest: int) -> np.ndarray:
+    """``MemristorDevice.apply_pulse`` for arrays, bit for bit: row j holds each
+    conductance of ``g`` after j pulses of its ``step``, summed left to right and
+    clamped on the side the step moves to.  A block gives its moving cells about
+    2048 pulses, 8 to 512 each and at most twice the last round's ``longest``
+    run, so busy rounds stay short and the tail of a few slow cells runs long."""
+    moving = max(np.count_nonzero(step), 1)
+    run = np.empty((min(max(2048 // moving, 8), 512, 2 * longest) + 1,) + g.shape)
+    run[0], run[1:] = g, step
+    np.add.accumulate(run, out=run)
+    np.clip(run[1:], np.where(step < 0, lo, -np.inf), np.where(step > 0, hi, np.inf),
+            out=run[1:])
+    return run
 
 
 def _uniform(rng: np.random.Generator, bounds) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import Crossbar
-from .device import currents, switching_steps
+from .device import currents, pulse_runs, switching_steps
 from .errors import ConfigurationError
 from .units import quantity
 
@@ -68,8 +68,10 @@ class FormingSpec:
     max_rounds: int = 2
 
     def validate(self):
-        if self.I_start > self.I_stop:
-            raise ConfigurationError("need I_start <= I_stop")
+        if not 0 < self.I_start <= self.I_stop:
+            raise ConfigurationError("need 0 < I_start <= I_stop")
+        if not self.R_TH > 0:
+            raise ConfigurationError("R_TH must be positive")
         if not 0 < self.I_step < math.inf:
             raise ConfigurationError("I_step must be positive and finite")
         if not 1 < self.R_min_ratio < math.inf:
@@ -86,7 +88,9 @@ def _reset_to_low(cells: np.ndarray, runs: np.ndarray, spec: FormingSpec):
     another, all cells in lockstep.  A run pulses until the cell reads at or
     below the target or the budget runs out; since a cell whose reset threshold
     lies below |V_reset| would never move, the amplitude escalates on each
-    ineffective pulse, down to the floor, where such a pulse ends the run."""
+    ineffective pulse, down to the floor, where such a pulse ends the run.  A
+    round pulses each cell in a ``device.pulse_runs`` block, as the tuner does,
+    up to its first event: the target, an ineffective pulse or its run's last."""
     amplitudes = [spec.V_reset]
     while amplitudes[-1] > RESET_AMPLITUDE_FLOOR:
         amplitudes.append(max(amplitudes[-1] - RESET_AMPLITUDE_STEP, RESET_AMPLITUDE_FLOOR))
@@ -95,22 +99,26 @@ def _reset_to_low(cells: np.ndarray, runs: np.ndarray, spec: FormingSpec):
     table = switching_steps(live, np.array(amplitudes), RESET_PULSE_WIDTH)
     g, lo, hi = live["conductance"], live["g_min"], live["g_max"]
     runs = runs[at].astype(int)
-    level, pulses, col = np.zeros_like(runs), np.zeros_like(runs), np.arange(at.size)
+    level, col = np.zeros_like(runs), np.arange(at.size)
+    left, longest = np.full_like(runs, RESET_PULSE_BUDGET), 1    # each run's budget
     while True:
         on = (runs > 0) & (g > LOW_CONDUCTANCE_TARGET)
         if not on.any():
             break
-        before = g.copy()
-        step = np.where(on, table[level, col], 0.0)
-        np.clip(g + step, np.where(step < 0, lo, -np.inf), np.where(step > 0, hi, np.inf),
-                out=g)                              # apply_pulse's clamp
-        pulses += on
-        stalled = on & (g >= before)
+        run = pulse_runs(g, np.where(on, table[level, col], 0.0), lo, hi, longest)
+        stall = run[1:] >= run[:-1]
+        event = stall | (run[1:] <= LOW_CONDUCTANCE_TARGET)
+        event[-1] = True
+        last = np.minimum(event.argmax(axis=0), left - 1)
+        longest = last.max() + 1
+        g = run[last + 1, col]
+        left -= on * (last + 1)
+        stalled = on & stall[last, col]
         floor = level == len(amplitudes) - 1
         level += stalled & ~floor
-        ended = on & ((stalled & floor) | (pulses == RESET_PULSE_BUDGET))
+        ended = (stalled & floor) | (left == 0)
         runs -= ended
-        level[ended] = pulses[ended] = 0
+        level[ended], left[ended] = 0, RESET_PULSE_BUDGET
     cells["conductance"][at] = g
 
 

@@ -7,9 +7,10 @@ overshoots are corrected with the smallest available steps.  Error is always
 the normalized absolute difference |actual - target| / target.  Cells climb
 in lockstep over an array or both of ``pipeline.import_network``; cells do
 not couple, so each tunes as if alone.  A round takes every cell through a
-block of pulses at its present amplitude, up to the first pulse that changes
-more than its state (an escalation, a stall, a read inside the tolerance, an
-overshoot or the last of its ``max_pulses``), and ends with one read-back.
+block of pulses at its present amplitude (``device.pulse_runs``, as forming's
+resets), up to the first pulse that changes more than its state (an
+escalation, a stall, a read inside the tolerance, an overshoot or the last
+of its ``max_pulses``), and ends with one read-back.
 Whenever at most half of a round's cells still tune, the finished ones are
 stored and the rounds go on over a flat copy of the rest, so a pass's long
 tail of slow cells costs rounds over a few cells, not over the whole array.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import Crossbar
-from .device import SAFE_READ_VOLTAGE, currents, switching_steps
+from .device import SAFE_READ_VOLTAGE, currents, pulse_runs, switching_steps
 from .errors import ConfigurationError
 from .units import quantity
 
@@ -33,10 +34,6 @@ _EFFECT_EPS = 1e-12
 # Escalate when a pulse moves the state by less than this fraction of the
 # remaining gap; keeps large excursions from crawling at the threshold rate.
 PROGRESS_FRACTION = 0.02
-
-# Cells times pulses of one round's block, before its length is clipped to
-# 8..512 pulses.
-_BLOCK_CELLS = 2048
 
 
 @dataclass
@@ -138,7 +135,7 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
         err = tuning_error(goal, g)
         level = np.where(goal > g, 0, n_set)        # index into the ladders, set first
         stalls = np.zeros(goal.shape, dtype=int)
-        left = np.full(goal.shape, spec.max_pulses)  # each cell's pulse budget
+        left, longest = np.full(goal.shape, spec.max_pulses), 1  # each cell's budget
         tuning = ~cells["stuck"] & (err > spec.tolerance)
         # The round's cells: all of them in the grid's shape, then, whenever at
         # most half of them still tune, a flat copy of those that do, with
@@ -158,18 +155,9 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
             up = goal > g                           # a polarity flip restarts the ladder
             level = np.where(up == (level < n_set), level, np.where(up, 0, n_set))
             capped = at_cap[level]
+            # Row j: each raw read after j pulses; unformed and idle cells stay.
             step = np.where(tuning, steps.take(level * goal.size + col), 0.0)
-            # A round pulses each cell through a block at its level: row j of
-            # ``run`` is its raw read after j pulses.  The sums run left to
-            # right, so each row is j pulses added one by one, and the clip is
-            # ``apply_pulse``'s, on the side the step moves to; unformed and
-            # idle cells take a zero step.  Rounds over many cells take short
-            # blocks, the tail of a few slow cells long ones.
-            run = np.empty((min(max(_BLOCK_CELLS // count, 8), 512) + 1,) + goal.shape)
-            run[0], run[1:] = raw, step
-            np.add.accumulate(run, out=run)
-            np.clip(run[1:], np.where(step < 0, lo, -np.inf), np.where(step > 0, hi, np.inf),
-                    out=run[1:])
+            run = pulse_runs(raw, step, lo, hi, longest)
             reads = currents(run, an, v) / v
             gaps = abs(reads - goal)                # before the first pulse, then after each
             errs = gaps / goal                      # tuning_error
@@ -186,6 +174,7 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
             last = event.argmax(axis=0)
             np.minimum(last, left - 1, out=last, where=tuning)
             left -= last + 1
+            longest = last.max() + 1
             pulse = last * goal.size + col          # the last pulse's flat index
             np.copyto(live.cells["conductance"], run.take(pulse + goal.size),
                       where=live.cells["formed"])

@@ -498,6 +498,8 @@ class TestCli:
         # The write budget divides by |max| and needs |min| <= |max|.
         {"scale": {"set_threshold_max": "0V"}}, {"scale": {"reset_threshold_max": "0V"}},
         {"scale": {"set_threshold_min": "-5V"}},
+        # A negative pristine threshold or sweep ceiling.
+        {"forming": {"R_TH": "-1ohm"}}, {"forming": {"I_start": "-100uA"}},
         *_non_finite_configs()])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xbarsim.device import (CELL_DTYPE, DeviceVariationSpec, MemristorDevice,
-                            currents, device_fields, sample_device, switching_steps,
+                            currents, device_fields, pulse_runs, sample_device,
+                            switching_steps,
                             PULSE_WIDTH_REF, SAFE_READ_VOLTAGE, _uniform)
 from xbarsim.errors import ConfigurationError
 from xbarsim.rng import stream, streams
@@ -298,3 +299,71 @@ class TestSwitchingSteps:
     def test_non_positive_width_raises(self, devs, amplitude, width):
         with pytest.raises(ValueError):
             switching_steps(_cells(devs), amplitude, width)
+
+
+@st.composite
+def ranged_devices(draw):
+    """A device of any state in a range of its own, often one its pulses cross."""
+    g_min = draw(st.floats(1e-6, 50e-6))
+    g_max = g_min + draw(st.just(0.0) | st.floats(0.0, 150e-6))
+    return MemristorDevice(
+        conductance=draw(st.floats(g_min, g_max)), g_min=g_min, g_max=g_max,
+        set_threshold=draw(st.floats(0.05, 2.0)), reset_threshold=draw(st.floats(-2.0, -0.05)),
+        kinetics_rate=draw(st.floats(0.0, 5e-6)),
+        kinetics_voltage_scale=draw(st.floats(0.05, 1.0)),
+        stuck=draw(st.booleans()), formed=draw(st.booleans()))
+
+
+def _pulse_trains(devs, amplitudes, n):
+    """Each device's conductance after 0..n ``apply_pulse`` calls, rows first."""
+    rows = []
+    for _ in range(n + 1):
+        rows.append([d.conductance for d in devs])
+        for d, a in zip(devs, amplitudes):
+            d.apply_pulse(a)
+    return np.array(rows)
+
+
+def _runs(devs, amplitudes, longest, shape):
+    cells = _cells(devs).reshape(shape)
+    step = np.array([d.switching_step(a) for d, a in zip(devs, amplitudes)]).reshape(shape)
+    return pulse_runs(cells["conductance"], step, cells["g_min"], cells["g_max"], longest)
+
+
+class TestPulseRuns:
+    """Row j of ``pulse_runs`` is j ``MemristorDevice.apply_pulse`` calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4),
+           longest=st.integers(1, 64))
+    def test_row_j_is_j_pulses_bit_for_bit(self, data, rows, cols, longest):
+        # Formed, stuck and unformed cells; set, reset and sub-threshold pulses.
+        devs = data.draw(st.lists(ranged_devices(), min_size=rows * cols,
+                                  max_size=rows * cols))
+        amplitudes = [data.draw(amplitude_for([d])) for d in devs]
+        run = _runs(devs, amplitudes, longest, (rows, cols))
+        # At most 16 cells move, so the block is twice the longest run.
+        assert run.shape == (2 * longest + 1, rows, cols)
+        expected = _pulse_trains(devs, amplitudes, 2 * longest)
+        assert run.tobytes() == expected.reshape(run.shape).tobytes()
+
+    def test_runs_stop_on_the_rails(self):
+        devs = [make_device(conductance=120e-6, kinetics_rate=2e-6),
+                make_device(conductance=30e-6, kinetics_rate=2e-6),
+                make_device(conductance=60e-6, kinetics_rate=2e-6, formed=False),
+                make_device(conductance=60e-6, kinetics_rate=2e-6, stuck=True)]
+        amplitudes = [1.5, -1.7, 1.5, -1.7]
+        run = _runs(devs, amplitudes, 4, (2, 2))
+        expected = _pulse_trains(devs, amplitudes, 8)
+        assert run.tobytes() == expected.reshape(run.shape).tobytes()
+        assert run[-1].ravel().tolist() == [150e-6, 2e-6, 60e-6, 60e-6]
+        assert run[2, 0, 0] < 150e-6 and run[2, 0, 1] > 2e-6   # reached mid-block
+
+    @pytest.mark.parametrize("moving, longest, length", [
+        (0, 1000, 512), (1, 1000, 512), (4, 1000, 512), (100, 1000, 20), (300, 1000, 8),
+        (1000, 1000, 8), (100, 3, 6), (1, 1, 2)])
+    def test_block_length(self, moving, longest, length):
+        # About 2048 pulses over the moving cells, 8..512 each, at most 2 * longest.
+        g = np.full(1000, 50e-6)
+        step = np.where(np.arange(1000) < moving, 1e-9, 0.0)
+        assert pulse_runs(g, step, 2e-6, 150e-6, longest).shape == (length + 1, 1000)

@@ -244,8 +244,14 @@ class TestFormingOracle:
         (lambda: build_crossbar(8, 9, DeviceVariationSpec(reset_mu=-1.8, reset_sigma=0.3,
                                                            g_min=4e-6), seed=17, pristine=True),
          FormingSpec()),
+        # Runs that cross block boundaries and end on the budget, many times over.
+        (lambda: build_crossbar(20, 20, SLOW_RESET, seed=19, pristine=True),
+         FormingSpec(R_min_ratio=400)),
+        (lambda: build_crossbar(20, 20, SLOW_RESET, seed=19, pristine=True),
+         FormingSpec(max_rounds=4, max_attempts=1)),
     ], ids=["20x17", "stuck-heavy", "preformed-heavy", "formed-mid-sweep", "slow-reset",
-            "slow-reset-3-rounds", "one-round", "floor-stopped"])
+            "slow-reset-3-rounds", "one-round", "floor-stopped", "slow-reset-ratio-400",
+            "slow-reset-4-rounds"])
     def test_form_all_matches_full_reset_pass(self, make, spec):
         xb = make()
         targets = [(r, c) for r in range(xb.rows) for c in range(xb.cols)]

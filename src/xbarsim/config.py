@@ -18,7 +18,7 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .benchmark import CLASS_NAMES
-from .crossbar import check_geometry
+from .crossbar import MAX_SEARCH_DIM, check_geometry
 from .device import DeviceVariationSpec
 from .errors import ConfigurationError
 from .forming import FormingSpec
@@ -124,8 +124,8 @@ class ScaleSection:
         for name in ("wire_presets", "conductance_v_third", "conductance_v_half"):
             if not all(0 <= v < math.inf for v in getattr(self, name).values()):
                 raise ConfigurationError(f"scale.{name} must be finite and non-negative")
-        if not all(n >= 1 for n in self.ladder_lengths):
-            raise ConfigurationError("scale.ladder_lengths must be >= 1")
+        if not all(1 <= n <= MAX_SEARCH_DIM for n in self.ladder_lengths):
+            raise ConfigurationError(f"scale.ladder_lengths must lie in [1, {MAX_SEARCH_DIM}]")
         # The write budget divides by |max|; only magnitudes are used.
         for name, lo, hi in (("set", self.set_threshold_min, self.set_threshold_max),
                              ("reset", self.reset_threshold_min, self.reset_threshold_max)):

@@ -10,6 +10,7 @@ their last column.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +38,13 @@ MAX_NODAL_DIM = 128
 # ohm per segment (5.6 ohm in the source paper, 0.185 ohm for copper).
 MAX_WIRE_RESISTANCE = 1e6
 
-# Largest square dimension max_crossbar_dimension searches up to.
+# Smallest non-zero wire segment resistance.  On a 20x17 array the nodal solve
+# stays accurate to ~1e-14 down to 1e-305 ohm and to 9e-12 at 2.3e-308 ohm; at
+# 1e-308 ohm 1/R_w overflows and its currents are all wrong, and below that
+# the factor is singular.  R_w = 0 (ideal lines) stays valid.
+MIN_WIRE_RESISTANCE = 1e-300
+
+# Longest ladder max_crossbar_dimension walks, so the largest side it returns.
 MAX_SEARCH_DIM = 100000
 
 
@@ -102,9 +109,9 @@ def check_geometry(rows: int, cols: int, R_w: float = 0.0, line_model: str = "id
     """Raise ConfigurationError unless an array of this shape and wiring can exist."""
     if rows < 1 or cols < 1:
         raise ConfigurationError("crossbar dimensions must be >= 1")
-    if not 0 <= R_w <= MAX_WIRE_RESISTANCE:
-        raise ConfigurationError(f"wire segment resistance must lie in [0, "
-                                 f"{MAX_WIRE_RESISTANCE:g}] ohm")
+    if not (R_w == 0 or MIN_WIRE_RESISTANCE <= R_w <= MAX_WIRE_RESISTANCE):
+        raise ConfigurationError(f"wire segment resistance must be 0 or lie in "
+                                 f"[{MIN_WIRE_RESISTANCE:g}, {MAX_WIRE_RESISTANCE:g}] ohm")
     if line_model not in LINE_MODELS:
         raise ConfigurationError(f"unknown line model {line_model!r}")
 
@@ -249,6 +256,29 @@ def device_voltage_map(xbar: Crossbar, sel_row: int, sel_col: int,
     return out
 
 
+def _ladder_ratios(R_w: float, G: float):
+    """V_far/V of the loaded ladder of 1, 2, 3, ... segments (1.0 if R_w or G is 0).
+
+    Counted from the far end, a node's input impedance does not depend on the
+    ladder's length, so each ladder is the one before behind one more divider
+    at its driven end, and the ratios are one running product.
+    """
+    if R_w < 0 or G < 0:
+        raise ConfigurationError("R_w and G must be non-negative")
+    if G > 0 and 1.0 / G == math.inf:
+        raise ConfigurationError(f"load conductance {G:g} S has no finite inverse")
+    if R_w == 0.0 or G == 0.0:
+        yield from itertools.repeat(1.0)
+        return
+    z = 1.0 / G
+    ratio = 1.0
+    while True:
+        ratio *= z / (R_w + z)
+        yield ratio
+        downstream = R_w + z
+        z = downstream / (1.0 + G * downstream)
+
+
 def ladder_worst_case_drop(n_segments: int, R_w: float, G: float) -> float:
     """Relative voltage drop (V - V_far)/V along a loaded resistor ladder.
 
@@ -258,22 +288,7 @@ def ladder_worst_case_drop(n_segments: int, R_w: float, G: float) -> float:
     """
     if n_segments < 1:
         raise ConfigurationError("ladder needs at least one segment")
-    if R_w < 0 or G < 0:
-        raise ConfigurationError("R_w and G must be non-negative")
-    if R_w == 0.0 or G == 0.0:
-        return 0.0
-    # Impedance looking into node k (its own load in parallel with the rest),
-    # computed from the far end, then cascade the voltage dividers.
-    z = 1.0 / G
-    impedances = [z]
-    for _ in range(n_segments - 1):
-        downstream = R_w + impedances[-1]
-        z = downstream / (1.0 + G * downstream)
-        impedances.append(z)
-    ratio = 1.0
-    for z in reversed(impedances):
-        ratio *= z / (R_w + z)
-    return 1.0 - ratio
+    return 1.0 - next(itertools.islice(_ladder_ratios(R_w, G), n_segments - 1, None))
 
 
 def write_drop_budget(v_th_min: float, v_th_max: float, scheme: str) -> float:
@@ -300,19 +315,8 @@ def max_crossbar_dimension(v_th_min: float, v_th_max: float, G_at_third: float,
     budget = write_drop_budget(abs(v_th_min), abs(v_th_max), bias.scheme)
     if budget <= 0.0:
         return 0
-    if ladder_worst_case_drop(1, R_w, G_at_third) > budget:
-        return 0
-    lo, hi = 1, 2
-    while hi <= MAX_SEARCH_DIM and ladder_worst_case_drop(hi, R_w, G_at_third) <= budget:
-        lo, hi = hi, hi * 2
-    hi = min(hi, MAX_SEARCH_DIM)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ladder_worst_case_drop(mid, R_w, G_at_third) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    ratios = itertools.islice(_ladder_ratios(R_w, G_at_third), MAX_SEARCH_DIM)
+    return sum(1 for _ in itertools.takewhile(lambda r: 1.0 - r <= budget, ratios))
 
 
 # --- Grid and state file formats -------------------------------------------

@@ -493,6 +493,12 @@ class TestCli:
         # Past ~1e18 ohm the nodal solve drifts; at 1e300 ohm its factor is singular.
         {"crossbar": {"wire_segment_resistance": "1e24ohm"}},
         {"crossbar": {"wire_segment_resistance": "1e300ohm"}},
+        # At 1e-308 ohm the nodal solve is all wrong; at 5e-324 ohm its factor is singular.
+        {"crossbar": {"wire_segment_resistance": "1e-308ohm"}},
+        {"crossbar": {"wire_segment_resistance": "5e-324ohm"}},
+        # 1/G overflows, so the ladder would have no finite load impedance.
+        {"scale": {"conductance_v_third": {"set": "5e-324S", "reset": "50uS"}}},
+        {"scale": {"ladder_lengths": [100001]}},
         {"benchmark": {"noise_sigmas": [-0.5, 0.1]}},
         {"device": {"kinetics_rate_range": ["-0.05uS", "-0.02uS"]}},
         # The write budget divides by |max| and needs |min| <= |max|.

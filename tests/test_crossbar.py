@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xbarsim.crossbar import (MAX_NODAL_DIM, BiasScheme, _FACTOR_CACHE_SIZE,
+from xbarsim.crossbar import (MAX_NODAL_DIM, MAX_SEARCH_DIM, BiasScheme, _FACTOR_CACHE_SIZE,
                               _nodal_factor, _nodal_matrix, build_crossbar,
                               device_voltage_map, export_grid, import_grid,
                               ladder_worst_case_drop, load_state,
@@ -401,6 +401,15 @@ class TestLadder:
             got = ladder_worst_case_drop(n, 5.6, 30e-6)
             assert got == pytest.approx(oracle(n, 5.6, 30e-6), abs=1e-9)
 
+    @pytest.mark.parametrize("r_w, g", [(5.6, -30e-6), (-5.6, 30e-6), (5.6, 5e-324),
+                                        (0.0, 5e-324)])
+    def test_bad_line_or_load_is_rejected(self, r_w, g):
+        # 1/5e-324 overflows, so a denormal load has no finite impedance.
+        with pytest.raises(ConfigurationError):
+            ladder_worst_case_drop(4, r_w, g)
+        with pytest.raises(ConfigurationError):
+            max_crossbar_dimension(0.7, 1.3, g, r_w, BiasScheme())
+
 
 class TestMaxDimension:
     def test_budget_formula(self):
@@ -418,6 +427,30 @@ class TestMaxDimension:
     def test_no_safe_window(self):
         bias = BiasScheme("V_third", 2.1)
         assert max_crossbar_dimension(0.4, 1.3, 30e-6, 5.6, bias) == 0
+
+    def test_zero_budget_without_wires(self):
+        # With R_w = 0 every drop is 0.0, within a zero budget, yet no write is safe.
+        assert write_drop_budget(0.65, 1.3, "V_half") == 0.0
+        assert max_crossbar_dimension(0.65, 1.3, 20e-6, 0.0, BiasScheme("V_half", 1.4)) == 0
+        assert max_crossbar_dimension(0.4, 1.3, 30e-6, 0.0, BiasScheme()) == 0
+
+    @pytest.mark.parametrize("r_w", [0.0, 1e-6])
+    def test_returns_the_cap(self, r_w):
+        assert ladder_worst_case_drop(MAX_SEARCH_DIM, r_w, 30e-6) <= write_drop_budget(
+            0.7, 1.3, "V_third")
+        assert max_crossbar_dimension(0.7, 1.3, 30e-6, r_w, BiasScheme()) == MAX_SEARCH_DIM
+
+    @settings(max_examples=100, deadline=None)
+    @given(r_w=st.floats(0.01, 100.0), g=st.floats(1e-6, 1e-3),
+           v_th_min=st.floats(0.4, 1.3), scheme=st.sampled_from(["V_third", "V_half"]))
+    def test_largest_side_within_budget(self, r_w, g, v_th_min, scheme):
+        budget = write_drop_budget(v_th_min, 1.3, scheme)
+        n = max_crossbar_dimension(v_th_min, 1.3, g, r_w, BiasScheme(scheme))
+        if 0 < n < MAX_SEARCH_DIM:
+            assert ladder_worst_case_drop(n, r_w, g) <= budget < ladder_worst_case_drop(
+                n + 1, r_w, g)
+        elif n == 0 and budget > 0:
+            assert budget < ladder_worst_case_drop(1, r_w, g)
 
 
 class TestGridIO:

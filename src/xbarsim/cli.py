@@ -25,7 +25,7 @@ from .benchmark import (SweepStats, canonical_training_set, generate_test_set, l
                         load_patterns, pixel_matrix, precision_sweep, save_patterns)
 from .config import ExperimentConfig, load_config, write_default_config
 from .crossbar import (BiasScheme, build_crossbar, export_grid, import_grid,
-                       ladder_worst_case_drop, load_state, max_crossbar_dimension,
+                       ladder_drops, load_state, max_crossbar_dimension,
                        save_state, write_csv, write_drop_budget, write_json)
 from .errors import ConfigurationError, DivergenceError
 from .forming import form_all
@@ -176,8 +176,8 @@ def cmd_scale(cfg: ExperimentConfig, args):
     drops = [("preset", "conductance_S", "n", "relative_drop")]
     for name, r_w in sorted(sc.wire_presets.items()):
         for g in sorted({*sc.conductance_v_third.values(), *sc.conductance_v_half.values()}):
-            for n in sc.ladder_lengths:
-                drops.append((name, g, n, ladder_worst_case_drop(n, r_w, g)))
+            drops += [(name, g, n, drop) for n, drop in
+                      zip(sc.ladder_lengths, ladder_drops(sc.ladder_lengths, r_w, g))]
 
     windows = (("set", (sc.set_threshold_min, sc.set_threshold_max)),
                ("reset", (sc.reset_threshold_min, sc.reset_threshold_max)))

@@ -256,17 +256,24 @@ def device_voltage_map(xbar: Crossbar, sel_row: int, sel_col: int,
     return out
 
 
+def _check_line(R_w: float, G: float):
+    """Raise unless the ladder's R_w and G are finite and >= 0 and a load G > 0
+    has a finite impedance 1/G."""
+    if not (0.0 <= R_w < math.inf and 0.0 <= G < math.inf):
+        raise ConfigurationError(f"R_w and G must be finite and non-negative, "
+                                 f"got {R_w:g} ohm and {G:g} S")
+    if G > 0 and 1.0 / G == math.inf:
+        raise ConfigurationError(f"load conductance {G:g} S has no finite inverse")
+
+
 def _ladder_ratios(R_w: float, G: float):
-    """V_far/V of the loaded ladder of 1, 2, 3, ... segments (1.0 if R_w or G is 0).
+    """V_far/V of the loaded ladder of 1, 2, 3, ... segments (1.0 if R_w or G is 0),
+    for a line ``_check_line`` accepts.
 
     Counted from the far end, a node's input impedance does not depend on the
     ladder's length, so each ladder is the one before behind one more divider
     at its driven end, and the ratios are one running product.
     """
-    if R_w < 0 or G < 0:
-        raise ConfigurationError("R_w and G must be non-negative")
-    if G > 0 and 1.0 / G == math.inf:
-        raise ConfigurationError(f"load conductance {G:g} S has no finite inverse")
     if R_w == 0.0 or G == 0.0:
         yield from itertools.repeat(1.0)
         return
@@ -279,16 +286,27 @@ def _ladder_ratios(R_w: float, G: float):
         z = downstream / (1.0 + G * downstream)
 
 
-def ladder_worst_case_drop(n_segments: int, R_w: float, G: float) -> float:
-    """Relative voltage drop (V - V_far)/V along a loaded resistor ladder.
+def ladder_drops(lengths, R_w: float, G: float) -> list:
+    """Relative voltage drop (V - V_far)/V along a loaded resistor ladder of
+    each of ``lengths`` segments, all read from one walk down the ladder.
 
-    The ladder has n series segments of R_w; after each segment the node is
+    A ladder has n series segments of R_w; after each segment the node is
     loaded by conductance G to ground.  This is the worst-case line model
     for a fully loaded crossbar row or column.
     """
-    if n_segments < 1:
+    _check_line(R_w, G)
+    if not all(n >= 1 for n in lengths):
         raise ConfigurationError("ladder needs at least one segment")
-    return 1.0 - next(itertools.islice(_ladder_ratios(R_w, G), n_segments - 1, None))
+    ratios, walked, drop = _ladder_ratios(R_w, G), 0, {}
+    for n in sorted(set(lengths)):
+        drop[n] = 1.0 - next(itertools.islice(ratios, n - 1 - walked, None))
+        walked = n
+    return [drop[n] for n in lengths]
+
+
+def ladder_worst_case_drop(n_segments: int, R_w: float, G: float) -> float:
+    """``ladder_drops`` of one ladder of n_segments."""
+    return ladder_drops([n_segments], R_w, G)[0]
 
 
 def write_drop_budget(v_th_min: float, v_th_max: float, scheme: str) -> float:
@@ -312,6 +330,7 @@ def max_crossbar_dimension(v_th_min: float, v_th_max: float, G_at_third: float,
 
     Returns 0 when no safe write window exists (budget <= 0).
     """
+    _check_line(R_w, G_at_third)
     budget = write_drop_budget(abs(v_th_min), abs(v_th_max), bias.scheme)
     if budget <= 0.0:
         return 0

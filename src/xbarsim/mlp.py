@@ -17,6 +17,9 @@ per-pattern ``infer`` all run through it, on any leading batch shape.  A
 layer is a ConductancePairMap, a Crossbar (read through ``vmm``, so its line
 model applies) or signed weights in gain-normalized units (gain * (G+ - G-),
 so their product with the input volts is the pre-activation in volts).
+``forward(..., out=...)`` writes into a caller's buffers instead of new
+arrays, and a weight array's product with a 2-D batch is ``np.dot`` (the
+same BLAS call as ``@``, at less overhead; other ranks keep ``@``).
 ``fidelity``, the share of patterns whose largest output is their label's, is
 the one definition of classification fidelity.  Write loops run over a
 network's cell vector, ``MlpNetwork.cells``: both crossbars' cells, flat.
@@ -109,34 +112,39 @@ def _pair_cells(shapes) -> tuple:
     return pair_sides(*_split(np.arange(sum(r * c for r, c in shapes)), *shapes))
 
 
-def _preactivation(layer, X, topology: NetworkTopology):
-    """gain * (I+ - I-) of every neuron of ``layer`` for input rows X (..., n_in)."""
+def _preactivation(layer, X, topology: NetworkTopology, out=None):
+    """gain * (I+ - I-) of every neuron of ``layer`` for input rows X (..., n_in),
+    written into ``out`` when given."""
     if isinstance(layer, np.ndarray):
-        return X @ layer.T
+        return np.dot(X, layer.T, out=out) if X.ndim == 2 else np.matmul(X, layer.T, out=out)
     gain = topology.transimpedance_gain
     if isinstance(layer, ConductancePairMap):
-        return gain * (X @ layer.plus.T - X @ layer.minus.T)
+        return np.multiply(gain, X @ layer.plus.T - X @ layer.minus.T, out=out)
     if isinstance(layer, Crossbar):
         currents = vmm(layer, X)
-        return gain * (currents[..., 0::2] - currents[..., 1::2])
+        return np.multiply(gain, currents[..., 0::2] - currents[..., 1::2], out=out)
     raise TypeError(f"unsupported layer type {type(layer).__name__}")
 
 
-def _with_bias(X, topology: NetworkTopology):
-    Xb = np.empty(X.shape[:-1] + (X.shape[-1] + 1,))
-    Xb[..., :-1], Xb[..., -1] = X, topology.bias_level
-    return Xb
-
-
-def forward(layer1, layer2, Xe, topology: NetworkTopology = DEFAULT_TOPOLOGY):
+def forward(layer1, layer2, Xe, topology: NetworkTopology = DEFAULT_TOPOLOGY, out=None):
     """The network's transfer function on encoded inputs Xe (..., n_inputs + 1).
 
     Returns (tanh of the hidden pre-activation, hidden volts with the bias
-    input appended, output volts); gradients need the first two.
+    input appended, output volts); gradients need the first two.  ``out``, a
+    (tanh_a, hidden, Y) triple of arrays of those shapes, receives them instead
+    of new arrays: a training loop then allocates nothing per epoch.  Every
+    entry of ``out`` is written, the bias column included.  A weight-array
+    layer multiplies a 2-D batch with ``np.dot`` (the same BLAS call as ``@``,
+    at less overhead) and any other rank with ``@``: ``np.dot`` sums stacked
+    batches in another order.
     """
-    tanh_a = np.tanh(_preactivation(layer1, Xe, topology))
-    hidden = _with_bias(topology.hidden_saturation * tanh_a, topology)
-    return tanh_a, hidden, _preactivation(layer2, hidden, topology)
+    tanh_a, hidden, Y = (None, None, None) if out is None else out
+    tanh_a = np.tanh(_preactivation(layer1, Xe, topology, tanh_a), out=tanh_a)
+    if hidden is None:
+        hidden = np.empty(tanh_a.shape[:-1] + (tanh_a.shape[-1] + 1,))
+    hidden[..., -1] = topology.bias_level
+    np.multiply(topology.hidden_saturation, tanh_a, out=hidden[..., :-1])
+    return tanh_a, hidden, _preactivation(layer2, hidden, topology, Y)
 
 
 def layer_forward(layer, inputs, kind: str, topology: NetworkTopology = DEFAULT_TOPOLOGY):
@@ -192,7 +200,10 @@ def encode_pixels(pixels, topology: NetworkTopology = DEFAULT_TOPOLOGY) -> np.nd
 
 def encode_batch(pixels, topology: NetworkTopology = DEFAULT_TOPOLOGY) -> np.ndarray:
     """The network's encoded inputs: pixel volts with the bias input appended."""
-    return _with_bias(encode_pixels(pixels, topology), topology)
+    X = encode_pixels(pixels, topology)
+    Xb = np.empty(X.shape[:-1] + (X.shape[-1] + 1,))
+    Xb[..., :-1], Xb[..., -1] = X, topology.bias_level
+    return Xb
 
 
 def fidelity(Y, y) -> float:

@@ -9,7 +9,8 @@ measured conductances and routes the remaining updates around them.
 ``_backward`` backpropagates through that one forward for both training
 paths.  Both layers' parameters live in one flat vector, and so do the G+
 and G- sides of the pairs (``mlp.pair_sides``), so pinning stuck devices
-and every epoch's update are one step over flat vectors.
+and every epoch's update are one step over flat vectors.  Each loop's epochs
+write into one reused ``_Workspace``, so an epoch allocates no arrays.
 
 In-situ training drives the simulated crossbars directly: inference on the
 hardware, update signs from backpropagation on read-back conductances, and
@@ -100,21 +101,41 @@ def forward_batch(w1, w2, pixels_matrix, topology=DEFAULT_TOPOLOGY) -> np.ndarra
                    encode_batch(pixels_matrix, topology), topology)[2]
 
 
-def _backward(u2, Xe, tanh_a, Ha, dY, topology):
+class _Workspace:
+    """One batch's buffers for ``_grads`` and ``_backward``: ``forward``'s
+    (tanh_a, hidden, Y) triple, the error terms and one flat gradient vector
+    D, both layers' gradients, whose layer views d1 and d2 ``_backward`` fills."""
+
+    def __init__(self, n, shape1, shape2):
+        (h, _), (k, _) = shape1, shape2
+        self.fwd = np.empty((n, h)), np.empty((n, h + 1)), np.empty((n, k))
+        self.err, self.dY, self.sq = np.empty((3, n, k))
+        self.dH, self.factor = np.empty((2, n, h))
+        self.D = np.empty(shape1[0] * shape1[1] + shape2[0] * shape2[1])
+        self.d1, self.d2 = _split(self.D, shape1, shape2)
+
+
+def _backward(u2, Xe, tanh_a, Ha, dY, topology, ws):
     """Both layers' gradients from dY, the loss's gradient in the outputs, and
-    ``forward``'s tanh_a and hidden volts Ha."""
-    d2 = dY.T @ Ha
-    dH = dY @ u2[:, :-1]
-    d1 = (dH * topology.hidden_saturation * (1.0 - tanh_a ** 2)).T @ Xe
-    return d1, d2
+    ``forward``'s tanh_a and hidden volts Ha, written into the workspace's D;
+    returns its views (d1, d2)."""
+    np.dot(dY.T, Ha, out=ws.d2)
+    dH = np.multiply(np.dot(dY, u2[:, :-1], out=ws.dH), topology.hidden_saturation, out=ws.dH)
+    factor = np.subtract(1.0, np.square(tanh_a, out=ws.factor), out=ws.factor)
+    np.dot(np.multiply(dH, factor, out=dH).T, Xe, out=ws.d1)
+    return ws.d1, ws.d2
 
 
-def _grads(u1, u2, Xe, T, topology=DEFAULT_TOPOLOGY):
-    """MSE gradients in gain-normalized units; returns (loss, Y, d1, d2)."""
-    tanh_a, Ha, Y = forward(u1, u2, Xe, topology)
-    err = Y - T
-    d1, d2 = _backward(u2, Xe, tanh_a, Ha, err / (T.size / 2.0), topology)
-    loss = float(np.add.reduce(err * err, axis=None)) / err.size
+def _grads(u1, u2, Xe, T, topology=DEFAULT_TOPOLOGY, ws=None):
+    """MSE gradients in gain-normalized units; returns (loss, Y, d1, d2).  Y, d1
+    and d2 are buffers of the workspace ``ws`` (a new one when None), which its
+    next use overwrites."""
+    ws = _Workspace(len(Xe), u1.shape, u2.shape) if ws is None else ws
+    tanh_a, Ha, Y = forward(u1, u2, Xe, topology, out=ws.fwd)
+    err = np.subtract(Y, T, out=ws.err)
+    d1, d2 = _backward(u2, Xe, tanh_a, Ha, np.divide(err, T.size / 2.0, out=ws.dY),
+                       topology, ws)
+    loss = float(np.add.reduce(np.multiply(err, err, out=ws.sq), axis=None)) / err.size
     return loss, Y, d1, d2
 
 
@@ -186,10 +207,11 @@ def train_ex_situ(patterns, cfg: TrainingConfig,
     shapes = u1.shape, u2.shape
     U = np.concatenate((u1, u2), axis=None)     # both layers; u1, u2 are its views
     u1, u2 = _split(U, *shapes)
+    ws = _Workspace(len(Xe), *shapes)
 
     def step():
-        loss, Y, d1, d2 = _grads(u1, u2, Xe, T, topo)
-        np.subtract(U, lr * np.concatenate((d1, d2), axis=None), out=U)
+        loss, Y, _, _ = _grads(u1, u2, Xe, T, topo, ws)
+        np.subtract(U, np.multiply(lr, ws.D, out=ws.D), out=U)
         np.minimum(np.maximum(U, -limit_u, out=U), limit_u, out=U)
         return loss, Y
 
@@ -244,13 +266,16 @@ def _finetune_pairs(P, M, free_p, free_m, shapes, Xe, y, cfg, beta, curve, topo)
     lr = cfg.learning_rate / beta ** 2
     W = np.empty_like(P)                        # P - M; u1, u2 are its views
     u1, u2 = _split(W, *shapes)
+    ws, step_p = _Workspace(len(Xe), *shapes), np.empty_like(P)   # step_p: D * a free mask
 
     def step():
         np.subtract(P, M, out=W)
-        loss, Y, d1, d2 = _grads(u1, u2, Xe, T, topo)
-        D = lr * np.concatenate((d1, d2), axis=None)
-        np.minimum(np.maximum(np.subtract(P, D * free_p, out=P), lo_u, out=P), hi_u, out=P)
-        np.minimum(np.maximum(np.add(M, D * free_m, out=M), lo_u, out=M), hi_u, out=M)
+        loss, Y, _, _ = _grads(u1, u2, Xe, T, topo, ws)
+        D = np.multiply(lr, ws.D, out=ws.D)
+        np.subtract(P, np.multiply(D, free_p, out=step_p), out=P)
+        np.minimum(np.maximum(P, lo_u, out=P), hi_u, out=P)
+        np.add(M, np.multiply(D, free_m, out=step_p), out=M)
+        np.minimum(np.maximum(M, lo_u, out=M), hi_u, out=M)
         return loss, Y
 
     curve += _descend(cfg.finetune_epochs, step, y, len(curve), "in fine-tune epoch")
@@ -378,17 +403,17 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
 
     # Gradients run over the full 4-output head with error only on the
     # classes in play; unused outputs see zero error and get zero pulses.
-    dY = np.zeros((len(y), topo.n_outputs))
+    dY, ws = np.zeros((len(y), topo.n_outputs)), _Workspace(len(y), *layers)
     for _ in range(cfg.epochs):
         u1, u2 = _split(_flat_weights(G, plus, minus), *layers)
-        tanh_a, Ha, Y = forward(u1, u2, Xe, topo)
+        tanh_a, Ha, Y = forward(u1, u2, Xe, topo, out=ws.fwd)
         Y = Y.take(class_idx, axis=1)
         fid = fidelity(Y, y_local)
         errors.append(1.0 - fid)
         fids.append(fid)
         dY[:, class_idx] = (Y - T) / (T.size / 2.0)
-        direction = _directions(np.concatenate(_backward(u2, Xe, tanh_a, Ha, dY, topo),
-                                               axis=None), plus, minus)
+        _backward(u2, Xe, tanh_a, Ha, dY, topo, ws)
+        direction = _directions(ws.D, plus, minus)
         inc, dec = direction > 0, direction < 0
         pulses += np.count_nonzero(inc) + np.count_nonzero(dec)
         np.copyto(G, np.minimum(G + up, cells["g_max"]), where=inc & live)

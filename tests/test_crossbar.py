@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from xbarsim.crossbar import (MAX_NODAL_DIM, MAX_SEARCH_DIM, BiasScheme, _FACTOR_CACHE_SIZE,
                               _nodal_factor, _nodal_matrix, build_crossbar,
                               device_voltage_map, export_grid, import_grid,
-                              ladder_worst_case_drop, load_state,
+                              ladder_drops, ladder_worst_case_drop, load_state,
                               max_crossbar_dimension, save_state, vmm, vmm_ideal,
                               vmm_wire_resistive, write_drop_budget)
 from xbarsim.config import INSITU_DEVICE_SPEC
@@ -402,13 +402,27 @@ class TestLadder:
             assert got == pytest.approx(oracle(n, 5.6, 30e-6), abs=1e-9)
 
     @pytest.mark.parametrize("r_w, g", [(5.6, -30e-6), (-5.6, 30e-6), (5.6, 5e-324),
-                                        (0.0, 5e-324)])
+                                        (0.0, 5e-324), (math.inf, 30e-6), (5.6, math.nan),
+                                        (math.nan, 30e-6), (5.6, math.inf)])
     def test_bad_line_or_load_is_rejected(self, r_w, g):
-        # 1/5e-324 overflows, so a denormal load has no finite impedance.
+        # 1/5e-324 overflows, so a denormal load has no finite impedance; an
+        # infinite or NaN line or load would make the drops NaN.
         with pytest.raises(ConfigurationError):
             ladder_worst_case_drop(4, r_w, g)
         with pytest.raises(ConfigurationError):
-            max_crossbar_dimension(0.7, 1.3, g, r_w, BiasScheme())
+            ladder_drops([1, 8], r_w, g)
+        # 0.4 V / 1.3 V leaves no safe write window; the line is checked first.
+        for v_th_min in (0.7, 0.4):
+            with pytest.raises(ConfigurationError):
+                max_crossbar_dimension(v_th_min, 1.3, g, r_w, BiasScheme())
+
+    def test_drops_of_many_lengths_read_one_walk(self):
+        lengths = [512, 1, 64, 64, 2, 7]
+        assert ladder_drops(lengths, 5.6, 30e-6) == [ladder_worst_case_drop(n, 5.6, 30e-6)
+                                                     for n in lengths]
+        assert ladder_drops([], 5.6, 30e-6) == []
+        with pytest.raises(ConfigurationError, match="segment"):
+            ladder_drops([3, 0], 5.6, 30e-6)
 
 
 class TestMaxDimension:

@@ -342,6 +342,35 @@ class TestBatchedForward:
             np.testing.assert_array_equal(b.reshape(a.shape), a)
 
 
+class TestForwardInto:
+    """``forward(..., out=...)`` fills a caller's buffers with the values it returns
+    anew, and stacked batches keep ``@``'s per-slice products."""
+
+    def weights(self, seed):
+        rng = stream(seed, "forward-into")
+        return rng.uniform(-5, 5, (10, 17)), rng.uniform(-5, 5, (4, 11))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dirty_buffers_equal_fresh_arrays(self, seed):
+        u1, u2 = self.weights(seed)
+        Xe = encode_batch(pixel_matrix(TEST_SET[:40]))
+        bufs = tuple(np.full(shape, np.nan) for shape in ((40, 10), (40, 11), (40, 4)))
+        got = forward(u1, u2, Xe, out=bufs)
+        assert all(g is b for g, b in zip(got, bufs))
+        for g, want in zip(got, forward(u1, u2, Xe)):
+            assert g.tobytes() == want.tobytes()
+
+    def test_stacked_batch_equals_per_slice_products(self):
+        u1, u2 = self.weights(2)
+        Xe = encode_batch(pixel_matrix(TEST_SET[:60])).reshape(5, 12, 17)
+        tanh_a, hidden, Y = forward(u1, u2, Xe)
+        for k, X in enumerate(Xe):
+            t = np.tanh(X @ u1.T)
+            h = np.concatenate([0.2 * t, np.full((12, 1), 0.2)], axis=1)
+            for got, want in zip((tanh_a[k], hidden[k], Y[k]), (t, h, h @ u2.T)):
+                assert got.tobytes() == want.tobytes()
+
+
 @pytest.fixture(scope="module")
 def aware_chip():
     return run_ex_situ_pipeline(0, aware=True).crossbars

@@ -172,6 +172,23 @@ class TestTrainingConfig:
             TrainingConfig(**{field: value}).validate()
 
 
+class TestGradsWorkspace:
+    def test_reused_workspace_equals_fresh_calls(self):
+        Xe = encode_batch(pixel_matrix(PATTERNS))
+        T = _targets(label_vector(PATTERNS), 4, 1.0)
+        rng = stream(3, "workspace")
+        points = [(rng.uniform(-5, 5, (10, 17)), rng.uniform(-5, 5, (4, 11))) for _ in range(2)]
+        ws = training._Workspace(len(Xe), (10, 17), (4, 11))
+        reused = []
+        for u1, u2 in points:
+            loss, *arrays = _grads(u1, u2, Xe, T, ws=ws)
+            reused.append((loss, *(a.copy() for a in arrays)))
+        for (u1, u2), got in zip(points, reused):
+            want = _grads(u1, u2, Xe, T)
+            assert got[0] == want[0]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
+
+
 class TestDivergenceGuard:
     """A non-finite loss stops training at its epoch, in either loop."""
 

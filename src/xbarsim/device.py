@@ -200,19 +200,16 @@ def switching_steps(cells: np.ndarray, amplitude: float | np.ndarray,
                     width: float = PULSE_WIDTH_REF) -> np.ndarray:
     """``MemristorDevice.switching_step`` of every cell of a ``CELL_DTYPE``
     array, bit for bit: ``math.exp`` runs only on the cells that move, since
-    ``np.exp`` may differ in the last bit.  An array of amplitudes gives one
-    table per amplitude, its axes leading the cells'.  Work arrays are reused
-    in place to keep the peak memory of a whole ladder's table low."""
+    ``np.exp`` may differ in the last bit.  The amplitude broadcasts against
+    the cells by numpy's rules: one for all, one per cell, or a column such as
+    ``[[a], [-a]]`` for one row of steps per amplitude."""
     if width <= 0:
         raise ValueError("pulse width must be positive")
-    amplitude = np.asarray(amplitude, dtype=float)
-    amplitude = amplitude.reshape(amplitude.shape + (1,) * cells.ndim)
     live = cells["formed"] & ~cells["stuck"]
     up = live & (amplitude >= cells["set_threshold"])
     down = live & (amplitude <= cells["reset_threshold"])
     move = up | down
-    steps = np.where(up, cells["set_threshold"], cells["reset_threshold"])
-    over = np.abs(np.subtract(amplitude, steps, out=steps), out=steps)[move]
+    over = np.abs(amplitude - np.where(up, cells["set_threshold"], cells["reset_threshold"]))[move]
     scale = np.broadcast_to(cells["kinetics_voltage_scale"], move.shape)[move]
     over /= scale
     try:
@@ -222,7 +219,7 @@ def switching_steps(cells: np.ndarray, amplitude: float | np.ndarray,
         raise ConfigurationError(f"a {np.broadcast_to(amplitude, move.shape)[move][i]:g} V pulse "
                                  f"overflows exp(overvoltage / kinetics_voltage_scale) at "
                                  f"kinetics_voltage_scale {scale[i]:g} V") from None
-    steps.fill(0.0)
+    steps = np.zeros(move.shape)
     steps[move] = np.broadcast_to(cells["kinetics_rate"], move.shape)[move] * (
         width / PULSE_WIDTH_REF) * exps
     return np.negative(steps, out=steps, where=down)

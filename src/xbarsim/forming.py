@@ -91,21 +91,19 @@ def _reset_to_low(cells: np.ndarray, runs: np.ndarray, spec: FormingSpec):
     ineffective pulse, down to the floor, where such a pulse ends the run.  A
     round pulses each cell in a ``device.pulse_runs`` block, as the tuner does,
     up to its first event: the target, an ineffective pulse or its run's last."""
-    amplitudes = [spec.V_reset]
-    while amplitudes[-1] > RESET_AMPLITUDE_FLOOR:
-        amplitudes.append(max(amplitudes[-1] - RESET_AMPLITUDE_STEP, RESET_AMPLITUDE_FLOOR))
     at = np.flatnonzero(runs)
     live = cells[at]
-    table = switching_steps(live, np.array(amplitudes), RESET_PULSE_WIDTH)
+    switching_steps(live, min(spec.V_reset, RESET_AMPLITUDE_FLOOR), RESET_PULSE_WIDTH)
     g, lo, hi = live["conductance"], live["g_min"], live["g_max"]
     runs = runs[at].astype(int)
-    level, col = np.zeros_like(runs), np.arange(at.size)
+    amp, col = np.full(at.size, spec.V_reset), np.arange(at.size)
     left, longest = np.full_like(runs, RESET_PULSE_BUDGET), 1    # each run's budget
     while True:
         on = (runs > 0) & (g > LOW_CONDUCTANCE_TARGET)
         if not on.any():
             break
-        run = pulse_runs(g, np.where(on, table[level, col], 0.0), lo, hi, longest)
+        step = np.where(on, switching_steps(live, amp, RESET_PULSE_WIDTH), 0.0)
+        run = pulse_runs(g, step, lo, hi, longest)
         stall = run[1:] >= run[:-1]
         event = stall | (run[1:] <= LOW_CONDUCTANCE_TARGET)
         event[-1] = True
@@ -114,11 +112,12 @@ def _reset_to_low(cells: np.ndarray, runs: np.ndarray, spec: FormingSpec):
         g = run[last + 1, col]
         left -= on * (last + 1)
         stalled = on & stall[last, col]
-        floor = level == len(amplitudes) - 1
-        level += stalled & ~floor
+        floor = amp <= RESET_AMPLITUDE_FLOOR
+        amp = np.where(stalled & ~floor,
+                       np.maximum(amp - RESET_AMPLITUDE_STEP, RESET_AMPLITUDE_FLOOR), amp)
         ended = (stalled & floor) | (left == 0)
         runs -= ended
-        level[ended], left[ended] = 0, RESET_PULSE_BUDGET
+        amp[ended], left[ended] = spec.V_reset, RESET_PULSE_BUDGET
     cells["conductance"][at] = g
 
 

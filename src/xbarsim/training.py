@@ -396,7 +396,7 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
                                  "line model to 'ideal' or the wire resistance to 0")
     disturb = _half_select_risk(cells, cfg)
     G, live = Crossbar(cells).conductances(), cells["formed"] & ~cells["stuck"]
-    up, down = switching_steps(cells, [cfg.amplitude, -cfg.amplitude], cfg.pulse_width)
+    up, down = switching_steps(cells, [[cfg.amplitude], [-cfg.amplitude]], cfg.pulse_width)
     plus, minus = _pair_cells((topo.layer1_shape, topo.layer2_shape))
     layers = (topo.n_hidden, topo.n_inputs + 1), (topo.n_outputs, topo.n_hidden + 1)
     errors, fids, pulses = [], [], 0

@@ -51,10 +51,10 @@ class TuningSpec:
             raise ConfigurationError("tolerance must be positive and finite")
         if not 0 < abs(self.v_read) <= SAFE_READ_VOLTAGE:
             raise ConfigurationError(f"need 0 < |v_read| <= {SAFE_READ_VOLTAGE} V")
-        if not self.set_amplitude_range[0] <= self.set_amplitude_range[1]:
-            raise ConfigurationError("set_amplitude_range must be ordered")
-        if not self.reset_amplitude_range[0] <= self.reset_amplitude_range[1]:
-            raise ConfigurationError("reset_amplitude_range must be ordered")
+        if not 0 < self.set_amplitude_range[0] <= self.set_amplitude_range[1]:
+            raise ConfigurationError("set_amplitude_range must be ordered and positive")
+        if not self.reset_amplitude_range[0] <= self.reset_amplitude_range[1] < 0:
+            raise ConfigurationError("reset_amplitude_range must be ordered and negative")
         if self.max_pulses < 1:
             raise ConfigurationError("max_pulses must be >= 1")
         if not 0 < self.amplitude_step < math.inf:
@@ -98,7 +98,7 @@ def import_with_refinement(xbar: Crossbar, targets, spec: TuningSpec,
 
 
 def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.ndarray:
-    """Both imports' staircase: ``passes`` passes over one step table."""
+    """Both imports' staircase: ``passes`` passes, each cell at its own amplitude."""
     spec.validate()
     if passes < 1:
         raise ConfigurationError(f"need at least one pass, got {passes}")
@@ -110,18 +110,13 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
                                                      -cells["reset_threshold"]))):
         raise ConfigurationError(f"read at {v} V would disturb a formed device")
 
-    # The set ladder climbs from its low end, the reset ladder from its gentle
-    # (high) end, to their caps; no cell climbs more than one level per pulse.
+    # A cell's amplitude starts at its side's gentle end, the set range's low
+    # end or the reset range's high end, and climbs one step per weak pulse to
+    # the side's cap.  The caps are the hardest pulses, so a step that
+    # overflows raises here, before any pulse.
     set_lo, set_hi = spec.set_amplitude_range
     reset_lo, reset_hi = spec.reset_amplitude_range
-    ladders = ([set_lo], [reset_hi])
-    for ladder, cap, step, clamp in ((ladders[0], set_hi, spec.amplitude_step, min),
-                                     (ladders[1], reset_lo, -spec.amplitude_step, max)):
-        while ladder[-1] != cap and len(ladder) < spec.max_pulses:
-            ladder.append(clamp(ladder[-1] + step, cap))
-    n_set = len(ladders[0])
-    at_cap = np.array([a == set_hi for a in ladders[0]] + [a == reset_lo for a in ladders[1]])
-    table = switching_steps(cells, np.array(ladders[0] + ladders[1]), spec.pulse_width)
+    switching_steps(cells[..., None], [set_hi, reset_lo], spec.pulse_width)
     offsets = np.arange(targets.size).reshape(targets.shape)
     conductance, g_min, g_max = cells["conductance"], cells["g_min"], cells["g_max"]
     alpha = cells["nonlinearity_alpha"]
@@ -133,14 +128,15 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
         raw = xbar.conductances()
         g = currents(raw, alpha, v) / v             # read_conductance, elementwise
         err = tuning_error(goal, g)
-        level = np.where(goal > g, 0, n_set)        # index into the ladders, set first
+        up = goal > g                               # each cell's side: set or reset
+        amp = np.where(up, set_lo, reset_hi)
         stalls = np.zeros(goal.shape, dtype=int)
         left, longest = np.full(goal.shape, spec.max_pulses), 1  # each cell's budget
         tuning = ~cells["stuck"] & (err > spec.tolerance)
         # The round's cells: all of them in the grid's shape, then, whenever at
         # most half of them still tune, a flat copy of those that do, with
-        # their flat positions ``at`` and their columns of the step table.
-        live, at, steps, col, lo, hi, an = xbar, offsets, table, offsets, g_min, g_max, alpha
+        # their flat positions ``at`` and their indices ``col`` in the copy.
+        live, at, col = xbar, offsets, offsets
         while True:
             count = np.count_nonzero(tuning)
             if 2 * count <= tuning.size:
@@ -149,22 +145,22 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
                 if not count:
                     break
                 live = Crossbar(live.cells[tuning])
-                at, goal, raw, g, level, stalls, left, err, lo, hi, an = (
-                    a[tuning] for a in (at, goal, raw, g, level, stalls, left, err, lo, hi, an))
-                steps, col, tuning = steps[:, tuning], np.arange(count), np.ones(count, bool)
-            up = goal > g                           # a polarity flip restarts the ladder
-            level = np.where(up == (level < n_set), level, np.where(up, 0, n_set))
-            capped = at_cap[level]
+                at, goal, raw, g, up, amp, stalls, left, err = (
+                    a[tuning] for a in (at, goal, raw, g, up, amp, stalls, left, err))
+                col, tuning = np.arange(count), np.ones(count, bool)
+            was, up = up, goal > g                  # a polarity flip restarts gently
+            amp = np.where(up == was, amp, np.where(up, set_lo, reset_hi))
+            capped = amp == np.where(up, set_hi, reset_lo)
             # Row j: each raw read after j pulses; unformed and idle cells stay.
-            step = np.where(tuning, steps.take(level * goal.size + col), 0.0)
-            run = pulse_runs(raw, step, lo, hi, longest)
-            reads = currents(run, an, v) / v
+            step = np.where(tuning, switching_steps(live.cells, amp, spec.pulse_width), 0.0)
+            run = pulse_runs(raw, step, live.cells["g_min"], live.cells["g_max"], longest)
+            reads = currents(run, live.cells["nonlinearity_alpha"], v) / v
             gaps = abs(reads - goal)                # before the first pulse, then after each
             errs = gaps / goal                      # tuning_error
             # A weak pulse escalates below the cap; at the cap only one that
             # moves less than _EFFECT_EPS counts, as a stall.  A cell's block
             # ends at its first weak pulse, read inside the tolerance or
-            # overshoot (the ladder restarts), or at its block's or budget's
+            # overshoot (the amplitude restarts), or at its block's or budget's
             # last pulse; the pulses before it change only its conductance
             # and error.  The round's read-back follows its last pulse.
             weak = abs(reads[1:] - reads[:-1]) < np.maximum(
@@ -182,7 +178,8 @@ def _staircase(xbar: Crossbar, targets, spec: TuningSpec, passes: int) -> np.nda
             weak = tuning & weak.take(pulse)
             err = np.where(tuning, errs.take(pulse), err)   # what a third stall keeps
             stalls += weak & capped                 # a stall repeats: no reset
-            level += weak & ~capped
+            amp = np.where(weak, np.where(up, np.minimum(amp + spec.amplitude_step, set_hi),
+                                          np.maximum(amp - spec.amplitude_step, reset_lo)), amp)
             tuning &= stalls < 3                    # untunable direction or rail
             err = np.where(tuning, errs.take(pulse + goal.size), err)
             tuning &= (err > spec.tolerance) & (left > 0)

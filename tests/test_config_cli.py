@@ -506,6 +506,9 @@ class TestCli:
         {"scale": {"set_threshold_min": "-5V"}},
         # A negative pristine threshold or sweep ceiling.
         {"forming": {"R_TH": "-1ohm"}}, {"forming": {"I_start": "-100uA"}},
+        # A set range that reaches 0 V or below, a reset range that reaches 0 V or above.
+        {"tuning": {"set_amplitude_range": ["-1.2V", "1.5V"]}},
+        {"tuning": {"reset_amplitude_range": ["-1.8V", "1.2V"]}},
         *_non_finite_configs()])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"

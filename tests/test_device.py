@@ -285,13 +285,19 @@ class TestSwitchingSteps:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), devs=st.lists(devices, min_size=1, max_size=12),
-           width=st.floats(1e-6, 1e-2), n=st.integers(1, 6))
-    def test_amplitude_axis_leads(self, data, devs, width, n):
-        # One call over a ladder of amplitudes: one table per amplitude.
-        amplitudes = [data.draw(amplitude_for(devs)) for _ in range(n)]
-        expected = np.stack([switching_steps(_cells(devs), a, width) for a in amplitudes])
-        table = switching_steps(_cells(devs), np.array(amplitudes), width)
-        assert table.shape == (n, 1, len(devs)) and table.tobytes() == expected.tobytes()
+           width=st.floats(1e-6, 1e-2))
+    def test_amplitudes_broadcast_against_cells(self, data, devs, width):
+        # One amplitude per cell, often on one of that cell's thresholds.
+        amplitudes = np.array([[data.draw(amplitude_for([d])) for d in devs]])
+        expected = np.array([[d.switching_step(a, width)
+                              for d, a in zip(devs, amplitudes[0].tolist())]])
+        steps = switching_steps(_cells(devs), amplitudes, width)
+        assert steps.tobytes() == expected.tobytes()
+        # A column of two amplitudes, as the Manhattan trainer asks: one row each.
+        a, cells = data.draw(amplitude_for(devs)), _cells(devs).ravel()
+        rows = switching_steps(cells, [[a], [-a]], width)
+        expected = np.stack([switching_steps(cells, a, width), switching_steps(cells, -a, width)])
+        assert rows.shape == (2, len(devs)) and rows.tobytes() == expected.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(devs=st.lists(devices, min_size=1, max_size=4),

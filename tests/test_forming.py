@@ -114,6 +114,18 @@ class TestFormAll:
             form_all(xb, fspec)
         assert xb.cells.tobytes() == state.tobytes()
 
+    def test_overflowing_reset_floor_raises(self):
+        # Every reset threshold is -1.2 V: the first reset pulse (-1.3 V, 0.1 V
+        # over) takes a cell to the target at once, while the floor (0.7 V
+        # over) overflows exp(overvoltage / 0.5 mV).  The floor is checked anyway.
+        spec = DeviceVariationSpec(stuck_probability=0.0, reset_sigma=0.0,
+                                   kinetics_voltage_scale=5e-4)
+        xb = pristine_crossbar(4, 4, spec, seed=5)
+        before = xb.cells.copy()
+        with pytest.raises(ConfigurationError, match="kinetics_voltage_scale"):
+            form_all(xb, FormingSpec())
+        assert xb.cells.tobytes() == before.tobytes()
+
 
 def _reset_to_low(device: MemristorDevice, spec: FormingSpec):
     """Drive a formed device into a low-conductance state with reset pulses.

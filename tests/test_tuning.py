@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,6 +552,44 @@ class TestPassCount:
                                tuning=TuningSection(refine_passes=0))
         with pytest.raises(ConfigurationError, match="pass"):
             run_ex_situ_pipeline(0, aware=False, cfg=cfg)
+
+
+class TestPerCellAmplitude:
+    """Each cell keeps only its present amplitude: no ladder is built up front."""
+
+    def test_fine_steps_allocate_no_ladder(self):
+        # 0.2 V ranges at 1e-5 V steps: each ladder would hold max_pulses =
+        # 10,000 levels, a (20,000 x 9) float table of 1.44 MB.  The ranges
+        # sit past every threshold and the rates are fast, so cells move at once.
+        fast = DeviceVariationSpec(stuck_probability=0.0, kinetics_rate_range=(1e-6, 2e-6))
+        xb = build_crossbar(3, 3, fast, seed=7)
+        spec = TuningSpec(tolerance=0.05, set_amplitude_range=(1.3, 1.5),
+                          reset_amplitude_range=(-1.8, -1.6), amplitude_step=1e-5)
+        assert 0.2 / spec.amplitude_step >= spec.max_pulses == 10_000
+        table = 2 * spec.max_pulses * xb.cells.size * 8
+        targets = np.random.default_rng(7).uniform(10e-6, 100e-6, xb.cells.shape)
+        tracemalloc.start()
+        try:
+            errors = import_conductance_map(xb, targets, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (errors <= spec.tolerance).all()
+        assert peak < table / 4
+
+    @pytest.mark.parametrize("max_pulses", [10_000, 1])
+    def test_overflowing_cap_raises_before_any_pulse(self, max_pulses):
+        # exp(overvoltage / 0.5 mV) overflows past ~0.355 V of overvoltage: the
+        # gentle ends (0.3 V over) move every cell, the caps (1.0 V over) do not
+        # fit a float.  The cap is checked even when max_pulses stops short of it.
+        cells = build_crossbar(2, 2, CLEAN, seed=8).cells
+        cells["set_threshold"], cells["reset_threshold"] = 0.5, -0.5
+        cells["kinetics_voltage_scale"], cells["kinetics_rate"] = 5e-4, 1e-270
+        xb, before = Crossbar(cells.copy()), cells.copy()
+        spec = TuningSpec(max_pulses=max_pulses)
+        with pytest.raises(ConfigurationError, match="kinetics_voltage_scale"):
+            import_conductance_map(xb, np.full(cells.shape, 60e-6), spec)
+        assert xb.cells.tobytes() == before.tobytes()
 
 
 class TestImportMap:

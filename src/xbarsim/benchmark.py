@@ -88,6 +88,8 @@ def generate_test_set(training) -> list:
 
 
 def pixel_matrix(patterns) -> np.ndarray:
+    if not patterns:
+        raise ConfigurationError("empty pattern set")
     return np.array([p.pixels for p in patterns], dtype=float)
 
 
@@ -103,8 +105,6 @@ def linear_separability_check(patterns) -> bool:
     """
     from scipy.optimize import linprog     # only this check needs the LP solver
 
-    if not patterns:
-        raise ConfigurationError("empty pattern set")
     X = pixel_matrix(patterns)
     y = label_vector(patterns)
     n_cls = len(CLASS_NAMES)

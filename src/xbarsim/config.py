@@ -5,9 +5,10 @@ The schema is the spec dataclasses.  Each JSON section is one dataclass
 TrainingConfig, ...) and its keys are that dataclass's field names; an
 omitted key keeps the dataclass default.  A field declared with
 ``units.quantity`` is a string with a unit suffix ("1.3V", "50uS", "500us",
-"5.6ohm"), and bare numbers are rejected there; booleans must be JSON
-booleans and integers JSON integers.  A config plus the code version
-uniquely determines every artifact.
+"5.6ohm"), and bare numbers are rejected there.  ``units.convert`` reads
+every value: booleans must be JSON booleans, integers JSON integers and
+numbers finite.  A config plus the code version uniquely determines every
+artifact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import ConfigurationError
 from .forming import FormingSpec
 from .training import ManhattanConfig, TrainingConfig
 from .tuning import TuningSpec
-from .units import format_quantity, parse_quantity, quantity
+from .units import convert, format_quantity, quantity
 
 # The in-situ experiment runs on freshly formed (low-conductance) arrays in
 # the coarse-update regime: fixed-amplitude pulses move a device by a large,
@@ -40,8 +41,6 @@ IMPORT_TOLERANCE = 0.30
 # Fields that are not keys: training draws its initial weights from a
 # sub-stream of the run's seed.
 _NOT_KEYS = ("training.seed",)
-
-_KIND = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 
 @dataclass
@@ -183,39 +182,8 @@ def _section(default, raw, where: str = ""):
         if is_dataclass(hint):
             changes[name] = _section(getattr(default, name), value, path)
         else:
-            changes[name] = _convert(value, hint, unit, path)
+            changes[name] = convert(value, hint, unit, path)
     return replace(default, **changes).validate()
-
-
-def _convert(value, hint, unit, where: str):
-    """A JSON value as a field of type ``hint``, in SI ``unit`` when one is set."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise ConfigurationError(f"{where} must be a JSON object, got {value!r}")
-        return {k: _convert(v, args[-1], unit, f"{where}.{k}") for k, v in value.items()}
-    if origin in (tuple, list):
-        if not isinstance(value, list) or (origin is tuple and len(value) != len(args)):
-            shape = f"a {len(args)}-element list" if origin is tuple else "a list"
-            raise ConfigurationError(f"{where} must be {shape}, got {value!r}")
-        return origin(_convert(v, args[-1], unit, where) for v in value)
-    if unit is not None:
-        try:
-            number = parse_quantity(value, unit)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{where}: {exc}") from None
-    elif hint is float and type(value) in (int, float):
-        try:
-            number = float(value)
-        except OverflowError:               # an integer past the float range
-            number = math.inf
-    elif type(value) is hint:
-        return value
-    else:
-        raise ConfigurationError(f"{where} must be {_KIND[hint]}, got {value!r}")
-    if not math.isfinite(number):
-        raise ConfigurationError(f"{where} must be finite, got {value!r}")
-    return number
 
 
 def _encode(value, unit=None, where: str = ""):
@@ -241,7 +209,7 @@ def load_config(path=None, seed_override=None) -> ExperimentConfig:
                 raise ConfigurationError(f"malformed config {path}: {exc}") from exc
     cfg = _section(ExperimentConfig(), raw)
     if seed_override is not None:
-        seed = _convert(seed_override, int, None, "seed override")
+        seed = convert(seed_override, int, None, "seed override")
         cfg = replace(cfg, seed=seed).validate()
     return cfg
 

@@ -23,6 +23,7 @@ from .device import (CELL_DTYPE, DEVICE_FIELDS, DeviceVariationSpec, MemristorDe
                      device_fields, draw_cell)
 from .errors import ConfigurationError
 from .rng import streams
+from .units import convert
 
 LINE_MODELS = ("ideal", "wire_resistive")
 
@@ -402,8 +403,8 @@ def save_state(xbar: Crossbar, path):
     }, path)
 
 
-_STATE_KEYS = {"schema_version", "rows", "cols", "wire_segment_resistance",
-               "line_model", "devices"}
+_STATE_FIELDS = {"rows": int, "cols": int, "wire_segment_resistance": float, "line_model": str}
+_STATE_KEYS = {"schema_version", "devices", *_STATE_FIELDS}
 
 
 def _reject_constant(token):
@@ -425,31 +426,24 @@ def load_state(path) -> Crossbar:
     if set(payload) != _STATE_KEYS:
         raise ConfigurationError(
             f"crossbar snapshot {path} must hold exactly the keys {sorted(_STATE_KEYS)}")
-    rows, cols, grid = payload["rows"], payload["cols"], payload["devices"]
-    r_w, line_model = payload["wire_segment_resistance"], payload["line_model"]
-    if type(rows) is not int or type(cols) is not int or type(r_w) not in (int, float):
-        raise ConfigurationError(f"{path}: rows and cols must be integers, "
-                                 "wire_segment_resistance a number")
+    rows, cols, r_w, line_model = (convert(payload[name], hint, None, f"{path}: {name}")
+                                   for name, hint in _STATE_FIELDS.items())
     check_geometry(rows, cols, r_w, line_model)
+    grid = payload["devices"]
     if not (isinstance(grid, list) and len(grid) == rows
             and all(isinstance(row, list) and len(row) == cols for row in grid)):
         raise ConfigurationError(f"{path}: device grid is not {rows}x{cols}")
-    for entry in (d for row in grid for d in row):
-        if not isinstance(entry, dict) or set(entry) != set(DEVICE_FIELDS):
-            raise ConfigurationError(
-                f"{path}: a device must hold exactly the keys {sorted(DEVICE_FIELDS)}")
-        if entry["forming_current"] is None:
-            entry["forming_current"] = math.inf
-        for name, kind in DEVICE_FIELDS.items():
-            value = entry[name]
-            if not (type(value) is bool if kind is bool else type(value) in (int, float)):
+    cells = []
+    for r, row in enumerate(grid):
+        for c, entry in enumerate(row):
+            where = f"{path}: device ({r}, {c})"
+            if not isinstance(entry, dict) or set(entry) != set(DEVICE_FIELDS):
                 raise ConfigurationError(
-                    f"{path}: device {name} {value!r} is not a {kind.__name__}")
-    try:
-        r_w = float(r_w)
-        cells = np.array([device_fields(MemristorDevice(**d)) for row in grid for d in row],
-                         dtype=CELL_DTYPE)
-    except OverflowError as exc:
-        raise ConfigurationError(f"{path}: number out of float range: {exc}") from None
-    return Crossbar(cells.reshape(rows, cols), wire_segment_resistance=r_w,
-                    line_model=line_model)
+                    f"{where} must hold exactly the keys {sorted(DEVICE_FIELDS)}")
+            # save_state writes a device that can never form as null.
+            d = {name: math.inf if name == "forming_current" and value is None
+                 else convert(value, DEVICE_FIELDS[name], None, f"{where} {name}")
+                 for name, value in entry.items()}
+            cells.append(device_fields(MemristorDevice(**d)))
+    return Crossbar(np.array(cells, dtype=CELL_DTYPE).reshape(rows, cols),
+                    wire_segment_resistance=r_w, line_model=line_model)

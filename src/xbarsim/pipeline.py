@@ -116,8 +116,8 @@ def run_ex_situ_pipeline(seed: int, aware: bool, cfg: ExperimentConfig | None = 
     config and many seeds.
     """
     cfg = cfg or ExperimentConfig()
-    patterns = patterns or canonical_training_set()
-    test_patterns = test_patterns or generate_test_set(patterns)
+    patterns = canonical_training_set() if patterns is None else patterns
+    test_patterns = generate_test_set(patterns) if test_patterns is None else test_patterns
 
     xb1, xb2 = build_network_crossbars(seed, cfg.device, cfg.crossbar.wire_segment_resistance,
                                        pristine=True, line_model=cfg.crossbar.line_model)

@@ -191,8 +191,6 @@ def train_ex_situ(patterns, cfg: TrainingConfig,
     with the stuck entries excluded from every update.
     """
     cfg.validate()
-    if not patterns:
-        raise ConfigurationError("empty training set")
     topo = DEFAULT_TOPOLOGY
     Xe = encode_batch(pixel_matrix(patterns), topo)
     y = label_vector(patterns)

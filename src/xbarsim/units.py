@@ -1,9 +1,11 @@
-"""Strict parsing of unit-suffixed quantities in configuration files.
+"""Strict reading of JSON values in configuration files and crossbar snapshots.
 
-Dimensioned config values are strings like ``"1.3V"``, ``"50uS"``, ``"800ohm"``
-or ``"500us"``.  Parsing is strict: the suffix must name the expected unit,
-and bare numbers are rejected for dimensioned fields.  Unit bugs are the
-dominant failure mode in this domain, so there is no silent fallback.
+``convert`` is the one JSON value converter: booleans and integers must be
+exactly that JSON type, and numbers finite.  Dimensioned config values are
+strings like ``"1.3V"``, ``"50uS"``, ``"800ohm"`` or ``"500us"``.  Parsing is
+strict: the suffix must name the expected unit, and bare numbers are rejected
+for dimensioned fields.  Unit bugs are the dominant failure mode in this
+domain, so there is no silent fallback.
 
 Parsing is correctly rounded: the prefix shifts the decimal exponent of the
 written number, so ``"55uS"`` is exactly the float ``55e-6``.
@@ -11,7 +13,9 @@ written number, so ``"55uS"`` is exactly the float ``55e-6``.
 
 from __future__ import annotations
 
+import math
 import re
+import typing
 from dataclasses import field
 from decimal import Decimal
 
@@ -31,6 +35,8 @@ _PREFIX = {
 
 # Canonical unit symbols.  "ohm" is spelled out to stay ASCII-safe.
 _UNITS = ("V", "A", "S", "ohm", "s")
+
+_KIND = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 _QUANTITY_RE = re.compile(r"^\s*([+-]?[0-9.]+)(?:[eE]([+-]?[0-9]+))?\s*([A-Za-z]+)\s*$")
 
@@ -81,3 +87,34 @@ def format_quantity(value: float, unit: str, prefix: str = "") -> str:
     """
     mantissa = Decimal(repr(float(value))).scaleb(-_PREFIX[prefix]).normalize()
     return f"{mantissa:f}{prefix}{unit}"
+
+
+def convert(value, hint, unit, where: str):
+    """A JSON value as a field of type ``hint``, in SI ``unit`` when one is set."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{where} must be a JSON object, got {value!r}")
+        return {k: convert(v, args[-1], unit, f"{where}.{k}") for k, v in value.items()}
+    if origin in (tuple, list):
+        if not isinstance(value, list) or (origin is tuple and len(value) != len(args)):
+            shape = f"a {len(args)}-element list" if origin is tuple else "a list"
+            raise ConfigurationError(f"{where} must be {shape}, got {value!r}")
+        return origin(convert(v, args[-1], unit, where) for v in value)
+    if unit is not None:
+        try:
+            number = parse_quantity(value, unit)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+    elif hint is float and type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:               # an integer past the float range
+            number = math.inf
+    elif type(value) is hint:
+        return value
+    else:
+        raise ConfigurationError(f"{where} must be {_KIND[hint]}, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{where} must be finite, got {value!r}")
+    return number

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -776,6 +777,22 @@ class TestArtifacts:
                                      '"wire_segment_resistance": Infinity'))
         with pytest.raises(ConfigurationError, match="Infinity"):
             load_state(path)
+
+    def test_overflowing_snapshot_field_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        _two_by_two_snapshot(out / "crossbar_state.json")
+        text = (out / "crossbar_state.json").read_text()
+        # json reads the literal 1e400 as inf; no JSON token check sees it.
+        state = re.sub(r'"kinetics_rate": [^,}]+', '"kinetics_rate": 1e400', text, count=1)
+        assert '"kinetics_rate": 1e400' in state
+        (out / "crossbar_state.json").write_text(state)
+        targets = str(tmp_path / "targets.csv")
+        export_grid(np.full((2, 2), 50e-6), targets)
+        assert main(["--out", str(out), "tune", "--targets", targets]) == 2
+        assert "device (0, 0) kinetics_rate must be finite" in capsys.readouterr().err
+        assert os.listdir(out) == ["crossbar_state.json"]
+        assert (out / "crossbar_state.json").read_text() == state
 
     @pytest.mark.parametrize("token", ["abc", "nan", "inf", "-Infinity", ""])
     def test_bad_target_token_is_config_error(self, tmp_path, token):

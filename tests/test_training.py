@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xbarsim import training
-from xbarsim.benchmark import canonical_training_set, label_vector, pixel_matrix
+from xbarsim.benchmark import (canonical_training_set, label_vector, linear_separability_check,
+                               pixel_matrix)
 from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec, MemristorDevice, device_fields
 from xbarsim.errors import ConfigurationError, DivergenceError
@@ -17,7 +18,7 @@ from xbarsim.forming import FormingSpec
 from xbarsim.mlp import (DEFAULT_TOPOLOGY, ConductancePairMap, _pair_cells, encode_pixels,
                          fidelity)
 from xbarsim.pipeline import (INSITU_DEVICE_SPEC, build_network_crossbars, derive_seed,
-                              form_network)
+                              form_network, hardware_fidelity, run_ex_situ_pipeline)
 from xbarsim.rng import stream
 from xbarsim.training import (MANHATTAN_TARGET_LEVEL, TAIL_FRACTION, DefectMap,
                               ManhattanConfig, TrainingConfig, _directions, _flat_weights,
@@ -557,3 +558,18 @@ class TestManhattanConfig:
     def test_validate_rejects(self, field, value):
         with pytest.raises(ConfigurationError):
             ManhattanConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("run", [
+    lambda xbs: train_ex_situ([], TrainingConfig()),
+    lambda xbs: train_single_layer([], TrainingConfig()),
+    lambda xbs: train_in_situ_manhattan(*xbs, [], ManhattanConfig(epochs=1)),
+    lambda xbs: hardware_fidelity(*xbs, []),
+    lambda xbs: linear_separability_check([]),
+    lambda xbs: run_ex_situ_pipeline(0, aware=False, patterns=[], test_patterns=[])],
+    ids=["train_ex_situ", "train_single_layer", "train_in_situ_manhattan",
+         "hardware_fidelity", "linear_separability_check", "run_ex_situ_pipeline"])
+def test_empty_pattern_set_is_config_error(run):
+    xbs = build_network_crossbars(8, INSITU_DEVICE_SPEC, pristine=False)
+    with pytest.raises(ConfigurationError, match="empty pattern set"):
+        run(xbs)

@@ -444,6 +444,9 @@ def load_state(path) -> Crossbar:
             d = {name: math.inf if name == "forming_current" and value is None
                  else convert(value, DEVICE_FIELDS[name], None, f"{where} {name}")
                  for name, value in entry.items()}
-            cells.append(device_fields(MemristorDevice(**d)))
+            try:
+                cells.append(device_fields(MemristorDevice(**d)))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from None
     return Crossbar(np.array(cells, dtype=CELL_DTYPE).reshape(rows, cols),
                     wire_segment_resistance=r_w, line_model=line_model)

@@ -17,8 +17,11 @@ hardware, update signs from backpropagation on read-back conductances, and
 one fixed-amplitude pulse per device.  The hardware applies the pulses one
 crossbar row at a time in two polarity steps; because ideal-line writes do
 not couple cells, the simulator applies each epoch's schedule as one masked
-increase and one masked decrease over the network's cell vector, a copy of
-both arrays' cells (``MlpNetwork.cells``) stored back once training ends
+increase and one masked decrease over both arrays' cells in pair-sides
+order: gathered once from ``MlpNetwork.cells``, every G+ cell and then every
+G- cell (``_pair_cells``), so an epoch's weights are the difference of two
+halves and its pulse masks the gradient's signs side by side.  The
+conductances go back to the crossbars once training ends
 (``MlpNetwork.store``).  A wire-resistive write model would need the row
 loop back.
 
@@ -349,20 +352,6 @@ def _half_select_risk(cells, cfg: ManhattanConfig) -> int:
         np.minimum(cells["set_threshold"], -cells["reset_threshold"]) < v_half))
 
 
-def _flat_weights(G, plus, minus) -> np.ndarray:
-    """Every layer's signed weights (G+ - G-) in gain-normalized units, flat."""
-    return (G.take(plus) - G.take(minus)) / _U
-
-
-def _directions(grad, plus, minus) -> np.ndarray:
-    """Each cell's pulse direction (+1 up, -1 down, 0 none) from the flat
-    gradient: G+ moves against it, G- with it."""
-    signs = np.sign(grad)
-    direction = np.empty(plus.size + minus.size)
-    direction[plus], direction[minus] = -signs, signs
-    return direction
-
-
 def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
                             cfg: ManhattanConfig) -> ManhattanResult:
     """Hardware-in-the-loop training with fixed-amplitude update pulses.
@@ -370,11 +359,12 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     Each epoch: run inference for the whole batch on the simulated hardware,
     compute update signs by backpropagation on the read-back conductances,
     then pulse every device once, positive polarity first, under half-select
-    biasing (applied as the module docstring describes).  Classes are
-    restricted to the labels present in the dataset.  Every device must be
-    linear (``nonlinearity_alpha`` 0) and no array may read through its wires
-    (``Crossbar.reads_through_wires``), since the updates read ``G`` linearly
-    as ideal lines see it.
+    biasing (applied as the module docstring describes).  A cell that is not
+    live (unformed or stuck) gets zero steps and infinite clamps, so a pulse
+    leaves it as it is.  Classes are restricted to the labels present in the
+    dataset.  Every device must be linear (``nonlinearity_alpha`` 0) and no
+    array may read through its wires (``Crossbar.reads_through_wires``), since
+    the updates read ``G`` linearly as ideal lines see it.
     """
     cfg.validate()
     net = MlpNetwork(xb1, xb2)                  # raises unless the arrays fit its topology
@@ -393,39 +383,45 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
         raise ConfigurationError("in-situ training models ideal lines only; set the "
                                  "line model to 'ideal' or the wire resistance to 0")
     disturb = _half_select_risk(cells, cfg)
-    G, live = Crossbar(cells).conductances(), cells["formed"] & ~cells["stuck"]
-    up, down = switching_steps(cells, [[cfg.amplitude], [-cfg.amplitude]], cfg.pulse_width)
-    plus, minus = _pair_cells((topo.layer1_shape, topo.layer2_shape))
+    # Per-cell arrays in pair-sides order: every G+ cell, then every G- cell.
+    sides = np.concatenate(_pair_cells((topo.layer1_shape, topo.layer2_shape)))
+    pairs = cells[sides]
+    G, live = Crossbar(pairs).conductances(), pairs["formed"] & ~pairs["stuck"]
+    up, down = switching_steps(pairs, [[cfg.amplitude], [-cfg.amplitude]], cfg.pulse_width)
+    lo, hi = np.where(live, pairs["g_min"], -np.inf), np.where(live, pairs["g_max"], np.inf)
+    (Gp, Gm), W, step = np.split(G, 2), np.empty(G.size // 2), np.empty(G.size)
     layers = (topo.n_hidden, topo.n_inputs + 1), (topo.n_outputs, topo.n_hidden + 1)
-    errors, fids, pulses = [], [], 0
+    u1, u2 = _split(W, *layers)
+    # B = (D < 0, D > 0, D < 0): inc is (G+ up, G- up), dec its mirror (G+ down, G- down).
+    B = np.empty((3, W.size), dtype=bool)
+    inc, dec = B[:2].reshape(-1), B[1:].reshape(-1)
+    fids, pulses = [], 0
 
     # Gradients run over the full 4-output head with error only on the
     # classes in play; unused outputs see zero error and get zero pulses.
     dY, ws = np.zeros((len(y), topo.n_outputs)), _Workspace(len(y), *layers)
-    for _ in range(cfg.epochs):
-        u1, u2 = _split(_flat_weights(G, plus, minus), *layers)
+    Ysub, err = np.empty((2, len(y), len(class_idx)))
+    for epoch in range(cfg.epochs + 1):
+        np.divide(np.subtract(Gp, Gm, out=W), _U, out=W)
         tanh_a, Ha, Y = forward(u1, u2, Xe, topo, out=ws.fwd)
-        Y = Y.take(class_idx, axis=1)
-        fid = fidelity(Y, y_local)
-        errors.append(1.0 - fid)
-        fids.append(fid)
-        dY[:, class_idx] = (Y - T) / (T.size / 2.0)
+        fids.append(fidelity(Y.take(class_idx, axis=1, out=Ysub), y_local))
+        if epoch == cfg.epochs:
+            break                               # the last entry is the end state's
+        dY[:, class_idx] = np.divide(np.subtract(Ysub, T, out=err), T.size / 2.0, out=err)
         _backward(u2, Xe, tanh_a, Ha, dY, topo, ws)
-        direction = _directions(ws.D, plus, minus)
-        inc, dec = direction > 0, direction < 0
-        pulses += np.count_nonzero(inc) + np.count_nonzero(dec)
-        np.copyto(G, np.minimum(G + up, cells["g_max"]), where=inc & live)
-        np.copyto(G, np.maximum(G + down, cells["g_min"]), where=dec & live)
+        np.less(ws.D, 0, out=B[0])
+        np.greater(ws.D, 0, out=B[1])
+        B[2] = B[0]
+        pulses += 2 * np.count_nonzero(inc)
+        np.copyto(G, np.minimum(np.add(G, up, out=step), hi, out=step), where=inc)
+        np.copyto(G, np.maximum(np.add(G, down, out=step), lo, out=step), where=dec)
 
-    u1, u2 = _split(_flat_weights(G, plus, minus), *layers)
-    fid = fidelity(forward(u1, u2, Xe, topo)[2][:, class_idx], y_local)
-    fids.append(fid)
-    cells["conductance"][live] = G[live]
+    cells["conductance"][sides[live]] = G[live]
     net.store(cells)
     tail = max(1, int(round(TAIL_FRACTION * len(fids))))
-    return ManhattanResult(error_curve=errors,
+    return ManhattanResult(error_curve=[1.0 - fid for fid in fids[:-1]],
                            final_fidelity=float(np.mean(fids[-tail:])),
-                           last_fidelity=fid,
+                           last_fidelity=fids[-1],
                            disturb_risk_count=disturb,
                            pulses_issued=int(pulses))
 

@@ -510,6 +510,15 @@ class TestCli:
         # A set range that reaches 0 V or below, a reset range that reaches 0 V or above.
         {"tuning": {"set_amplitude_range": ["-1.2V", "1.5V"]}},
         {"tuning": {"reset_amplitude_range": ["-1.8V", "1.2V"]}},
+        # One case per spec check that no other input reaches.
+        {"device": {"g_min": "200uS"}},
+        {"forming": {"max_attempts": 0}}, {"forming": {"max_rounds": 0}},
+        {"tuning": {"max_pulses": 0}},
+        # No g_bias sits inside a reversed clip interval, so the g_bias check
+        # rejects it too; a zero low end reaches the clip check alone.
+        {"training": {"clip_interval": ["100uS", "10uS"]}},
+        {"training": {"clip_interval": ["0uS", "100uS"]}}, {"training": {"g_bias": "5uS"}},
+        {"training": {"epochs": -1}}, {"training": {"finetune_epochs": -1}},
         *_non_finite_configs()])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
@@ -517,6 +526,12 @@ class TestCli:
         out = tmp_path / "scale"
         assert main(["--config", str(cfg), "--out", str(out), "scale"]) == 2
         assert not out.exists()
+
+    def test_init_config_writes_the_defaults(self, tmp_path, capsys):
+        path = tmp_path / "xbarsim.json"
+        assert main(["init-config", "--path", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert load_config(path) == load_config(None) == ExperimentConfig()
 
     def test_negative_seed_flag_is_config_error(self, tmp_path):
         out = tmp_path / "scale"
@@ -793,6 +808,23 @@ class TestArtifacts:
         assert "device (0, 0) kinetics_rate must be finite" in capsys.readouterr().err
         assert os.listdir(out) == ["crossbar_state.json"]
         assert (out / "crossbar_state.json").read_text() == state
+
+    def test_impossible_snapshot_device_names_file_and_cell(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        path = out / "crossbar_state.json"
+        state = json.dumps(_set(["devices", 1, 0, "g_min"], 1.0)(_two_by_two_snapshot(path)))
+        path.write_text(state)
+        message = f"{path}: device (1, 0): need 0 < g_min <= g_max"
+        with pytest.raises(ConfigurationError) as exc:
+            load_state(path)
+        assert str(exc.value) == message
+        targets = str(tmp_path / "targets.csv")
+        export_grid(np.full((2, 2), 50e-6), targets)
+        assert main(["--out", str(out), "tune", "--targets", targets]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(out) == ["crossbar_state.json"]
+        assert path.read_text() == state
 
     @pytest.mark.parametrize("token", ["abc", "nan", "inf", "-Infinity", ""])
     def test_bad_target_token_is_config_error(self, tmp_path, token):

@@ -21,7 +21,7 @@ from xbarsim.pipeline import (INSITU_DEVICE_SPEC, build_network_crossbars, deriv
                               form_network, hardware_fidelity, run_ex_situ_pipeline)
 from xbarsim.rng import stream
 from xbarsim.training import (MANHATTAN_TARGET_LEVEL, TAIL_FRACTION, DefectMap,
-                              ManhattanConfig, TrainingConfig, _directions, _flat_weights,
+                              ManhattanConfig, TrainingConfig,
                               _grads, _targets, encode_batch, forward_batch,
                               save_curve, train_ex_situ, train_in_situ_manhattan,
                               train_single_layer)
@@ -359,20 +359,31 @@ pair_grids = st.tuples(st.integers(1, 5), st.integers(1, 6)).map(lambda s: (2 * 
 
 
 class TestFlatManhattanMaps:
-    """The in-situ trainer's flat vector over both arrays against per-layer grids."""
+    """The in-situ trainer's pair-sides layout over both arrays against per-layer grids."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), shapes=st.tuples(pair_grids, pair_grids))
-    def test_flat_maps_equal_the_per_layer_expressions(self, data, shapes):
+    def test_pair_sides_equal_the_per_layer_expressions(self, data, shapes):
         sizes = [rows * cols for rows, cols in shapes]
         G = data.draw(hnp.arrays(float, sum(sizes), elements=st.floats(1e-7, 2e-4)))
         grads = [data.draw(hnp.arrays(float, (rows // 2, cols),
                                       elements=st.sampled_from([0.0, -0.0])
                                       | st.floats(-1e3, 1e3, allow_subnormal=False)))
                  for rows, cols in shapes]
-        plus, minus = _pair_cells(shapes)
-        W = _flat_weights(G, plus, minus)
-        direction = _directions(np.concatenate(grads, axis=None), plus, minus)
+        # The trainer's layout: G+ cells then G- cells, masks (D < 0, D > 0, D < 0).
+        sides = np.concatenate(_pair_cells(shapes))
+        Gp, Gm = np.split(G[sides], 2)
+        W = (Gp - Gm) / 1e-6
+        D = np.concatenate(grads, axis=None)
+        B = np.empty((3, D.size), dtype=bool)
+        np.less(D, 0, out=B[0])
+        np.greater(D, 0, out=B[1])
+        B[2] = B[0]
+        inc, dec = B[:2].reshape(-1), B[1:].reshape(-1)
+        assert not (inc & dec).any()
+        assert np.count_nonzero(inc) == np.count_nonzero(dec) == np.count_nonzero(D)
+        direction = np.zeros(G.size)
+        direction[sides[inc]], direction[sides[dec]] = 1.0, -1.0
         cells = weights = 0
         for (rows, cols), grad in zip(shapes, grads):
             grid = G[cells:cells + rows * cols].reshape(rows, cols)
@@ -380,9 +391,11 @@ class TestFlatManhattanMaps:
             assert W[weights:weights + grad.size].tobytes() == expected.tobytes()
             signs = np.repeat(-np.sign(grad), 2, axis=0)
             signs[1::2] *= -1.0
-            assert direction[cells:cells + rows * cols].tobytes() == signs.tobytes()
+            got = direction[cells:cells + rows * cols].reshape(rows, cols)
+            assert np.array_equal(got, signs)
+            assert not got[np.repeat(grad == 0.0, 2, axis=0)].any()   # no pulse at +-0.0
             cells, weights = cells + rows * cols, weights + grad.size
-        assert (cells, weights) == (W.size * 2, W.size) == (direction.size, W.size)
+        assert (cells, weights) == (W.size * 2, W.size) == (sides.size, D.size)
 
 
 def reference_manhattan(xb1, xb2, patterns, cfg):
@@ -485,10 +498,20 @@ class TestManhattanOracle:
          ManhattanConfig(amplitude=2.4, epochs=150)),
     ], ids=["default", "pristine", "stuck-wide-pulse", "saturating"])
     def test_array_trainer_matches_per_device_loop(self, make, cfg):
-        xb1, xb2 = make()
+        self._check(*make(), ATV, cfg)
+
+    @pytest.mark.parametrize("labels", ["ATVX", "AV"])
+    def test_classes_in_play_match_per_device_loop(self, labels):
+        # All four classes leave no output unused; two leave two unused.
+        xbars = build_network_crossbars(7, INSITU_DEVICE_SPEC, pristine=False)
+        self._check(*xbars, [p for p in PATTERNS if p.label in labels],
+                    ManhattanConfig(epochs=30))
+
+    @staticmethod
+    def _check(xb1, xb2, patterns, cfg):
         ref1, ref2 = copy.deepcopy(xb1), copy.deepcopy(xb2)
-        res = train_in_situ_manhattan(xb1, xb2, ATV, cfg)
-        errors, final, last, disturb, pulses = reference_manhattan(ref1, ref2, ATV, cfg)
+        res = train_in_situ_manhattan(xb1, xb2, patterns, cfg)
+        errors, final, last, disturb, pulses = reference_manhattan(ref1, ref2, patterns, cfg)
 
         for got, want in ((xb1, ref1), (xb2, ref2)):
             assert got.conductances().tobytes() == want.conductances().tobytes()

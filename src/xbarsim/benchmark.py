@@ -76,10 +76,7 @@ def canonical_training_set() -> list:
     """The repository's frozen 40-pattern training set (10 per class)."""
     text = importlib.resources.files("xbarsim.data").joinpath(
         "training_patterns.txt").read_text()
-    patterns = [parse_pattern_line(line) for line in text.splitlines() if line.strip()]
-    if len(patterns) != 40:
-        raise ConfigurationError("canonical set must hold exactly 40 patterns")
-    return patterns
+    return [parse_pattern_line(line) for line in text.splitlines() if line.strip()]
 
 
 def generate_test_set(training) -> list:
@@ -95,34 +92,6 @@ def pixel_matrix(patterns) -> np.ndarray:
 
 def label_vector(patterns) -> np.ndarray:
     return np.array([p.label_index for p in patterns], dtype=int)
-
-
-def linear_separability_check(patterns) -> bool:
-    """True iff a single-layer argmax model can reach 100% train fidelity.
-
-    Decided by LP feasibility of the pairwise class-margin constraints
-    (w_true - w_other) . x >= 1 over all patterns and wrong classes.
-    """
-    from scipy.optimize import linprog     # only this check needs the LP solver
-
-    X = pixel_matrix(patterns)
-    y = label_vector(patterns)
-    n_cls = len(CLASS_NAMES)
-    aug = np.hstack([X, np.ones((len(X), 1))])
-    d = aug.shape[1]
-    rows = []
-    for i in range(len(X)):
-        for k in range(n_cls):
-            if k == y[i]:
-                continue
-            row = np.zeros(n_cls * d)
-            row[y[i] * d:(y[i] + 1) * d] = -aug[i]
-            row[k * d:(k + 1) * d] = aug[i]
-            rows.append(row)
-    res = linprog(np.zeros(n_cls * d), A_ub=np.array(rows),
-                  b_ub=-np.ones(len(rows)), bounds=[(None, None)] * (n_cls * d),
-                  method="highs")
-    return res.status == 0
 
 
 @dataclass

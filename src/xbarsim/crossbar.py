@@ -59,7 +59,6 @@ class BiasScheme:
     """
 
     scheme: str = "V_third"
-    write_voltage: float = 2.1
 
     def __post_init__(self):
         if self.scheme not in ("V_half", "V_third"):
@@ -235,26 +234,6 @@ def _nodal_matrix(g_dev: np.ndarray, r_w: float) -> scipy.sparse.csc_matrix:
     ii, jj, data, keep = (np.stack(part, axis=1) for part in zip(*slots))
     return scipy.sparse.coo_matrix((data[keep], (ii[keep], jj[keep])),
                                    shape=(2 * n, 2 * n)).tocsc()
-
-
-def device_voltage_map(xbar: Crossbar, sel_row: int, sel_col: int,
-                       bias: BiasScheme) -> np.ndarray:
-    """Voltage magnitude across every cell during a write, ideal lines.
-
-    Selected cell sees V_w; half-selected cells (sharing the selected row or
-    column) see V_w/2 or V_w/3 per scheme; unselected cells see 0 (V_half)
-    or the worst-case V_w/3 (V_third).
-    """
-    if not (0 <= sel_row < xbar.rows and 0 <= sel_col < xbar.cols):
-        raise IndexError(f"({sel_row}, {sel_col}) outside {xbar.rows}x{xbar.cols} crossbar")
-    v_w = bias.write_voltage
-    half = v_w * bias.half_select_fraction()
-    unsel = 0.0 if bias.scheme == "V_half" else v_w / 3.0
-    out = np.full((xbar.rows, xbar.cols), unsel)
-    out[sel_row, :] = half
-    out[:, sel_col] = half
-    out[sel_row, sel_col] = v_w
-    return out
 
 
 def _check_line(R_w: float, G: float):

@@ -55,8 +55,9 @@ class TuningSpec:
             raise ConfigurationError("set_amplitude_range must be ordered and positive")
         if not self.reset_amplitude_range[0] <= self.reset_amplitude_range[1] < 0:
             raise ConfigurationError("reset_amplitude_range must be ordered and negative")
-        if self.max_pulses < 1:
-            raise ConfigurationError("max_pulses must be >= 1")
+        # The write loops count pulses in int64 arrays.
+        if not 1 <= self.max_pulses <= np.iinfo(np.int64).max:
+            raise ConfigurationError(f"max_pulses must lie in [1, {np.iinfo(np.int64).max}]")
         if not 0 < self.amplitude_step < math.inf:
             raise ConfigurationError("amplitude_step must be positive and finite")
         if not 0 < self.pulse_width < math.inf:

@@ -103,8 +103,8 @@ def test_criterion_4_tuning_reproduction():
 
 def test_criterion_5_scaling_table():
     budget = write_drop_budget(0.7, 1.3, "V_third")
-    b3 = BiasScheme("V_third", 2.1)
-    b2 = BiasScheme("V_half", 1.4)
+    b3 = BiasScheme("V_third")
+    b2 = BiasScheme("V_half")
     n_exp_3 = max_crossbar_dimension(0.7, 1.3, 30e-6, 5.6, b3)
     n_cu_3 = max_crossbar_dimension(0.7, 1.3, 30e-6, 0.185, b3)
     n_exp_2 = max_crossbar_dimension(0.7, 1.3, 20e-6, 5.6, b2)

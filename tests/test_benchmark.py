@@ -1,16 +1,43 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from xbarsim.benchmark import (CLASS_NAMES, Pattern, canonical_training_set,
-                               generate_test_set,
-                               linear_separability_check, load_patterns,
+                               generate_test_set, load_patterns,
                                parse_pattern_line, pixel_matrix, precision_sweep,
                                save_patterns, label_vector)
+from xbarsim.errors import ConfigurationError
 from xbarsim.rng import stream
 from xbarsim.training import TrainingConfig, train_ex_situ
 
 TRAIN = canonical_training_set()
 TEST = generate_test_set(TRAIN)
+
+
+def linear_separability_check(patterns) -> bool:
+    """True iff a single-layer argmax model can reach 100% train fidelity.
+
+    Decided by LP feasibility of the pairwise class-margin constraints
+    (w_true - w_other) . x >= 1 over all patterns and wrong classes.
+    """
+    X = pixel_matrix(patterns)
+    y = label_vector(patterns)
+    n_cls = len(CLASS_NAMES)
+    aug = np.hstack([X, np.ones((len(X), 1))])
+    d = aug.shape[1]
+    rows = []
+    for i in range(len(X)):
+        for k in range(n_cls):
+            if k == y[i]:
+                continue
+            row = np.zeros(n_cls * d)
+            row[y[i] * d:(y[i] + 1) * d] = -aug[i]
+            row[k * d:(k + 1) * d] = aug[i]
+            rows.append(row)
+    res = linprog(np.zeros(n_cls * d), A_ub=np.array(rows),
+                  b_ub=-np.ones(len(rows)), bounds=[(None, None)] * (n_cls * d),
+                  method="highs")
+    return res.status == 0
 
 
 class TestCanonicalSet:
@@ -93,6 +120,17 @@ class TestTestSet:
     def test_provenance_keys_unique(self):
         keys = {(idx // 16, idx % 16) for idx in range(len(TEST))}
         assert len(keys) == 640
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Pattern((0,) * 15, "A"), "16 binary pixels"),
+    (lambda: Pattern((2,) + (0,) * 15, "A"), "16 binary pixels"),
+    (lambda: precision_sweep((np.ones((10, 17)), np.ones((4, 11))), [0.0], runs=0),
+     "at least one run")],
+    ids=["15-pixels", "pixel-of-2", "sweep-without-runs"])
+def test_bad_input_is_config_error(make, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make()
 
 
 class TestPatternIO:

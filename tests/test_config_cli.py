@@ -24,7 +24,7 @@ from xbarsim.forming import FormingSpec
 from xbarsim.pipeline import derive_seed, run_ex_situ_pipeline
 from xbarsim.training import ManhattanConfig, TrainingConfig
 from xbarsim.tuning import TuningSpec
-from xbarsim.units import format_quantity, parse_quantity
+from xbarsim.units import format_quantity, parse_quantity, quantity
 
 # init-config output from before the schema was derived from the dataclasses.
 EARLIER_DEFAULTS = Path(__file__).parent / "data" / "default_config_v0.json"
@@ -45,6 +45,13 @@ class TestUnits:
     def test_bare_numbers_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_quantity(1.3, "V")
+
+    @pytest.mark.parametrize("declare", [lambda unit: quantity(1.0, unit),
+                                         lambda unit: parse_quantity("1V", unit)],
+                             ids=["quantity", "parse_quantity"])
+    def test_unknown_base_unit_rejected(self, declare):
+        with pytest.raises(ConfigurationError, match="unknown base unit 'volt'"):
+            declare("volt")
 
     def test_wrong_unit_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -271,6 +278,10 @@ def _impossible_devices(state):
     devices[1][0].update(formed=False, pristine_resistance=-5.0)
     devices[0][1]["g_min"] = 200e-6
     return state
+
+
+# What MlpNetwork says of layer grids of other shapes than the topology's.
+MISFIT = "do not match the topology's ((20, 17), (8, 11))"
 
 
 class TestCli:
@@ -519,6 +530,9 @@ class TestCli:
         {"training": {"clip_interval": ["100uS", "10uS"]}},
         {"training": {"clip_interval": ["0uS", "100uS"]}}, {"training": {"g_bias": "5uS"}},
         {"training": {"epochs": -1}}, {"training": {"finetune_epochs": -1}},
+        {"benchmark": {"runs": 0}}, {"tuning": {"v_read": "1.2.3V"}},
+        # Past int64 the write loops' pulse budgets became object arrays.
+        {"tuning": {"max_pulses": 10**20}},
         *_non_finite_configs()])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
@@ -601,28 +615,37 @@ class TestCli:
             sweeps.append((out / "test_sweep.csv").read_text())
         assert sweeps[0] != sweeps[1]
 
-    def test_empty_pattern_file_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("\n", "no patterns in"), ("0000000000000000 Q\n", "unknown class 'Q'"),
+        ("0000000000000000\n", "bad pattern line"), ("000000000000000 A\n", "bad pixel field")],
+        ids=["empty", "unknown-class", "no-label", "15-pixels"])
+    def test_bad_pattern_file_is_config_error(self, tmp_path, capsys, text, message):
         net = tmp_path / "net"
         net.mkdir()
         export_grid(np.full((20, 17), 50e-6), net / "layer1_pairs.csv")
         export_grid(np.full((8, 11), 50e-6), net / "layer2_pairs.csv")
-        patterns = tmp_path / "empty.txt"
-        patterns.write_text("\n")
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_text(text)
         out = tmp_path / "res"
         assert main(["--out", str(out), "infer", "--network", str(net),
                      "--patterns", str(patterns)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, layers", [
-        ("infer", [((2, 2), 50e-6)] * 2), ("infer", [((8, 11), 50e-6), ((20, 17), 50e-6)]),
-        ("infer", "form"), ("sweep", [((2, 2), 50e-6)] * 2),
+    @pytest.mark.parametrize("command, layers, message", [
+        ("infer", [((2, 2), 50e-6)] * 2, MISFIT),
+        ("infer", [((8, 11), 50e-6), ((20, 17), 50e-6)], MISFIT),
+        ("infer", "form", MISFIT), ("sweep", [((2, 2), 50e-6)] * 2, MISFIT),
         # Right shapes, but conductances no device can hold.
-        ("infer", [((20, 17), -50e-6), ((8, 11), 50e-6)]),
-        ("sweep", [((20, 17), 50e-6), ((8, 11), 0.0)])],
+        ("infer", [((20, 17), -50e-6), ((8, 11), 50e-6)], "> 0 S"),
+        ("sweep", [((20, 17), 50e-6), ((8, 11), 0.0)], "> 0 S"),
+        # A pair grid of an odd row count; no network files at all.
+        ("infer", [((19, 17), 50e-6), ((8, 11), 50e-6)], "even number of rows"),
+        ("sweep", [], "no pair-map CSVs")],
         ids=["infer-2x2-maps", "infer-swapped-maps", "infer-form-snapshots", "sweep-2x2-maps",
-             "infer-negative-maps", "sweep-zero-maps"])
-    def test_network_that_misfits_the_topology_is_config_error(self, tmp_path, command,
-                                                               layers):
+             "infer-negative-maps", "sweep-zero-maps", "infer-odd-rows", "sweep-no-maps"])
+    def test_network_that_misfits_the_topology_is_config_error(self, tmp_path, capsys, command,
+                                                               layers, message):
         net = tmp_path / "net"
         if layers == "form":
             # Two copies of the 20x20 array 'form' writes stand in for the 20x17 and 8x11.
@@ -640,6 +663,7 @@ class TestCli:
         argv = (["infer", "--network", str(net), "--patterns", str(patterns)]
                 if command == "infer" else ["sweep", "--weights", str(net)])
         assert main(["--out", str(out), *argv]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_divergence_writes_nothing(self, tmp_path, monkeypatch):
@@ -826,15 +850,19 @@ class TestArtifacts:
         assert os.listdir(out) == ["crossbar_state.json"]
         assert path.read_text() == state
 
-    @pytest.mark.parametrize("token", ["abc", "nan", "inf", "-Infinity", ""])
-    def test_bad_target_token_is_config_error(self, tmp_path, token):
+    @pytest.mark.parametrize("text, message", [
+        *((f"1e-5,{token}\n1e-5,1e-5\n", "bad.csv")
+          for token in ["abc", "nan", "inf", "-Infinity", ""]),
+        ("\n", "empty grid file"), ("1e-5,1e-5\n1e-5\n", "ragged grid file")],
+        ids=["abc", "nan", "inf", "-Infinity", "", "empty-file", "ragged-file"])
+    def test_bad_target_token_is_config_error(self, tmp_path, text, message):
         out = tmp_path / "run"
         out.mkdir()
         _two_by_two_snapshot(out / "crossbar_state.json")
         targets = tmp_path / "bad.csv"
-        targets.write_text(f"1e-5,{token}\n1e-5,1e-5\n")
+        targets.write_text(text)
         assert main(["--out", str(out), "tune", "--targets", str(targets)]) == 2
-        with pytest.raises(ConfigurationError, match="bad.csv"):
+        with pytest.raises(ConfigurationError, match=message):
             import_grid(targets)
 
 

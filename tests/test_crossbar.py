@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from xbarsim.crossbar import (MAX_NODAL_DIM, MAX_SEARCH_DIM, BiasScheme, _FACTOR_CACHE_SIZE,
                               _nodal_factor, _nodal_matrix, build_crossbar,
-                              device_voltage_map, export_grid, import_grid,
+                              export_grid, import_grid,
                               ladder_drops, ladder_worst_case_drop, load_state,
                               max_crossbar_dimension, save_state, vmm, vmm_ideal,
                               vmm_wire_resistive, write_drop_budget)
@@ -237,18 +237,38 @@ class TestBuild:
         with pytest.raises(ConfigurationError):
             build_crossbar(0, 4, SPEC, seed=0)
 
-    def test_cell_index_checked(self):
-        xb = build_crossbar(3, 4, SPEC, seed=3)
-        with pytest.raises(IndexError):
-            device_voltage_map(xb, 3, 0, BiasScheme())
-        with pytest.raises(IndexError):
-            device_voltage_map(xb, 0, -1, BiasScheme())
+
+def device_voltage_map(xbar, sel_row: int, sel_col: int, bias: BiasScheme,
+                       v_w: float) -> np.ndarray:
+    """Voltage magnitude across every cell during a write of V_w, ideal lines:
+    the R_w = 0 oracle of the write margins.
+
+    Selected cell sees V_w; half-selected cells (sharing the selected row or
+    column) see V_w/2 or V_w/3 per scheme; unselected cells see 0 (V_half)
+    or the worst-case V_w/3 (V_third).
+    """
+    if not (0 <= sel_row < xbar.rows and 0 <= sel_col < xbar.cols):
+        raise IndexError(f"({sel_row}, {sel_col}) outside {xbar.rows}x{xbar.cols} crossbar")
+    half = v_w * bias.half_select_fraction()
+    unsel = 0.0 if bias.scheme == "V_half" else v_w / 3.0
+    out = np.full((xbar.rows, xbar.cols), unsel)
+    out[sel_row, :] = half
+    out[:, sel_col] = half
+    out[sel_row, sel_col] = v_w
+    return out
 
 
 class TestVoltageMap:
+    def test_cell_index_checked(self):
+        xb = build_crossbar(3, 4, SPEC, seed=3)
+        with pytest.raises(IndexError):
+            device_voltage_map(xb, 3, 0, BiasScheme(), 2.1)
+        with pytest.raises(IndexError):
+            device_voltage_map(xb, 0, -1, BiasScheme(), 2.1)
+
     def test_v_half_map(self):
         xb = build_crossbar(4, 4, SPEC, seed=4)
-        vm = device_voltage_map(xb, 1, 2, BiasScheme("V_half", 2.6))
+        vm = device_voltage_map(xb, 1, 2, BiasScheme("V_half"), 2.6)
         assert vm[1, 2] == pytest.approx(2.6)
         assert vm[1, 0] == pytest.approx(1.3)
         assert vm[3, 2] == pytest.approx(1.3)
@@ -256,22 +276,32 @@ class TestVoltageMap:
 
     def test_v_third_map(self):
         xb = build_crossbar(4, 4, SPEC, seed=4)
-        vm = device_voltage_map(xb, 0, 0, BiasScheme("V_third", 2.1))
+        vm = device_voltage_map(xb, 0, 0, BiasScheme("V_third"), 2.1)
         assert vm[0, 0] == pytest.approx(2.1)
         assert vm[0, 3] == pytest.approx(0.7)
         assert vm[2, 2] == pytest.approx(0.7)
 
     def test_zero_write_voltage(self):
         xb = build_crossbar(3, 3, SPEC, seed=4)
-        vm = device_voltage_map(xb, 1, 1, BiasScheme("V_half", 0.0))
+        vm = device_voltage_map(xb, 1, 1, BiasScheme("V_half"), 0.0)
         assert (vm == 0).all()
 
     def test_no_cell_reaches_full_write_voltage(self):
         xb = build_crossbar(5, 7, SPEC, seed=5)
         for scheme in ("V_half", "V_third"):
-            vm = device_voltage_map(xb, 2, 3, BiasScheme(scheme, 2.0))
+            vm = device_voltage_map(xb, 2, 3, BiasScheme(scheme), 2.0)
             vm[2, 3] = 0.0
             assert (vm < 2.0).all()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda xb: vmm(xb, np.zeros(xb.cols + 1)), ValueError, "expected 4 column voltages"),
+    (lambda xb: write_drop_budget(0.7, 1.3, "V_quarter"), ConfigurationError,
+     "unknown bias scheme 'V_quarter'")],
+    ids=["vmm-extra-voltage", "budget-unknown-scheme"])
+def test_bad_argument_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call(build_crossbar(3, 4, SPEC, seed=3))
 
 
 class TestVmmIdeal:
@@ -431,21 +461,21 @@ class TestMaxDimension:
         assert write_drop_budget(0.7, 1.3, "V_half") == pytest.approx(0.07692, abs=1e-4)
 
     def test_calibrated_presets(self):
-        b3 = BiasScheme("V_third", 2.1)
-        b2 = BiasScheme("V_half", 1.4)
+        b3 = BiasScheme("V_third")
+        b2 = BiasScheme("V_half")
         assert abs(max_crossbar_dimension(0.7, 1.3, 30e-6, 5.6, b3) - 70) <= 5
         assert abs(max_crossbar_dimension(0.7, 1.3, 30e-6, 0.185, b3) - 400) <= 25
         assert abs(max_crossbar_dimension(0.7, 1.3, 20e-6, 5.6, b2) - 40) <= 5
         assert abs(max_crossbar_dimension(0.7, 1.3, 20e-6, 0.185, b2) - 200) <= 15
 
     def test_no_safe_window(self):
-        bias = BiasScheme("V_third", 2.1)
+        bias = BiasScheme("V_third")
         assert max_crossbar_dimension(0.4, 1.3, 30e-6, 5.6, bias) == 0
 
     def test_zero_budget_without_wires(self):
         # With R_w = 0 every drop is 0.0, within a zero budget, yet no write is safe.
         assert write_drop_budget(0.65, 1.3, "V_half") == 0.0
-        assert max_crossbar_dimension(0.65, 1.3, 20e-6, 0.0, BiasScheme("V_half", 1.4)) == 0
+        assert max_crossbar_dimension(0.65, 1.3, 20e-6, 0.0, BiasScheme("V_half")) == 0
         assert max_crossbar_dimension(0.4, 1.3, 30e-6, 0.0, BiasScheme()) == 0
 
     @pytest.mark.parametrize("r_w", [0.0, 1e-6])

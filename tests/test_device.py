@@ -115,6 +115,11 @@ class TestStaticIV:
         with pytest.raises(ValueError):
             make_device().read_conductance(0.0)
 
+    def test_disturbing_read_rejected(self):
+        # A formed device (the default) switches at set_threshold = 1.0 V.
+        with pytest.raises(ValueError, match="would disturb"):
+            make_device().read_conductance(1.1)
+
     def test_reads_are_side_effect_free(self):
         d = make_device(conductance=42e-6)
         values = {d.read_conductance(0.2) for _ in range(10)}

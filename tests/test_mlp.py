@@ -14,7 +14,8 @@ from xbarsim.errors import ConfigurationError
 from xbarsim.mlp import (ConductancePairMap, MlpNetwork, NetworkTopology,
                          encode_batch, encode_pixels, fidelity, forward, infer,
                          layer_forward)
-from xbarsim.pipeline import build_network_crossbars, hardware_fidelity, run_ex_situ_pipeline
+from xbarsim.pipeline import (build_network_crossbars, hardware_fidelity, read_back_network,
+                              run_ex_situ_pipeline)
 from xbarsim.rng import stream
 
 CLEAN = DeviceVariationSpec(stuck_probability=0.0)
@@ -157,6 +158,25 @@ class TestInfer:
         cls_b, v_b = infer(hw, pixels)
         assert cls_a == cls_b
         np.testing.assert_allclose(v_b, v_a, rtol=1e-12)
+
+
+PIXELS = np.array(canonical_training_set()[0].pixels, dtype=float)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda net: ConductancePairMap(net.layer1.plus, net.layer1.minus[:9]),
+     ConfigurationError, "plus/minus shapes differ"),
+    (lambda net: forward(net.layer1.to_grid().tolist(), net.layer2, encode_batch(PIXELS)),
+     TypeError, "unsupported layer type list"),
+    (lambda net: layer_forward(net.layer1, encode_batch(PIXELS), "relu"),
+     ValueError, "unknown activation kind 'relu'"),
+    (lambda net: encode_pixels(PIXELS[:15]), ValueError, "expected 16 pixels per pattern"),
+    (lambda net: infer(net, np.stack([PIXELS, PIXELS])), ValueError, "classifies one pattern")],
+    ids=["mismatched-pair-sides", "forward-on-a-list", "relu-layer", "15-pixels",
+         "infer-on-a-batch"])
+def test_bad_argument_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call(random_network(19))
 
 
 class TestPairGrid:
@@ -374,6 +394,15 @@ class TestForwardInto:
 @pytest.fixture(scope="module")
 def aware_chip():
     return run_ex_situ_pipeline(0, aware=True).crossbars
+
+
+def test_read_back_network_pairs_each_array(aware_chip):
+    net = read_back_network(*aware_chip)
+    for layer, xb in zip((net.layer1, net.layer2), aware_chip):
+        want = ConductancePairMap.from_grid(xb.conductances())
+        assert layer.plus.tobytes() == want.plus.tobytes()
+        assert layer.minus.tobytes() == want.minus.tobytes()
+        assert layer.to_grid().tobytes() == xb.conductances().tobytes()
 
 
 def test_hardware_fidelity_reads_through_the_line_model(aware_chip):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xbarsim import training
-from xbarsim.benchmark import (canonical_training_set, label_vector, linear_separability_check,
-                               pixel_matrix)
+from xbarsim.benchmark import canonical_training_set, label_vector, pixel_matrix
 from xbarsim.crossbar import build_crossbar
 from xbarsim.device import DeviceVariationSpec, MemristorDevice, device_fields
 from xbarsim.errors import ConfigurationError, DivergenceError
@@ -588,10 +587,9 @@ class TestManhattanConfig:
     lambda xbs: train_single_layer([], TrainingConfig()),
     lambda xbs: train_in_situ_manhattan(*xbs, [], ManhattanConfig(epochs=1)),
     lambda xbs: hardware_fidelity(*xbs, []),
-    lambda xbs: linear_separability_check([]),
     lambda xbs: run_ex_situ_pipeline(0, aware=False, patterns=[], test_patterns=[])],
     ids=["train_ex_situ", "train_single_layer", "train_in_situ_manhattan",
-         "hardware_fidelity", "linear_separability_check", "run_ex_situ_pipeline"])
+         "hardware_fidelity", "run_ex_situ_pipeline"])
 def test_empty_pattern_set_is_config_error(run):
     xbs = build_network_crossbars(8, INSITU_DEVICE_SPEC, pristine=False)
     with pytest.raises(ConfigurationError, match="empty pattern set"):

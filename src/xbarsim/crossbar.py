@@ -20,7 +20,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .device import (CELL_DTYPE, DEVICE_FIELDS, DeviceVariationSpec, MemristorDevice,
-                     device_fields, draw_cell)
+                     device_fields, draw_cells)
 from .errors import ConfigurationError
 from .rng import streams
 from .units import convert
@@ -47,6 +47,11 @@ MIN_WIRE_RESISTANCE = 1e-300
 
 # Longest ladder max_crossbar_dimension walks, so the largest side it returns.
 MAX_SEARCH_DIM = 100000
+
+# Most cells one array may hold.  Sampling is ~6 us and ~450 bytes per cell:
+# on a 2-core x86 host (numpy 2.4) a 512x512 array, at the bound, took 1.4 s
+# and ~120 MB at its peak.
+MAX_CELLS = 512 * 512
 
 
 @dataclass
@@ -109,6 +114,8 @@ def check_geometry(rows: int, cols: int, R_w: float = 0.0, line_model: str = "id
     """Raise ConfigurationError unless an array of this shape and wiring can exist."""
     if rows < 1 or cols < 1:
         raise ConfigurationError("crossbar dimensions must be >= 1")
+    if rows * cols > MAX_CELLS:
+        raise ConfigurationError(f"a crossbar holds at most {MAX_CELLS} cells, got {rows}x{cols}")
     if not (R_w == 0 or MIN_WIRE_RESISTANCE <= R_w <= MAX_WIRE_RESISTANCE):
         raise ConfigurationError(f"wire segment resistance must be 0 or lie in "
                                  f"[{MIN_WIRE_RESISTANCE:g}, {MAX_WIRE_RESISTANCE:g}] ohm")
@@ -129,9 +136,8 @@ def build_crossbar(rows: int, cols: int, spec: DeviceVariationSpec, R_w: float =
     check_geometry(rows, cols, R_w, line_model)
     spec.validate()
     gens = streams(seed, [("cell", r, c) for r in range(rows) for c in range(cols)])
-    cells = np.array([draw_cell(spec, gen, pristine) for gen in gens], dtype=CELL_DTYPE)
-    return Crossbar(cells.reshape(rows, cols), wire_segment_resistance=R_w,
-                    line_model=line_model)
+    return Crossbar(draw_cells(spec, gens, pristine).reshape(rows, cols),
+                    wire_segment_resistance=R_w, line_model=line_model)
 
 
 def _column_voltages(xbar: Crossbar, column_voltages) -> np.ndarray:

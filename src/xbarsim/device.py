@@ -5,6 +5,10 @@ switching kinetics, conductance bounds, and optional defect state.  Voltage
 pulses above threshold move the conductance gradually; everything below
 threshold is read-only.  Conductance is in siemens, voltages in volts,
 currents in amperes, times in seconds throughout.
+
+Sampling draws each device from its own Generator in a fixed order, given in
+``draw_cells``; the array expressions it evaluates are numpy's scalar normal
+and uniform draws, one rounded IEEE operation each, so they match bit for bit.
 """
 
 from __future__ import annotations
@@ -240,43 +244,51 @@ def pulse_runs(g, step, lo, hi, longest: int) -> np.ndarray:
     return run
 
 
-def _uniform(rng: np.random.Generator, bounds) -> float:
-    """``float(rng.uniform(lo, hi))`` bit for bit: the expression numpy's
-    ``random_uniform`` evaluates, without the cost of ``Generator.uniform``.
-    A degenerate range makes no draw."""
-    lo, hi = map(float, bounds)
-    if lo == hi:
-        return lo
-    return lo + (hi - lo) * rng.random()
+def _spread(bounds, u):
+    """numpy's ``random_uniform`` over the draws ``u``: lo + (hi - lo) * u."""
+    return bounds[0] + (bounds[1] - bounds[0]) * u
 
 
-def draw_cell(spec: DeviceVariationSpec, rng: np.random.Generator,
-              pristine: bool = False) -> tuple:
-    """One device's fields, in ``CELL_DTYPE`` order, drawn from a validated
-    ``spec``.  The draw order is fixed so a given generator state always
-    yields the same device, whether or not the pristine fields are used."""
-    set_th = max(_MIN_THRESHOLD, float(rng.normal(spec.set_mu, spec.set_sigma)))
-    reset_th = min(-_MIN_THRESHOLD, float(rng.normal(spec.reset_mu, spec.reset_sigma)))
-    stuck = rng.random() < spec.stuck_probability
-    stuck_value = _uniform(rng, spec.stuck_conductance_range)
-    g_init = _uniform(rng, spec.g_init_range)
-    rate = _uniform(rng, spec.kinetics_rate_range)
-    preformed = rng.random() < PREFORMED_PROBABILITY and not stuck
-    if preformed:
-        pristine_r = _uniform(rng, PREFORMED_RESISTANCE_RANGE)
-    else:
-        pristine_r = _uniform(rng, PRISTINE_RESISTANCE_RANGE)
-    if stuck:
-        forming_i = math.inf
-    else:
-        forming_i = max(_MIN_FORMING_CURRENT,
-                        float(rng.normal(FORMING_CURRENT_MU, FORMING_CURRENT_SIGMA)))
-    post_g = _uniform(rng, POST_FORMING_CONDUCTANCE_RANGE)
-
-    conductance = min(max(stuck_value if stuck else g_init, spec.g_min), spec.g_max)
-    return (conductance, set_th, reset_th, spec.g_min, spec.g_max,
-            spec.nonlinearity_alpha, rate, spec.kinetics_voltage_scale, stuck,
-            not pristine, pristine_r, forming_i, post_g, stuck_value)
+def draw_cells(spec: DeviceVariationSpec, gens, pristine: bool = False) -> np.ndarray:
+    """One ``CELL_DTYPE`` record per Generator of the sized iterable ``gens``,
+    drawn from a validated ``spec``.  Each Generator gives, in order: two
+    standard normals (set, reset threshold); one uniform each for the stuck
+    flag, each range of the spec that is not degenerate (stuck conductance,
+    initial conductance, rate), the pre-formed flag and the pristine resistance;
+    a standard normal for the forming current unless stuck; one uniform for
+    the post-forming conductance.  The loop makes only these calls, and each
+    field is one array expression over all cells: ``mu + sigma * z`` (numpy's
+    ``random_normal``), ``lo + (hi - lo) * u`` (its ``random_uniform``) and
+    clamps that give Python's ``max``/``min`` results, NaN included."""
+    ranges = [tuple(map(float, getattr(spec, name))) for name in
+              ("stuck_conductance_range", "g_init_range", "kinetics_rate_range")]
+    n, p = len(gens), spec.stuck_probability
+    Z, R = np.empty((n, 2)), np.empty((n, sum(lo != hi for lo, hi in ranges) + 3))
+    F, P = [], []
+    for gen, z, r in zip(gens, Z, R):
+        gen.standard_normal(out=z)
+        gen.random(out=r)
+        F.append(0.0 if r[0] < p else gen.standard_normal())
+        P.append(gen.random())
+    u = iter(R.T)
+    stuck = next(u) < p
+    stuck_value, g_init, rate = (_spread(b, next(u)) if b[0] != b[1] else b[0] for b in ranges)
+    preformed = (next(u) < PREFORMED_PROBABILITY) & ~stuck
+    cells = np.empty(n, CELL_DTYPE)
+    cells["conductance"] = np.clip(np.where(stuck, stuck_value, g_init), spec.g_min, spec.g_max)
+    cells["set_threshold"] = np.fmax(_MIN_THRESHOLD, spec.set_mu + spec.set_sigma * Z[:, 0])
+    cells["reset_threshold"] = np.fmin(-_MIN_THRESHOLD, spec.reset_mu + spec.reset_sigma * Z[:, 1])
+    for name in ("g_min", "g_max", "nonlinearity_alpha", "kinetics_voltage_scale"):
+        cells[name] = getattr(spec, name)
+    cells["kinetics_rate"], cells["stuck"], cells["formed"] = rate, stuck, not pristine
+    cells["pristine_resistance"] = np.where(
+        preformed, _spread(PREFORMED_RESISTANCE_RANGE, R[:, -1]),
+        _spread(PRISTINE_RESISTANCE_RANGE, R[:, -1]))
+    cells["forming_current"] = np.where(stuck, math.inf, np.fmax(
+        _MIN_FORMING_CURRENT, FORMING_CURRENT_MU + FORMING_CURRENT_SIGMA * np.array(F)))
+    cells["post_forming_conductance"] = _spread(POST_FORMING_CONDUCTANCE_RANGE, np.array(P))
+    cells["stuck_value"] = stuck_value
+    return cells
 
 
 def sample_device(spec: DeviceVariationSpec, rng: np.random.Generator,
@@ -286,4 +298,4 @@ def sample_device(spec: DeviceVariationSpec, rng: np.random.Generator,
     With ``pristine=True`` the device starts unformed (high-resistance) and
     must go through the forming procedure before it responds to pulses.
     """
-    return MemristorDevice(*draw_cell(spec.validate(), rng, pristine))
+    return MemristorDevice(*draw_cells(spec.validate(), [rng], pristine)[0].item())

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -65,11 +64,11 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
                     dtype=np.uint32)
 
 
-def streams(root_seed: int, label_rows) -> Iterator[np.random.Generator]:
+def streams(root_seed: int, label_rows) -> _Generators:
     """``stream(root_seed, *labels)`` for each row of ``label_rows``, in order.
 
-    The state words of every row are computed up front, and each Generator is
-    built as the iterator reaches it.
+    The state words of every row are computed up front, each distinct label
+    text is hashed once, and each Generator is built as iteration reaches it.
     """
     root = np.random.SeedSequence(int(root_seed))   # rejects a negative seed
     label_rows = list(label_rows)
@@ -77,7 +76,9 @@ def streams(root_seed: int, label_rows) -> Iterator[np.random.Generator]:
     width = int(lengths.max(initial=0))
     keys = np.zeros((len(label_rows), width), dtype=np.uint32)
     present = np.arange(width) < lengths[:, None]
-    keys[present] = _label_words(itertools.chain.from_iterable(label_rows))
+    texts = [str(label) for label in itertools.chain.from_iterable(label_rows)]
+    word = dict(zip(distinct := set(texts), _label_words(distinct)))
+    keys[present] = [word[text] for text in texts]
 
     # Hashing the root's 32-bit words into the pool and mixing the pool took
     # 4 + 4 * 3 hash calls, and 4 more per root word past the pool's four;
@@ -100,5 +101,17 @@ def streams(root_seed: int, label_rows) -> Iterator[np.random.Generator]:
     state = np.tile(pool, 2) ^ b[:-1]
     state *= b[1:]
     state ^= state >> _XSHIFT
-    state = state.astype("<u4").view("<u8").astype(np.uint64)
-    return (np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state)
+    return _Generators(state.astype("<u4").view("<u8").astype(np.uint64))
+
+
+class _Generators:
+    """A Generator per row of PCG64 state words, built as iteration reaches it."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def __iter__(self):
+        return (np.random.Generator(np.random.PCG64(_StateWords(row))) for row in self.state)

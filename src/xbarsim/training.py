@@ -146,23 +146,28 @@ def _grads(u1, u2, Xe, T, topology=DEFAULT_TOPOLOGY, ws=None):
 _FIDELITY_CHUNK = 200
 
 
+def _argmax_rows(epochs, y, fids):
+    """Yield one row per epoch for its output argmaxes; once a chunk of rows
+    is written, append their fidelities against ``y`` to ``fids``."""
+    hits = np.empty((min(epochs, _FIDELITY_CHUNK), len(y)), dtype=np.intp)
+    for start in range(0, epochs, _FIDELITY_CHUNK):
+        yield from (chunk := hits[:epochs - start])
+        # fidelity(), chunk by chunk: the same int / int division
+        fids += (np.count_nonzero(chunk == y, axis=1) / len(y)).tolist()
+
+
 def _descend(epochs, step, y, first_epoch, where):
     """Run ``step`` ``epochs`` times; each call returns the loss and outputs Y
     at the parameters it then updates.  Returns the curve rows (epoch, loss,
     fidelity of Y), epochs numbered from ``first_epoch``.  A non-finite loss
     raises DivergenceError naming the epoch, ``where`` saying which loop's."""
     losses, fids = [], []
-    hits = np.empty((min(epochs, _FIDELITY_CHUNK), len(y)), dtype=np.intp)
-    for epoch in range(epochs):
+    for epoch, row in enumerate(_argmax_rows(epochs, y, fids)):
         loss, Y = step()
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss {where} {epoch}")
         losses.append(loss)
-        row = epoch % len(hits)
-        Y.argmax(-1, out=hits[row])
-        if row == len(hits) - 1 or epoch == epochs - 1:
-            # fidelity(), chunk by chunk: the same int / int division
-            fids += (np.count_nonzero(hits[:row + 1] == y, axis=1) / len(y)).tolist()
+        Y.argmax(-1, out=row)
     return list(zip(range(first_epoch, first_epoch + epochs), losses, fids))
 
 
@@ -373,7 +378,7 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     y = label_vector(patterns)
     class_idx = np.unique(y)                    # the labels in play, sorted
     y_local = np.searchsorted(class_idx, y)
-    T = _targets(y_local, len(class_idx), MANHATTAN_TARGET_LEVEL)
+    T = _targets(y, topo.n_outputs, MANHATTAN_TARGET_LEVEL)
 
     cells = net.cells()
     if (cells["nonlinearity_alpha"] > 0).any():
@@ -398,16 +403,18 @@ def train_in_situ_manhattan(xb1: Crossbar, xb2: Crossbar, patterns,
     fids, pulses = [], 0
 
     # Gradients run over the full 4-output head with error only on the
-    # classes in play; unused outputs see zero error and get zero pulses.
-    dY, ws = np.zeros((len(y), topo.n_outputs)), _Workspace(len(y), *layers)
-    Ysub, err = np.empty((2, len(y), len(class_idx)))
-    for epoch in range(cfg.epochs + 1):
+    # classes in play: an unused output's error is divided by inf, a zero of
+    # either sign, so it gets no pulse under the strict masks below.
+    scale = np.full(topo.n_outputs, np.inf)
+    scale[class_idx] = len(y) * len(class_idx) / 2.0
+    ws, Ysub = _Workspace(len(y), *layers), np.empty((len(y), len(class_idx)))
+    for epoch, row in enumerate(_argmax_rows(cfg.epochs + 1, y_local, fids)):
         np.divide(np.subtract(Gp, Gm, out=W), _U, out=W)
         tanh_a, Ha, Y = forward(u1, u2, Xe, topo, out=ws.fwd)
-        fids.append(fidelity(Y.take(class_idx, axis=1, out=Ysub), y_local))
+        Y.take(class_idx, axis=1, out=Ysub).argmax(-1, out=row)
         if epoch == cfg.epochs:
-            break                               # the last entry is the end state's
-        dY[:, class_idx] = np.divide(np.subtract(Ysub, T, out=err), T.size / 2.0, out=err)
+            continue                # the end state's row: not break, so its chunk is counted
+        dY = np.divide(np.subtract(Y, T, out=ws.err), scale, out=ws.dY)
         _backward(u2, Xe, tanh_a, Ha, dY, topo, ws)
         np.less(ws.D, 0, out=B[0])
         np.greater(ws.D, 0, out=B[1])

@@ -16,8 +16,8 @@ from xbarsim import cli, config, training
 from xbarsim.cli import main
 from xbarsim.config import (IMPORT_TOLERANCE, INSITU_DEVICE_SPEC, ExperimentConfig,
                             load_config, write_default_config)
-from xbarsim.crossbar import (build_crossbar, export_grid, import_grid, load_state,
-                              save_state, write_csv)
+from xbarsim.crossbar import (MAX_CELLS, build_crossbar, export_grid, import_grid,
+                              load_state, save_state, write_csv)
 from xbarsim.device import DeviceVariationSpec
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec
@@ -533,6 +533,8 @@ class TestCli:
         {"benchmark": {"runs": 0}}, {"tuning": {"v_read": "1.2.3V"}},
         # Past int64 the write loops' pulse budgets became object arrays.
         {"tuning": {"max_pulses": 10**20}},
+        # Past the cell bound xbarsim form would sample until killed.
+        {"crossbar": {"rows": 10**20}}, {"crossbar": {"rows": MAX_CELLS + 1, "cols": 1}},
         *_non_finite_configs()])
     def test_malformed_config_values_are_config_error(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
@@ -540,6 +542,14 @@ class TestCli:
         out = tmp_path / "scale"
         assert main(["--config", str(cfg), "--out", str(out), "scale"]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows, cols", [(MAX_CELLS, 1), (1, MAX_CELLS), (512, 512)])
+    def test_array_at_the_cell_bound_is_valid(self, tmp_path, rows, cols):
+        # Validation only: nothing samples the array.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"crossbar": {"rows": rows, "cols": cols}}))
+        xc = load_config(cfg).crossbar
+        assert (xc.rows, xc.cols) == (rows, cols)
 
     def test_init_config_writes_the_defaults(self, tmp_path, capsys):
         path = tmp_path / "xbarsim.json"

@@ -9,18 +9,19 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xbarsim.crossbar import (MAX_NODAL_DIM, MAX_SEARCH_DIM, BiasScheme, _FACTOR_CACHE_SIZE,
-                              _nodal_factor, _nodal_matrix, build_crossbar,
+from xbarsim.crossbar import (MAX_CELLS, MAX_NODAL_DIM, MAX_SEARCH_DIM, BiasScheme,
+                              _FACTOR_CACHE_SIZE, _nodal_factor, _nodal_matrix, build_crossbar,
                               export_grid, import_grid,
                               ladder_drops, ladder_worst_case_drop, load_state,
                               max_crossbar_dimension, save_state, vmm, vmm_ideal,
                               vmm_wire_resistive, write_drop_budget)
 from xbarsim.config import INSITU_DEVICE_SPEC
 from xbarsim.device import (CELL_DTYPE, DEVICE_FIELDS, DeviceVariationSpec, MemristorDevice,
-                            device_fields, draw_cell)
+                            device_fields)
 from xbarsim.errors import ConfigurationError
 from xbarsim.forming import FormingSpec, form_all
 from xbarsim.rng import stream
+from test_device import reference_cell
 
 SPEC = DeviceVariationSpec(stuck_probability=0.0)
 
@@ -192,8 +193,9 @@ class TestNodalOracle:
 
 
 def reference_cells(rows, cols, spec, seed, pristine):
-    """The cells drawn one stream at a time, each seeded by numpy's SeedSequence."""
-    return np.array([draw_cell(spec, stream(seed, "cell", r, c), pristine)
+    """The cells drawn one stream at a time, each seeded by numpy's SeedSequence
+    and drawn one scalar call at a time."""
+    return np.array([reference_cell(spec, stream(seed, "cell", r, c), pristine)
                      for r in range(rows) for c in range(cols)],
                     dtype=CELL_DTYPE).reshape(rows, cols)
 
@@ -209,10 +211,11 @@ class TestBuild:
         (DeviceVariationSpec(), True),
         (INSITU_DEVICE_SPEC, True),
         (DEGENERATE_SPEC, True),
+        (DeviceVariationSpec(g_init_range=(50e-6, 50e-6)), False),
         (DeviceVariationSpec(stuck_probability=0.0), True),
         (DeviceVariationSpec(stuck_probability=1.0), False),
     ], ids=["default", "default-pristine", "insitu", "degenerate-ranges",
-            "never-stuck", "always-stuck"])
+            "degenerate-g-init", "never-stuck", "always-stuck"])
     @pytest.mark.parametrize("seed", [0, 3, 2**33 + 1])
     def test_cells_equal_per_stream_reference(self, spec, pristine, seed):
         got = build_crossbar(8, 11, spec, seed=seed, pristine=pristine).cells
@@ -236,6 +239,10 @@ class TestBuild:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ConfigurationError):
             build_crossbar(0, 4, SPEC, seed=0)
+
+    def test_more_cells_than_the_bound_rejected(self):
+        with pytest.raises(ConfigurationError, match=f"at most {MAX_CELLS} cells"):
+            build_crossbar(MAX_CELLS + 1, 1, SPEC, seed=0)
 
 
 def device_voltage_map(xbar, sel_row: int, sel_col: int, bias: BiasScheme,

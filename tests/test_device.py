@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xbarsim.device import (CELL_DTYPE, DeviceVariationSpec, MemristorDevice,
-                            currents, device_fields, pulse_runs, sample_device,
-                            switching_steps,
-                            PULSE_WIDTH_REF, SAFE_READ_VOLTAGE, _uniform)
+                            currents, device_fields, draw_cells, pulse_runs,
+                            sample_device, switching_steps,
+                            FORMING_CURRENT_MU, FORMING_CURRENT_SIGMA,
+                            POST_FORMING_CONDUCTANCE_RANGE, PREFORMED_PROBABILITY,
+                            PREFORMED_RESISTANCE_RANGE, PRISTINE_RESISTANCE_RANGE,
+                            PULSE_WIDTH_REF, SAFE_READ_VOLTAGE,
+                            _MIN_FORMING_CURRENT, _MIN_THRESHOLD, _spread)
 from xbarsim.errors import ConfigurationError
 from xbarsim.rng import stream, streams
 
@@ -16,6 +20,56 @@ def make_device(**kw):
     base = dict(conductance=50e-6, set_threshold=1.0, reset_threshold=-1.2)
     base.update(kw)
     return MemristorDevice(**base)
+
+
+def reference_uniform(rng, bounds):
+    """``float(rng.uniform(lo, hi))`` bit for bit, the expression numpy's
+    ``random_uniform`` evaluates; a degenerate range makes no draw."""
+    lo, hi = map(float, bounds)
+    if lo == hi:
+        return lo
+    return lo + (hi - lo) * rng.random()
+
+
+def reference_cell(spec, rng, pristine=False):
+    """One device's fields in ``CELL_DTYPE`` order, drawn one scalar call at a
+    time in the documented order, with Python's ``max``/``min`` clamps."""
+    set_th = max(_MIN_THRESHOLD, float(rng.normal(spec.set_mu, spec.set_sigma)))
+    reset_th = min(-_MIN_THRESHOLD, float(rng.normal(spec.reset_mu, spec.reset_sigma)))
+    stuck = rng.random() < spec.stuck_probability
+    stuck_value = reference_uniform(rng, spec.stuck_conductance_range)
+    g_init = reference_uniform(rng, spec.g_init_range)
+    rate = reference_uniform(rng, spec.kinetics_rate_range)
+    preformed = rng.random() < PREFORMED_PROBABILITY and not stuck
+    pristine_r = reference_uniform(
+        rng, PREFORMED_RESISTANCE_RANGE if preformed else PRISTINE_RESISTANCE_RANGE)
+    if stuck:
+        forming_i = math.inf
+    else:
+        forming_i = max(_MIN_FORMING_CURRENT,
+                        float(rng.normal(FORMING_CURRENT_MU, FORMING_CURRENT_SIGMA)))
+    post_g = reference_uniform(rng, POST_FORMING_CONDUCTANCE_RANGE)
+    conductance = min(max(stuck_value if stuck else g_init, spec.g_min), spec.g_max)
+    return (conductance, set_th, reset_th, spec.g_min, spec.g_max,
+            spec.nonlinearity_alpha, rate, spec.kinetics_voltage_scale, stuck,
+            not pristine, pristine_r, forming_i, post_g, stuck_value)
+
+
+@st.composite
+def variation_specs(draw):
+    """Specs whose ranges are each degenerate or not, with sigmas that may be 0
+    and a stuck probability of 0, 1 or in between."""
+    def bounds(lo, hi):
+        a = draw(st.floats(lo, hi))
+        return (a, a) if draw(st.booleans()) else tuple(sorted((a, draw(st.floats(lo, hi)))))
+    g_min = draw(st.floats(1e-6, 60e-6))
+    return DeviceVariationSpec(
+        set_mu=draw(st.floats(-0.5, 2.0)), set_sigma=draw(st.just(0.0) | st.floats(0.0, 0.5)),
+        reset_mu=draw(st.floats(-2.0, 0.5)), reset_sigma=draw(st.just(0.0) | st.floats(0.0, 0.5)),
+        stuck_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        stuck_conductance_range=bounds(0.0, 200e-6), g_init_range=bounds(0.0, 200e-6),
+        g_min=g_min, g_max=draw(st.floats(g_min, 200e-6)),
+        kinetics_rate_range=bounds(0.0, 0.3e-6)).validate()
 
 
 class TestSampling:
@@ -69,16 +123,42 @@ class TestSampling:
 
     @pytest.mark.parametrize("bounds", [(10e-6, 100e-6), (-2.5, 7), (0.0, 1.0)])
     def test_uniform_draw_equals_generator_uniform(self, bounds):
-        ours, numpys = stream(9, "uniform"), stream(9, "uniform")
-        for _ in range(2000):
-            assert _uniform(ours, bounds) == float(numpys.uniform(*bounds))
-        assert ours.bit_generator.state == numpys.bit_generator.state
+        ours, numpys, ref = (stream(9, "uniform") for _ in range(3))
+        want = [float(numpys.uniform(*bounds)) for _ in range(2000)]
+        assert _spread(tuple(map(float, bounds)), ours.random(2000)).tolist() == want
+        assert [reference_uniform(ref, bounds) for _ in range(2000)] == want
+        assert ours.bit_generator.state == numpys.bit_generator.state == ref.bit_generator.state
 
     def test_degenerate_range_makes_no_draw(self):
         rng = stream(9, "uniform")
         before = rng.bit_generator.state
-        assert _uniform(rng, (3e-6, 3e-6)) == 3e-6
+        assert reference_uniform(rng, (3e-6, 3e-6)) == 3e-6
         assert rng.bit_generator.state == before
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=variation_specs(), seed=st.integers(0, 2**40), pristine=st.booleans())
+    @example(spec=DeviceVariationSpec(g_init_range=(50e-6, 50e-6)), seed=3, pristine=False)
+    def test_draw_cells_equal_scalar_reference(self, spec, seed, pristine):
+        labels = [("cell", i) for i in range(12)]
+        gens = list(streams(seed, labels))
+        refs = [stream(seed, *address) for address in labels]
+        want = np.array([reference_cell(spec, rng, pristine) for rng in refs], dtype=CELL_DTYPE)
+        assert draw_cells(spec, gens, pristine).tobytes() == want.tobytes()
+        # Each stream is left where the scalar draws leave it.
+        assert [g.random() for g in gens] == [rng.random() for rng in refs]
+
+    @pytest.mark.parametrize("spec", [
+        DeviceVariationSpec(), DeviceVariationSpec(stuck_probability=1.0),
+        DeviceVariationSpec(set_sigma=0.0, g_init_range=(50e-6, 50e-6),
+                            kinetics_rate_range=(0.03e-6, 0.03e-6))],
+        ids=["default", "always-stuck", "degenerate"])
+    @pytest.mark.parametrize("pristine", [False, True])
+    def test_sample_device_equals_scalar_reference(self, spec, pristine):
+        for i in range(40):
+            got = sample_device(spec, stream(50, i), pristine)
+            want = reference_cell(spec, stream(50, i), pristine)
+            assert (np.array(device_fields(got), dtype=CELL_DTYPE).tobytes()
+                    == np.array(want, dtype=CELL_DTYPE).tobytes())
 
 
 class TestStaticIV:
